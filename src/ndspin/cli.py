@@ -169,7 +169,7 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     records = sensitivity_scan(
         cfg.sensitivity_radius, cfg.sensitivity_theta, cfg.sensitivity_phi,
         cfg.coil, cfg.nanodiamond, schedule, period, cfg.integrator,
-        cfg.sensitivity_n_samples, cfg.constants)
+        cfg.sensitivity_n_samples, cfg.constants, spin_moment=cfg.spin_moment)
     summary = []
     for i, rec in enumerate(records):
         for spin, traj in rec["trajectories"].items():
@@ -186,7 +186,8 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
         })
     deltas = delta_scan(cfg.sensitivity_delta, cfg.coil, cfg.nanodiamond,
                         cfg.sensitivity_n_flip, omega_eff, cfg.integrator,
-                        cfg.sensitivity_n_samples, cfg.constants)
+                        cfg.sensitivity_n_samples, cfg.constants,
+                        spin_moment=cfg.spin_moment)
     write_json(_out(args, "sensitivity_summary.json"), {
         "generated_by": "ndspin sensitivity",
         "omega_rad_per_s": float(omega_eff),
@@ -203,7 +204,7 @@ def cmd_protocol_opt(cfg: ScenarioConfig, args) -> int:
         cfg.protocol.scenario, cfg.mass_range, cfg.bprime_range,
         grid_shape=cfg.grid_shape, refine=cfg.refine,
         template=cfg.nanodiamond, target_delta_phi=cfg.protocol.target_delta_phi,
-        constants=cfg.constants, threads=args.threads)
+        constants=cfg.constants)
     write_csv(_out(args, "protocol_surface.csv"), SURFACE_CSV_HEADER,
               result.surface_rows())
     write_json(_out(args, "protocol_opt.json"), {
@@ -255,18 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON scenario config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid scans")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; all computations are deterministic")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

@@ -15,17 +15,18 @@ magnitude below their gravitational interaction.
 
 Scenario split: ``HOLD_ONLY`` counts phase only during the hold (c);
 ``FULL_CYCLE`` also integrates it through the separation/recombination
-sweep, where s(t) = dx_max (1 - cos omega t)/2 over the full cycle.  Either
-way the interferometer must close, so t_total is never below one period.
+sweep, where s(t) = dx_max (1 - cos omega t)/2 over the full cycle; that
+integral has a closed form (:func:`delta_phi_bd`).  Either way the
+interferometer must close, so t_total is never below one period.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -51,7 +52,6 @@ __all__ = [
     "delta_phi_bd",
     "protocol_duration",
     "optimize_tmin",
-    "write_surface_csv",
     "final_state",
     "gravity_phases",
     "partial_transpose",
@@ -136,40 +136,14 @@ def delta_phi_rate(
     """Instantaneous entangling-phase rate at branch separation s (rad/s).
 
     Evaluated as 2 s^2 / (d (d^2 - s^2)) times G m^2 / hbar, which is the
-    cancellation-free form of 1/(d-s) + 1/(d+s) - 2/d.
+    cancellation-free form of 1/(d-s) + 1/(d+s) - 2/d.  Broadcasts over
+    arrays of d, s and m_nd.
     """
-    if not 0.0 <= s < d:
+    if not np.all((0.0 <= s) & (s < d)):
         raise ValueError("separation must satisfy 0 <= s < d "
                          "(branches may not cross the partner particle)")
     return (constants.G * m_nd**2 / constants.hbar) * (
         2.0 * s * s / (d * (d * d - s * s)))
-
-
-def _adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    max_depth: int = 40,
-) -> float:
-    """Classic adaptive Simpson quadrature with absolute tolerance."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1)
-                + recurse(m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1))
-
-    return recurse(a, fa, b, fb, m, fm, whole, tol, max_depth)
 
 
 def delta_phi_bd(
@@ -177,19 +151,57 @@ def delta_phi_bd(
     fld: FieldConfig,
     d: float,
     constants: PhysicalConstants = CONSTANTS,
-    tol: float = 1e-12,
 ) -> float:
     """Entangling phase accumulated over one full separation/recombination
-    cycle, integrating the rate along s(t) = dx_max (1 - cos omega t)/2."""
-    osc = derive_oscillator(nd, fld, constants)
+    cycle along s(t) = dx_max (1 - cos omega t)/2.
+
+    Since int_0^{2 pi} du / (d - a + a cos u) = 2 pi / sqrt(d (d - 2a)), the
+    rate integrates to
+
+        (G m^2/hbar)(2 pi/omega) [1/sqrt(d(d-dx)) + 1/sqrt(d(d+dx)) - 2/d].
+    """
     dx = max_separation(nd, fld, constants)
-    m = nd.mass
+    if not dx < d:
+        raise ValueError("d must exceed dx_max "
+                         "(branches may not cross the partner particle)")
+    period = derive_oscillator(nd, fld, constants).period
+    return float(constants.G * nd.mass**2 / constants.hbar * period
+                 * _sweep_bracket(dx, d))
 
-    def rate_at(t: float) -> float:
-        s = 0.5 * dx * (1.0 - math.cos(osc.omega * t))
-        return delta_phi_rate(d, min(s, dx), m, constants)
 
-    return _adaptive_simpson(rate_at, 0.0, osc.period, tol)
+def _sweep_bracket(dx, d):
+    """1/sqrt(d(d-dx)) + 1/sqrt(d(d+dx)) - 2/d, evaluated as
+    e^2 (4 - 2/(1+C)) / (C (A + B + 2C)) / d with e = dx/d, A = sqrt(1-e),
+    B = sqrt(1+e) and C = sqrt(1-e^2), which has no cancellation even where
+    dx << d.  Broadcasts over arrays."""
+    e = dx / d
+    a, b, c = np.sqrt(1.0 - e), np.sqrt(1.0 + e), np.sqrt(1.0 - e * e)
+    return e * e * (4.0 - 2.0 / (1.0 + c)) / (c * (a + b + 2.0 * c)) / d
+
+
+def _timing(m, bprime, nd: NanodiamondParams, cfg: ProtocolConfig,
+            constants: PhysicalConstants) -> ProtocolResult:
+    """Protocol timing for particles of mass ``m`` and the material of ``nd``
+    at gradient ``bprime``, broadcast over arrays of both; the fields of the
+    returned record have the broadcast shape (``delta_cp`` is a scalar,
+    ``delta_phi_bd`` too in HOLD_ONLY).  ``cfg.distance`` is used as given:
+    the caller checks it against d_min.
+    """
+    chi_v = nd.chi_magnitude * m / nd.density
+    # derive_oscillator's period and max_separation's dx_max, on arrays
+    period = 2.0 * math.pi / (bprime * np.sqrt(chi_v / (constants.mu0 * m)))
+    dx = 4.0 * constants.hbar * constants.gamma_e * constants.mu0 / (chi_v * bprime)
+    delta_cp = casimir_polder_separation(nd, constants)
+    d = dx + delta_cp if cfg.distance is None else cfg.distance
+    hold_rate = delta_phi_rate(d, dx, m, constants)
+    if cfg.scenario is Scenario.FULL_CYCLE:
+        phi_bd = constants.G * m**2 / constants.hbar * period * _sweep_bracket(dx, d)
+    else:
+        phi_bd = 0.0
+    t_hold = np.maximum(0.0, (cfg.target_delta_phi - phi_bd) / hold_rate)
+    return ProtocolResult(t_total=period + t_hold, t_hold=t_hold, period=period,
+                          delta_phi_bd=phi_bd, delta_phi_hold=t_hold * hold_rate,
+                          d_used=d, dx_max=dx, delta_cp=delta_cp)
 
 
 def protocol_duration(
@@ -205,39 +217,20 @@ def protocol_duration(
     zero and the total stays at one full period, since the interferometer
     still has to close.
     """
-    osc = derive_oscillator(nd, fld, constants)
-    dx = max_separation(nd, fld, constants)
-    d_min = dx + casimir_polder_separation(nd, constants)
-    if cfg.distance is None:
-        d = d_min
-    else:
-        d = cfg.distance
-        if d < d_min:
+    if cfg.distance is not None:
+        d_min = min_distance(nd, fld, constants)
+        if cfg.distance < d_min:
             if not cfg.allow_close:
                 raise ValueError(
-                    f"distance {d:.6e} m is below d_min {d_min:.6e} m; "
+                    f"distance {cfg.distance:.6e} m is below d_min {d_min:.6e} m; "
                     "set allow_close to override")
             warnings.warn(
-                f"distance {d:.6e} m below d_min {d_min:.6e} m: Casimir-Polder "
-                "interaction exceeds a tenth of gravity", stacklevel=2)
-
-    if cfg.scenario is Scenario.FULL_CYCLE:
-        phi_bd = delta_phi_bd(nd, fld, d, constants)
-    else:
-        phi_bd = 0.0
-
-    hold_rate = delta_phi_rate(d, dx, nd.mass, constants)
-    t_hold = max(0.0, (cfg.target_delta_phi - phi_bd) / hold_rate)
-    return ProtocolResult(
-        t_total=osc.period + t_hold,
-        t_hold=t_hold,
-        period=osc.period,
-        delta_phi_bd=phi_bd,
-        delta_phi_hold=t_hold * hold_rate,
-        d_used=d,
-        dx_max=dx,
-        delta_cp=casimir_polder_separation(nd, constants),
-    )
+                f"distance {cfg.distance:.6e} m below d_min {d_min:.6e} m: "
+                "Casimir-Polder interaction exceeds a tenth of gravity",
+                stacklevel=2)
+    res = _timing(nd.mass, fld.Bprime, nd, cfg, constants)
+    return ProtocolResult(*(float(getattr(res, f.name))
+                            for f in fields(ProtocolResult)))
 
 
 SURFACE_CSV_HEADER = ("m_kg", "Bprime_T_per_m", "t_total_s", "t_hold_s",
@@ -260,20 +253,6 @@ class OptimizeResult:
                 for m, bp, r in self.surface]
 
 
-def _protocol_at(
-    m: float,
-    bprime: float,
-    template: NanodiamondParams,
-    cfg: ProtocolConfig,
-    constants: PhysicalConstants,
-) -> ProtocolResult:
-    nd = NanodiamondParams.from_mass(m, density=template.density,
-                                     chi_magnitude=template.chi_magnitude,
-                                     epsilon=template.epsilon)
-    fld = FieldConfig(B0=0.0, Bprime=bprime)
-    return protocol_duration(nd, fld, cfg, constants)
-
-
 def optimize_tmin(
     scenario: Scenario,
     mass_range: tuple[float, float],
@@ -284,7 +263,6 @@ def optimize_tmin(
     template: Optional[NanodiamondParams] = None,
     target_delta_phi: float = 0.01 * math.pi,
     constants: PhysicalConstants = CONSTANTS,
-    threads: int = 1,
 ) -> OptimizeResult:
     """Minimize the protocol time over a log-log (mass, gradient) grid.
 
@@ -306,49 +284,42 @@ def optimize_tmin(
     m_values = np.logspace(math.log10(mass_range[0]), math.log10(mass_range[1]), n_m)
     b_values = np.logspace(math.log10(bprime_range[0]), math.log10(bprime_range[1]), n_b)
 
-    def row(i: int) -> list[tuple[float, float, ProtocolResult]]:
-        m = float(m_values[i])
-        return [(m, float(b), _protocol_at(m, float(b), template, cfg, constants))
-                for b in b_values]
+    grid = _timing(m_values[:, None], b_values[None, :], template, cfg, constants)
+    columns = [np.broadcast_to(getattr(grid, f.name), (n_m, n_b)).ravel().tolist()
+               for f in fields(ProtocolResult)]
+    surface = [(m, b, ProtocolResult(*cell)) for (m, b), cell in zip(
+        itertools.product(m_values.tolist(), b_values.tolist()), zip(*columns))]
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, range(n_m)))
-    else:
-        rows = [row(i) for i in range(n_m)]
-    surface = [cell for r in rows for cell in r]
-
-    best = None
-    for m, b, res in surface:  # ascending (m, B'): first strict win = lexicographic
-        if best is None or res.t_total < best[2].t_total:
-            best = (m, b, res)
-    m_best, b_best, res_best = best
-    i = int(np.searchsorted(m_values, m_best))
-    j = int(np.searchsorted(b_values, b_best))
+    # row-major over ascending (m, B'): the first minimum is the
+    # lexicographic tie-break
+    k = int(np.argmin(grid.t_total))
+    i, j = divmod(k, n_b)
+    m_best, b_best, res_best = surface[k]
 
     if refine:
         lo_m = math.log10(m_values[max(i - 1, 0)])
         hi_m = math.log10(m_values[min(i + 1, n_m - 1)])
         lo_b = math.log10(b_values[max(j - 1, 0)])
         hi_b = math.log10(b_values[min(j + 1, n_b - 1)])
+        xtol = math.log10(1.0 + refine_rel_tol) / 4.0
+
+        def t_total(log_m: float, log_b: float) -> float:
+            return float(_timing(10**log_m, 10**log_b, template, cfg,
+                                 constants).t_total)
 
         log_m, log_b = math.log10(m_best), math.log10(b_best)
         for _ in range(12):
-            new_m = _golden_min(
-                lambda lm: _protocol_at(10**lm, 10**log_b, template, cfg,
-                                        constants).t_total,
-                lo_m, hi_m, math.log10(1.0 + refine_rel_tol) / 4.0)
-            new_b = _golden_min(
-                lambda lb: _protocol_at(10**new_m, 10**lb, template, cfg,
-                                        constants).t_total,
-                lo_b, hi_b, math.log10(1.0 + refine_rel_tol) / 4.0)
+            new_m = _golden_min(lambda lm: t_total(lm, log_b), lo_m, hi_m, xtol)
+            new_b = _golden_min(lambda lb: t_total(new_m, lb), lo_b, hi_b, xtol)
             moved = max(abs(new_m - log_m), abs(new_b - log_b))
             log_m, log_b = new_m, new_b
-            if moved < math.log10(1.0 + refine_rel_tol) / 4.0:
+            if moved < xtol:
                 break
-        cand = _protocol_at(10**log_m, 10**log_b, template, cfg, constants)
+        nd = NanodiamondParams.from_mass(10**log_m, density=template.density,
+                                         chi_magnitude=template.chi_magnitude,
+                                         epsilon=template.epsilon)
+        cand = protocol_duration(nd, FieldConfig(B0=0.0, Bprime=10**log_b), cfg,
+                                 constants)
         if cand.t_total <= res_best.t_total:
             m_best, b_best, res_best = 10**log_m, 10**log_b, cand
 
@@ -364,7 +335,9 @@ def optimize_tmin(
 
 
 def _golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """Deterministic golden-section minimizer on [a, b]."""
+    """Deterministic golden-section minimizer on [a, b]; returns the best of
+    the final bracket's ends and inner points, so a minimizer on an end of
+    [a, b] is found exactly."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
@@ -378,16 +351,7 @@ def _golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) ->
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
             f2 = f(x2)
-    return 0.5 * (a + b)
-
-
-def write_surface_csv(path, result: OptimizeResult, fmt: str = ".17g") -> None:
-    """Surface table in the fixed export schema."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SURFACE_CSV_HEADER)
-        for row in result.surface_rows():
-            writer.writerow([format(v, fmt) for v in row])
+    return min((f(a), a), (f1, x1), (f2, x2), (f(b), b))[1]
 
 
 # --- final two-qubit state and entanglement measure -------------------------

@@ -285,13 +285,15 @@ def sensitivity_scan(
     cfg: IntegratorConfig = IntegratorConfig(),
     n_samples: int = 400,
     constants: PhysicalConstants = CONSTANTS,
+    spin_moment: str = "gamma_e",
 ) -> list[dict]:
     """Trajectories for both spins from starts on a spherical shell.
 
     Starts are (r sin(theta) cos(phi), r sin(theta) sin(phi), r cos(theta))
     with the angles on the first octant.  Each record carries the transverse
     spin-overlap metrics (normalized by the shell radius, or absolutely for
-    r = 0) and the maximum x-channel spin separation.
+    r = 0) and the maximum x-channel spin separation.  ``spin_moment`` is
+    the convention of :func:`magnetic_moment`.
     """
     if any(not (0.0 <= a <= math.pi / 2.0 + 1e-12)
            for a in (*theta_values, *phi_values)):
@@ -311,7 +313,7 @@ def sensitivity_scan(
             start = TrajectoryState(t=0.0, q=q0, v=(0.0, 0.0, 0.0))
             trajs = {
                 spin: integrate(start, spin, source, nd, schedule, t_end, cfg,
-                                t_eval, constants)
+                                t_eval, constants, spin_moment)
                 for spin in (1, -1)
             }
             dy = np.max(np.abs(trajs[1].y - trajs[-1].y))
@@ -339,12 +341,14 @@ def delta_scan(
     n_samples: int = 800,
     constants: PhysicalConstants = CONSTANTS,
     dx_max: Optional[float] = None,
+    spin_moment: str = "gamma_e",
 ) -> list[dict]:
     """Deviation of the spin +1 trajectory from the synchronized one.
 
     For each phase shift delta between the spin flip and the current flip,
     integrates one full motion period from the origin and reports
     max |x_delta(t) - x_0(t)| / dx_max against the delta = 0 reference.
+    ``spin_moment`` is the convention of :func:`magnetic_moment`.
     """
     if any(not (0.0 <= d < math.pi) for d in delta_values):
         raise ValueError("deltas must lie in [0, pi)")
@@ -356,7 +360,7 @@ def delta_scan(
     def run(delta: float) -> np.ndarray:
         sched = FlipSchedule(omega_dd=omega_dd, delta=delta, spin_initial=1)
         return integrate(start, 1, source, nd, sched, period, cfg, t_eval,
-                         constants).x
+                         constants, spin_moment).x
 
     x_ref = run(0.0)
     if dx_max is None:

@@ -157,27 +157,27 @@ def test_ramsey_zero_tilt_and_sine_scaling(nd_250nm, field_fig2):
 def _ramsey_oracle_mpmath(theta_g, nd, fld):
     """High-precision quadrature of the tilted phase-accumulation rates over
     one period, then subtraction; independent of the reduced closed form."""
-    mp.mp.dps = 50
-    hbar = mp.mpf(CONSTANTS.hbar)
-    m = mp.mpf(nd.density) * mp.pi / 6 * mp.mpf(nd.diameter) ** 3
-    V = mp.pi / 6 * mp.mpf(nd.diameter) ** 3
-    omega = mp.mpf(fld.Bprime) * mp.sqrt(
-        mp.mpf(nd.chi_magnitude) * V / (mp.mpf(CONSTANTS.mu0) * m))
-    x_zpf = mp.sqrt(hbar / (2 * m * omega))
-    lam = mp.mpf(CONSTANTS.gamma_e) * mp.mpf(fld.Bprime) * x_zpf
-    lam0 = mp.mpf(fld.B0) / mp.mpf(fld.Bprime) * mp.sqrt(m * omega**3 / (2 * hbar))
-    lam_g = m * mp.mpf(CONSTANTS.g_earth) * x_zpf / hbar * mp.sin(mp.mpf(theta_g))
-    t1 = 2 * mp.pi / omega
+    with mp.workdps(50):
+        hbar = mp.mpf(CONSTANTS.hbar)
+        m = mp.mpf(nd.density) * mp.pi / 6 * mp.mpf(nd.diameter) ** 3
+        V = mp.pi / 6 * mp.mpf(nd.diameter) ** 3
+        omega = mp.mpf(fld.Bprime) * mp.sqrt(
+            mp.mpf(nd.chi_magnitude) * V / (mp.mpf(CONSTANTS.mu0) * m))
+        x_zpf = mp.sqrt(hbar / (2 * m * omega))
+        lam = mp.mpf(CONSTANTS.gamma_e) * mp.mpf(fld.Bprime) * x_zpf
+        lam0 = mp.mpf(fld.B0) / mp.mpf(fld.Bprime) * mp.sqrt(m * omega**3 / (2 * hbar))
+        lam_g = m * mp.mpf(CONSTANTS.g_earth) * x_zpf / hbar * mp.sin(mp.mpf(theta_g))
+        t1 = 2 * mp.pi / omega
 
-    def rate(s, t):
-        Lam = lam0 + lam_g + s * lam
-        Phi = s * mp.mpf(CONSTANTS.gamma_e) * mp.mpf(fld.B0) \
-            + mp.mpf(CONSTANTS.D_zfs) - Lam**2 / omega
-        return Phi + (Lam / omega) ** 2 * omega * mp.cos(omega * t)
+        def rate(s, t):
+            Lam = lam0 + lam_g + s * lam
+            Phi = s * mp.mpf(CONSTANTS.gamma_e) * mp.mpf(fld.B0) \
+                + mp.mpf(CONSTANTS.D_zfs) - Lam**2 / omega
+            return Phi + (Lam / omega) ** 2 * omega * mp.cos(omega * t)
 
-    vp = mp.quad(lambda t: rate(1, t), [0, t1])
-    vm = mp.quad(lambda t: rate(-1, t), [0, t1])
-    return float(vp - vm)
+        vp = mp.quad(lambda t: rate(1, t), [0, t1])
+        vm = mp.quad(lambda t: rate(-1, t), [0, t1])
+        return float(vp - vm)
 
 
 def test_ramsey_value_against_quadrature_oracle(nd_250nm, field_fig2):

@@ -197,6 +197,24 @@ def test_cmd_sensitivity_small(tmp_path):
     assert header == "t_s,x_m,y_m,z_m,vx_mps,vy_mps,vz_mps,spin"
 
 
+def test_cmd_sensitivity_forwards_spin_moment(tmp_path):
+    outputs = {}
+    for convention in ("gamma_e", "mu_B"):
+        doc = {**BASE,
+               "nanodiamond": {"mass_kg": 5.6e-14},
+               "coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 564.0},
+               "sensitivity": {"radius_m": 5e-7, "theta_values_rad": [0.7853],
+                               "phi_values_rad": [0.7853],
+                               "delta_values_rad": [0.0],
+                               "n_flip": 4, "n_samples": 20,
+                               "spin_moment": convention}}
+        out = tmp_path / convention
+        path = _write_config(tmp_path, doc, name=f"{convention}.json")
+        assert main(["sensitivity", "--config", path, "--out", str(out)]) == 0
+        outputs[convention] = (out / "sensitivity_start00_spinp.csv").read_bytes()
+    assert outputs["gamma_e"] != outputs["mu_B"]
+
+
 def test_cmd_protocol_opt_full_cycle(tmp_path):
     doc = {**BASE,
            "protocol": {"scenario": "full-cycle",
@@ -204,16 +222,10 @@ def test_cmd_protocol_opt_full_cycle(tmp_path):
                         "Bprime_range_T_per_m": [0.3, 1.0],
                         "grid_shape": [6, 6], "refine": False}}
     path = _write_config(tmp_path, doc)
-    assert main(["protocol-opt", "--config", path, "--out", str(tmp_path),
-                 "--threads", "2"]) == 0
+    assert main(["protocol-opt", "--config", path, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "protocol_surface.csv").read_text().splitlines()[1:]
     phases = [float(r.split(",")[5]) for r in rows]
     assert all(p > 0.0 for p in phases)  # sweep phase recorded per cell
-
-
-def test_threads_flag_validation(tmp_path, capsys):
-    path = _write_config(tmp_path, BASE)
-    assert main(["derive", "--config", path, "--threads", "0"]) == 2
 
 
 def test_float_format_round_trips():

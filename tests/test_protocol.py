@@ -22,7 +22,8 @@ from ndspin import (
     optimize_tmin,
     protocol_duration,
 )
-from ndspin.protocol import SURFACE_CSV_HEADER, partial_transpose, write_surface_csv
+from ndspin.protocol import SURFACE_CSV_HEADER, partial_transpose
+from ndspin.tables import write_csv
 
 
 def _cp_bisection_oracle(nd):
@@ -213,21 +214,44 @@ def test_optimizer_deterministic():
     assert a.t_min == b.t_min
 
 
-def test_optimizer_threaded_map_matches_sequential():
-    seq = optimize_tmin(Scenario.FULL_CYCLE, (1e-14, 1e-12), (0.2, 2.0),
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_optimizer_grid_matches_protocol_duration(scenario):
+    res = optimize_tmin(scenario, (1e-14, 1e-12), (0.2, 2.0),
                         grid_shape=(8, 8), refine=False)
-    par = optimize_tmin(Scenario.FULL_CYCLE, (1e-14, 1e-12), (0.2, 2.0),
-                        grid_shape=(8, 8), refine=False, threads=4)
-    assert par.m_opt == seq.m_opt and par.Bprime_opt == seq.Bprime_opt
-    assert par.t_min == seq.t_min
-    assert par.surface_rows() == seq.surface_rows()
+    assert len(res.surface) == 64
+    cfg = ProtocolConfig(scenario=scenario)
+    for m, bp, cell in res.surface:
+        want = protocol_duration(NanodiamondParams.from_mass(m),
+                                 FieldConfig(Bprime=bp), cfg)
+        for name in ("t_total", "t_hold", "period", "delta_phi_bd",
+                     "delta_phi_hold", "d_used", "dx_max", "delta_cp"):
+            assert getattr(cell, name) == pytest.approx(
+                getattr(want, name), rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_hold_time_does_not_increase_with_mass(scenario):
+    # README: at fixed B' the hold time is weakly decreasing in mass
+    res = optimize_tmin(scenario, (1e-17, 1e-12), (0.1, 10.0),
+                        grid_shape=(200, 25), refine=False)
+    t_hold = np.array([r.t_hold for _m, _b, r in res.surface]).reshape(200, 25)
+    assert np.max(np.diff(t_hold, axis=0)) <= 0.0
+
+
+def test_full_cycle_optimum_reaches_the_mass_cap():
+    # the total falls monotonically in mass, so the refined optimum must sit
+    # exactly on the upper end of the mass range, not inside it
+    res = optimize_tmin(Scenario.FULL_CYCLE, (1e-17, 1e-12), (0.1, 10.0),
+                        grid_shape=(60, 60))
+    assert res.m_opt == 1e-12
+    assert res.on_mass_boundary
 
 
 def test_surface_csv_schema(tmp_path):
     res = optimize_tmin(Scenario.HOLD_ONLY, (1e-14, 1e-12), (0.2, 2.0),
                         grid_shape=(6, 6), refine=False)
     path = tmp_path / "surface.csv"
-    write_surface_csv(path, res)
+    write_csv(str(path), SURFACE_CSV_HEADER, res.surface_rows())
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(SURFACE_CSV_HEADER)
     assert len(lines) == 1 + 36
@@ -248,10 +272,10 @@ def _hermitian_eigvals_mpmath(H):
     """Independent dense eigendecomposition (pure-python, high precision)."""
     import mpmath as mp
 
-    mp.mp.dps = 40
-    A = mp.matrix([[mp.mpc(v) for v in row] for row in np.asarray(H)])
-    E, _ = mp.eighe(A)
-    return np.sort(np.array([float(E[i].real) for i in range(4)]))
+    with mp.workdps(40):
+        A = mp.matrix([[mp.mpc(v) for v in row] for row in np.asarray(H)])
+        E, _ = mp.eighe(A)
+        return np.sort(np.array([float(E[i].real) for i in range(4)]))
 
 
 def _full_cycle_mpmath(m, bprime):
