@@ -239,6 +239,6 @@ def ramsey_phase(
     if theta_g > 0.0:
         rel = abs(from_couplings - closed_form) / abs(closed_form)
         if rel > 1e-12:
-            raise AssertionError(
+            raise ArithmeticError(
                 f"Ramsey dual-path identity violated: relative gap {rel:.3e}")
     return from_couplings

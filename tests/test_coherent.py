@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -18,6 +19,7 @@ from ndspin import (
     phase_space_curve,
     ramsey_phase,
 )
+import ndspin.coherent
 from ndspin.coherent import tilted_branch_phase
 from conftest import random_valid_config
 
@@ -184,6 +186,25 @@ def test_ramsey_value_against_quadrature_oracle(nd_250nm, field_fig2):
     got = ramsey_phase(math.pi / 6.0, nd_250nm, field_fig2)
     want = _ramsey_oracle_mpmath(math.pi / 6.0, nd_250nm, field_fig2)
     assert abs(got) == pytest.approx(abs(want), rel=1e-10)
+
+
+def _skewed_lambda_g(monkeypatch):
+    """Make derive_oscillator return lambda_g off by 1e-9 relative, so the
+    two Ramsey routes disagree."""
+    derive = ndspin.coherent.derive_oscillator
+
+    def skewed(*args, **kwargs):
+        osc = derive(*args, **kwargs)
+        return dataclasses.replace(osc, lambda_g=osc.lambda_g * (1.0 + 1e-9))
+
+    monkeypatch.setattr(ndspin.coherent, "derive_oscillator", skewed)
+
+
+def test_ramsey_identity_failure_is_arithmetic_error(nd_250nm, field_fig2,
+                                                     monkeypatch):
+    _skewed_lambda_g(monkeypatch)
+    with pytest.raises(ArithmeticError, match="dual-path identity"):
+        ramsey_phase(math.pi / 6.0, nd_250nm, field_fig2)
 
 
 def test_ramsey_dual_formula_identity(rng):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from ndspin import (
@@ -17,6 +19,7 @@ from ndspin import (
     field_map,
     loop_field,
 )
+from ndspin.coils import _RHO_SERIES_FACTOR
 
 
 def _ke_quadrature(m):
@@ -31,18 +34,41 @@ def _ke_quadrature(m):
     return K, E
 
 
-def _biot_savart_loop(p, loop, n_seg=1_000_000):
-    """Direct line-integral oracle over a segmented wire circle."""
+def _wire(loop, n_seg):
+    """Midpoints and length elements of a wire circle cut into n_seg pieces."""
     theta = (np.arange(n_seg) + 0.5) * (2.0 * math.pi / n_seg)
     pts = np.stack([np.full(n_seg, loop.x_c),
                     loop.r_c * np.cos(theta),
                     loop.r_c * np.sin(theta)], axis=1)
     dl = (2.0 * math.pi * loop.r_c / n_seg) * np.stack(
         [np.zeros(n_seg), -np.sin(theta), np.cos(theta)], axis=1)
+    return pts, dl
+
+
+def _biot_savart_loop(p, loop, n_seg=1_000_000):
+    """Direct line-integral oracle over a segmented wire circle."""
+    pts, dl = _wire(loop, n_seg)
     rvec = np.asarray(p, dtype=float) - pts
     r3 = np.sum(rvec * rvec, axis=1) ** 1.5
     contrib = np.cross(dl, rvec) / r3[:, None]
     return CONSTANTS.mu0 * loop.mmf / (4.0 * math.pi) * contrib.sum(axis=0)
+
+
+def _biot_savart_gradient(p, coil, n_seg=256):
+    """Line-integral oracle for J_ij = dB_i/dx_j: the exact derivative of
+    each midpoint term dl x R / |R|^3, R = p - wire.  Off the wire the
+    midpoint sum over a closed loop converges geometrically in n_seg."""
+    J = np.zeros((3, 3))
+    for loop in coil.loops:
+        pts, dl = _wire(loop, n_seg)
+        R = np.asarray(p, dtype=float) - pts
+        R2 = np.sum(R * R, axis=1)
+        # d(dl x R)_i/dR_j = (dl x e_j)_i and d|R|^-3/dR_j = -3 R_j |R|^-5
+        dl_x_e = np.cross(dl[:, None, :], np.eye(3)[None, :, :])  # [n, j, i]
+        J += CONSTANTS.mu0 * loop.mmf / (4.0 * math.pi) * (
+            np.einsum("nji,n->ij", dl_x_e, R2 ** -1.5)
+            - 3.0 * np.einsum("ni,nj,n->ij", np.cross(dl, R), R, R2 ** -2.5))
+    return J
 
 
 def test_elliptic_degenerate_modulus():
@@ -114,17 +140,17 @@ def test_transverse_ratio_identity(rng):
 def test_near_axis_series_continuous_at_seam():
     # compare the rho-independent profiles B_x and B_y/y across the seam;
     # the tolerance is set by the elliptic branch, whose transverse bracket
-    # cancels to ~1e-9..1e-7 relative at rho/r_c = 1e-4 depending on the
-    # axial offset (the series side is exact to machine precision there,
-    # as the line-integral oracle confirms)
+    # cancels as (r_c/rho)^2, to ~1e-10 relative at the seam (the series
+    # side is exact to machine precision there, as the line-integral oracle
+    # confirms)
     loop = LoopSource(r_c=0.03, x_c=0.0, mmf=564.0)
-    rho_seam = 1e-4 * 0.03
+    rho_seam = _RHO_SERIES_FACTOR * 0.03
     for x in (-0.01, 0.002, 0.014):
         y_in, y_out = 0.999999 * rho_seam, 1.000001 * rho_seam
         inner = loop_field((x, y_in, 0.0), loop)
         outer = loop_field((x, y_out, 0.0), loop)
         assert inner[0] == pytest.approx(outer[0], rel=1e-10)
-        assert inner[1] / y_in == pytest.approx(outer[1] / y_out, rel=5e-7)
+        assert inner[1] / y_in == pytest.approx(outer[1] / y_out, rel=1e-9)
 
 
 def test_near_axis_series_against_line_integral():
@@ -170,26 +196,44 @@ def test_central_gradient_matches_design_value(coil_564):
     assert J[0, 0] == pytest.approx(analytic, rel=1e-8)
 
 
-def test_jacobian_traceless_and_symmetric(coil_564, rng):
-    for _ in range(100):
-        p = np.array([rng.uniform(-0.012, 0.012),
-                      rng.uniform(-0.012, 0.012),
-                      rng.uniform(-0.012, 0.012)])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(-0.03, 0.03),
+       log_rho=st.floats(-7.0, math.log10(2.0)),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_jacobian_traceless_and_symmetric(x, log_rho, angle):
+    coil = CoilAssembly.anti_helmholtz(r_c=0.03, d_c=0.03, mmf=564.0)
+    rho = 0.03 * 10.0 ** log_rho
+    # stay off the wire circles (x = +-15 mm, rho = r_c)
+    assume(math.hypot(abs(x) - 0.015, rho - 0.03) > 1e-3 * 0.03)
+    J = field_jacobian((x, rho * math.cos(angle), rho * math.sin(angle)), coil)
+    scale = np.max(np.abs(J))
+    assert abs(np.trace(J)) <= 1e-12 * scale
+    assert np.max(np.abs(J - J.T)) <= 1e-12 * scale
+
+
+def test_jacobian_against_line_integral_gradient(coil_564, rng):
+    # |x| <= 12 mm and rho log-uniform in [1e-7, 0.4] r_c, across the series
+    # switch and the closed form's cancellation band
+    for _ in range(200):
+        rho = 0.03 * 10.0 ** rng.uniform(-7.0, math.log10(0.4))
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        p = (rng.uniform(-0.012, 0.012), rho * math.cos(ang), rho * math.sin(ang))
         J = field_jacobian(p, coil_564)
-        scale = np.max(np.abs(J))
-        assert abs(np.trace(J)) <= 1e-6 * scale
-        assert np.max(np.abs(J - J.T)) <= 1e-5 * scale
+        want = _biot_savart_gradient(p, coil_564)
+        assert np.max(np.abs(J - want)) <= 1e-9 * np.max(np.abs(want))
+        assert np.array_equal(coil_564.jacobian_at(p), J)
 
 
-def test_series_jacobian_matches_finite_differences(coil_564, rng):
-    for _ in range(20):
-        p = np.array([rng.uniform(-1e-6, 1e-6),
-                      rng.uniform(-1e-6, 1e-6),
-                      rng.uniform(-1e-6, 1e-6)])
-        J_series = coil_564.jacobian_at(p)
-        J_fd = field_jacobian(p, coil_564)
-        assert abs(np.trace(J_series)) < 1e-15 * np.max(np.abs(J_series))
-        assert np.max(np.abs(J_series - J_fd)) < 1e-6 * np.max(np.abs(J_series))
+def test_jacobian_continuous_across_series_switch(coil_564):
+    edge = _RHO_SERIES_FACTOR * 0.03
+    for x in (0.0, 1e-6, -1e-6, 1e-4, -1e-4, 1e-3, -1e-3):
+        for ang in 2.0 * math.pi * np.arange(7) / 7:
+            inner, outer = (
+                field_jacobian((x, rho * math.cos(ang), rho * math.sin(ang)),
+                               coil_564)
+                for rho in (edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)))
+            scale = max(np.max(np.abs(inner)), np.max(np.abs(outer)))
+            assert np.max(np.abs(inner - outer)) <= 5e-10 * scale
 
 
 def test_gradient_linearity_on_axis(coil_564):

@@ -5,6 +5,7 @@ import pytest
 
 from ndspin.cli import main
 from ndspin.config import ConfigError, load_config, parse_config
+from test_coherent import _skewed_lambda_g
 
 
 def _write_config(tmp_path, doc, name="scenario.json"):
@@ -129,6 +130,14 @@ def test_cmd_ramsey(tmp_path):
     assert lines[0] == "theta_g_rad,delta_theta_rad"
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == 0.0
+
+
+def test_cmd_ramsey_identity_failure_exits_3(tmp_path, monkeypatch):
+    _skewed_lambda_g(monkeypatch)
+    doc = {**BASE, "ramsey": {"theta_g_values_rad": [0.3]}}
+    path = _write_config(tmp_path, doc)
+    assert main(["ramsey", "--config", path, "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "ramsey.csv").exists()
 
 
 def test_cmd_fieldmap_axis_row(tmp_path):
