@@ -33,6 +33,9 @@ Near the axis the same numbers come from the axial multipole series in the
 k-th axial derivatives b_k of the on-axis field:
 B_x = b0 - rho^2 b2/4, t = -b1/2 + rho^2 b3/16, u = -b2/2, w = b3/8.
 
+The kernel is array-valued: one pass evaluates every loop at a batch of
+points, each point taking the series or the closed form by a mask.
+
 Fields are treated as exactly static (no retardation), valid for coil sizes
 far below the driving wavelength.
 """
@@ -106,6 +109,14 @@ class CoilAssembly:
     def d_c(self) -> float:
         return abs(self.loops[0].x_c - self.loops[1].x_c)
 
+    def field_and_jacobian(self, q: np.ndarray,
+                           constants: PhysicalConstants = CONSTANTS
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """Field B, shape (n, 3), and gradient J, shape (n, 3, 3), at the
+        rows of q, shape (n, 3), from one pass of the loop kernel."""
+        q = np.asarray(q, dtype=float)
+        return _field_and_jacobian(q, _btuw(q, self.loops, constants.mu0))
+
     def field_at(self, p: Sequence[float],
                  constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
         return assembly_field(p, self, constants)
@@ -137,64 +148,126 @@ class UniformGradientField:
             raise ValueError("Bprime must be > 0")
         self.Bprime = Bprime
 
+    def field_and_jacobian(self, q: np.ndarray,
+                           constants: PhysicalConstants = CONSTANTS
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """Field, shape (n, 3), and gradient, shape (n, 3, 3), at the rows
+        of q, shape (n, 3)."""
+        q = np.asarray(q, dtype=float)
+        B = self.Bprime * (q * np.array([1.0, -0.5, -0.5]))
+        J = np.repeat(self.Bprime * np.diag([1.0, -0.5, -0.5])[None], len(q),
+                      axis=0)
+        return B, J
+
     def field_at(self, p: Sequence[float],
                  constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
-        x, y, z = p
-        return self.Bprime * np.array([x, -0.5 * y, -0.5 * z])
+        return self.field_and_jacobian(_point(p), constants)[0][0]
 
     def jacobian_at(self, p: Sequence[float],
                     constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
-        return self.Bprime * np.diag([1.0, -0.5, -0.5])
+        return self.field_and_jacobian(_point(p), constants)[1][0]
 
 
-def complete_elliptic_KE(k2: float) -> tuple[float, float]:
+def complete_elliptic_KE(k2):
     """Complete elliptic integrals (K(k^2), E(k^2)) of squared modulus
-    m = k^2 in [0, 1)."""
-    if not (0.0 <= k2 < 1.0):
+    m = k^2 in [0, 1); broadcasts over arrays."""
+    k2 = np.asarray(k2, dtype=float)
+    if not ((0.0 <= k2) & (k2 < 1.0)).all():
         raise ValueError("k2 must lie in [0, 1)")
-    return float(ellipk(k2)), float(ellipe(k2))
+    return ellipk(k2), ellipe(k2)
 
 
-def _loop_btuw(
-    x: float, y: float, z: float, loop: LoopSource, mu0: float
-) -> tuple[float, float, float, float]:
-    """(B_x, t, u, w) of one loop at (x, y, z); see the module docstring."""
-    s = x - loop.x_c
-    s2 = s * s
-    rho2 = y * y + z * z
-    rho = math.sqrt(rho2)
-    rc = loop.r_c
+def _series_btuw(s, rho2, rc2, b_amp):
+    """(B_x, t, u, w) from the near-axis series.  With q = r_c^2 + s^2 and
+    b_amp = mu0 F r_c^2 / 2: b0 = b_amp / q^{3/2}, -b1/2 = s h with
+    h = 1.5 b0 / q, u = -b2/2 = (r_c^2 - 4 s^2) h / q and
+    w = b3/8 = -1.25 s (4 s^2 - 3 r_c^2) h / q^2."""
+    iq = 1.0 / (rc2 + s * s)
+    b0 = b_amp * iq * np.sqrt(iq)
+    h = 1.5 * b0 * iq
+    hq = h * iq
+    s4 = 4.0 * s * s
+    u = (rc2 - s4) * hq
+    w = -1.25 * s * (s4 - 3.0 * rc2) * hq * iq
+    half_rho2 = 0.5 * rho2
+    return (b0 + half_rho2 * u, s * h + half_rho2 * w, u, w)
+
+
+def _elliptic_btuw(s, rho2, rc, mmf, mu0):
+    """(B_x, t, u, w) from the elliptic closed form; see the module
+    docstring."""
+    rho = np.sqrt(rho2)
     rc2 = rc * rc
-
-    if rho < _RHO_SERIES_FACTOR * rc:
-        # On-axis field b0 = mu0 F r_c^2 / (2 q^{3/2}), q = r_c^2 + s^2, and
-        # its first three axial derivatives.
-        A = 0.5 * mu0 * loop.mmf * rc2
-        q = rc2 + s2
-        q5 = q ** 2.5
-        b0 = A / (q * math.sqrt(q))
-        b1 = -3.0 * A * s / q5
-        b2 = -3.0 * A * (rc2 - 4.0 * s2) / (q5 * q)
-        b3 = -15.0 * A * s * (4.0 * s2 - 3.0 * rc2) / (q5 * q * q)
-        return (b0 - 0.25 * rho2 * b2, -0.5 * b1 + rho2 * b3 / 16.0,
-                -0.5 * b2, 0.125 * b3)
-
+    s2 = s * s
     r2 = s2 + rho2
     a2 = rc2 + r2 - 2.0 * rc * rho  # squared distance to the wire circle
     b2 = rc2 + r2 + 2.0 * rc * rho
-    if a2 <= (_WIRE_EPS_FACTOR * rc) ** 2:
+    if np.any(a2 <= (_WIRE_EPS_FACTOR * rc) ** 2):
         raise ValueError("field evaluation on (or too close to) the wire circle")
     K, E = complete_elliptic_KE(1.0 - a2 / b2)
-    c = mu0 * loop.mmf / (2.0 * math.pi * a2 * math.sqrt(b2))
+    c = mu0 * mmf / (2.0 * math.pi * a2 * np.sqrt(b2))
     ab = a2 * b2
     sum2 = rc2 + r2
-    bx = c * ((rc2 - r2) * E + a2 * K)
     t = c * s * (sum2 * E - a2 * K) / rho2
     g = c * s * ((r2 * r2 - 7.0 * rc2 * rc2 + 6.0 * rc2 * (rho2 - s2)) * E
                  + a2 * (rc2 - r2) * K) / ab
     u = c * ((ab * (rc2 + rho2 + 4.0 * s2) - 4.0 * s2 * sum2 * sum2) * E
              + a2 * (s2 * sum2 - ab) * K) / (ab * rho2)
-    return bx, t, u, (-g - 2.0 * t) / rho2
+    return (c * ((rc2 - r2) * E + a2 * K), t, u, (-g - 2.0 * t) / rho2)
+
+
+def _btuw(q: np.ndarray, loops: Sequence[LoopSource], mu0: float) -> np.ndarray:
+    """(B_x, t, u, w) summed over the loops at the rows of q, shape (n, 3);
+    returns shape (4, n).
+
+    Every loop and point is evaluated in one pass over (loop, point) arrays.
+    Points within _RHO_SERIES_FACTOR r_c of a loop's axis take the series,
+    the rest the elliptic closed form.
+    """
+    x_c, rc, mmf, rc2, b_amp, zone2 = np.array([
+        (lp.x_c, lp.r_c, lp.mmf, lp.r_c ** 2, 0.5 * mu0 * lp.mmf * lp.r_c ** 2,
+         (_RHO_SERIES_FACTOR * lp.r_c) ** 2) for lp in loops]).T[:, :, None]
+    s = q[:, 0] - x_c
+    rho2 = q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2]
+    series = rho2 < zone2
+    if series.all():
+        return np.array(_series_btuw(s, rho2, rc2, b_amp)).sum(axis=1)
+    out = np.empty((4,) + s.shape)
+    if series.any():
+        out[:, series] = _series_btuw(
+            *(np.broadcast_to(a, s.shape)[series] for a in (s, rho2, rc2, b_amp)))
+    ell = ~series
+    out[:, ell] = _elliptic_btuw(
+        *(np.broadcast_to(a, s.shape)[ell] for a in (s, rho2, rc, mmf)), mu0)
+    return out.sum(axis=1)
+
+
+#: J per row is (t, u y, u z, w y^2, w z^2, w y z) times this basis; its
+#: rows are the flattened 3x3 matrices.
+_JACOBIAN_BASIS = np.array([
+    [-2, 0, 0, 0, 1, 0, 0, 0, 1],
+    [0, 1, 0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 1, 0, 0],
+    [-1, 0, 0, 0, 1, 0, 0, 0, 0],
+    [-1, 0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 1, 0, 1, 0],
+], dtype=float)
+
+
+def _field_and_jacobian(q: np.ndarray, btuw: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """B = (B_x, t y, t z), shape (n, 3), and J, shape (n, 3, 3), symmetric
+    and traceless, per row from (B_x, t, u, w)."""
+    bx, t, u, w = btuw
+    y, z = q[:, 1], q[:, 2]
+    wy, wz = w * y, w * z
+    cols = np.array((bx, t * y, t * z, t, u * y, u * z, wy * y, wz * z, wy * z)).T
+    return cols[:, :3], (cols[:, 3:] @ _JACOBIAN_BASIS).reshape(-1, 3, 3)
+
+
+def _point(p: Sequence[float]) -> np.ndarray:
+    """One field point as a (1, 3) batch."""
+    return np.asarray(p, dtype=float).reshape(1, 3)
 
 
 def loop_field(
@@ -203,9 +276,8 @@ def loop_field(
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
     """Magnetic field vector (T) of a single loop at point p = (x, y, z)."""
-    x, y, z = (float(v) for v in p)
-    bx, t, _, _ = _loop_btuw(x, y, z, loop, constants.mu0)
-    return np.array([bx, t * y, t * z])
+    q = _point(p)
+    return _field_and_jacobian(q, _btuw(q, (loop,), constants.mu0))[0][0]
 
 
 def assembly_field(
@@ -214,13 +286,7 @@ def assembly_field(
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
     """Superposed field of both loops of the assembly."""
-    x, y, z = (float(v) for v in p)
-    bx = t = 0.0
-    for loop in coil.loops:
-        lbx, lt, _, _ = _loop_btuw(x, y, z, loop, constants.mu0)
-        bx += lbx
-        t += lt
-    return np.array([bx, t * y, t * z])
+    return coil.field_and_jacobian(_point(p), constants)[0][0]
 
 
 def field_jacobian(
@@ -229,17 +295,7 @@ def field_jacobian(
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
     """3x3 gradient matrix J_ij = dB_i/dx_j of the assembly, analytic."""
-    x, y, z = (float(v) for v in p)
-    t = u = w = 0.0
-    for loop in coil.loops:
-        _, lt, lu, lw = _loop_btuw(x, y, z, loop, constants.mu0)
-        t += lt
-        u += lu
-        w += lw
-    uy, uz, wyz = u * y, u * z, w * y * z
-    return np.array([[-2.0 * t - w * (y * y + z * z), uy, uz],
-                     [uy, t + w * y * y, wyz],
-                     [uz, wyz, t + w * z * z]])
+    return coil.field_and_jacobian(_point(p), constants)[1][0]
 
 
 def field_map(
@@ -249,11 +305,12 @@ def field_map(
     y_values: Iterable[float],
     constants: PhysicalConstants = CONSTANTS,
 ) -> list[FieldSample]:
-    """Row-major sample table of a z = const plane (rows over x, columns y)."""
-    samples: list[FieldSample] = []
-    for x in x_values:
-        for y in y_values:
-            B = assembly_field((x, y, z), coil, constants)
-            samples.append(FieldSample(position=(float(x), float(y), float(z)),
-                                       B=(B[0], B[1], B[2])))
-    return samples
+    """Row-major sample table of a z = const plane (rows over x, columns y),
+    evaluated in one kernel pass over the whole plane."""
+    xs = np.asarray(list(x_values), dtype=float)
+    ys = np.asarray(list(y_values), dtype=float)
+    q = np.stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs)),
+                  np.full(len(xs) * len(ys), float(z))), axis=1)
+    B = coil.field_and_jacobian(q, constants)[0]
+    return [FieldSample(position=(float(x), float(y), float(z)),
+                        B=(b[0], b[1], b[2])) for (x, y, _), b in zip(q, B)]

@@ -15,6 +15,17 @@ Decoupling flips are instantaneous events.  The spin sign reverses at every
 multiple of 2 pi / omega_DD and the coil current sign follows after the
 phase lag delta / omega_DD; each flip is an exact step boundary (the
 integrator restarts there), so no event is ever straddled by a step.
+
+The trajectories of one scan (every shell start with both spins, or the
+synchronized run with every flip lag) are integrated together as one
+stacked (n, 6) state: one ``solve_ivp`` call per segment of the union of
+their flip boundaries, one array-valued field evaluation per right-hand
+side call.  Each segment starts from the largest interior step of the one
+before, so no segment probes for a step again.  scipy's error norm is an
+RMS over the whole state, so ``rtol`` and ``atol`` are divided by sqrt(n):
+the stack's norm is then sqrt(sum_i norm_i^2) >= max_i norm_i, and every
+trajectory is held at least as tightly as it would be alone.
+:func:`integrate` is the n = 1 case.
 """
 
 from __future__ import annotations
@@ -135,45 +146,58 @@ class IntegrationError(RuntimeError):
 
 def magnetic_moment(
     B: Sequence[float],
-    spin_sign: int,
+    spin_sign,
     nd: NanodiamondParams,
     constants: PhysicalConstants = CONSTANTS,
     spin_moment: str = "gamma_e",
 ) -> np.ndarray:
     """Total magnetic moment (A m^2): diamagnetic response plus the spin
-    moment, which is nonzero only along x."""
+    moment, which is nonzero only along x.
+
+    Broadcasts over rows: ``B`` of shape (3,) or (n, 3) with ``spin_sign``
+    a scalar or one sign per row.
+    """
     if spin_moment not in SPIN_MOMENT_CONVENTIONS:
         raise ValueError(f"spin_moment must be one of {SPIN_MOMENT_CONVENTIONS}")
-    if spin_sign not in (-1, 1):
+    spin_sign = np.asarray(spin_sign)
+    if not (np.abs(spin_sign) == 1).all():
         raise ValueError("spin_sign must be -1 or +1")
     mu = (-nd.chi_magnitude * nd.volume / constants.mu0) * np.asarray(B, dtype=float)
     if spin_moment == "gamma_e":
-        mu_spin = -spin_sign * constants.hbar * constants.gamma_e
+        mu_spin = spin_sign * (-constants.hbar * constants.gamma_e)
     else:
-        mu_spin = +spin_sign * constants.mu_B
-    mu[0] += mu_spin
+        mu_spin = spin_sign * constants.mu_B
+    mu[..., 0] += mu_spin
     return mu
 
 
 def force(
     q: Sequence[float],
-    spin_sign: int,
+    spin_sign,
     source,
     nd: NanodiamondParams,
     constants: PhysicalConstants = CONSTANTS,
     spin_moment: str = "gamma_e",
-    field_sign: float = 1.0,
+    field_sign=1.0,
 ) -> np.ndarray:
     """Magnetic force (mu . grad) B at position q (N).
 
-    ``source`` is any field source exposing ``field_at`` and ``jacobian_at``
-    (a coil assembly or the idealized uniform-gradient field);
-    ``field_sign`` models the reversed coil current during decoupling.
+    ``source`` is any field source exposing ``field_and_jacobian`` (a coil
+    assembly or the idealized uniform-gradient field); ``field_sign`` = -1
+    models the reversed coil current during decoupling.  Broadcasts over
+    rows: ``q`` of shape (3,) or (n, 3), with ``spin_sign`` and
+    ``field_sign`` (each +-1) scalars or one value per row.
+
+    Reversing the current negates B and J together.  The diamagnetic force,
+    even in B, is unchanged and the spin force flips, so the force is J
+    times the moment at spin sign ``spin_sign * field_sign``.  Sign flips
+    are exact, so this equals negating B and J term by term.
     """
-    B = field_sign * source.field_at(q, constants)
-    J = field_sign * source.jacobian_at(q, constants)
-    mu = magnetic_moment(B, spin_sign, nd, constants, spin_moment)
-    return J @ mu
+    q = np.asarray(q, dtype=float)
+    B, J = source.field_and_jacobian(q.reshape(-1, 3), constants)
+    mu = magnetic_moment(B, np.multiply(spin_sign, field_sign), nd, constants,
+                         spin_moment)
+    return (J @ mu[..., None]).reshape(q.shape)
 
 
 def _flip_times(schedule: Optional[FlipSchedule], t_end: float
@@ -189,6 +213,106 @@ def _flip_times(schedule: Optional[FlipSchedule], t_end: float
     field_flips = spin_flips + lag
     field_flips = field_flips[field_flips < t_end]
     return spin_flips, field_flips
+
+
+def _integrate_stack(
+    starts: Sequence[TrajectoryState],
+    spins: Sequence[int],
+    schedules: Sequence[Optional[FlipSchedule]],
+    source,
+    nd: NanodiamondParams,
+    t_end: float,
+    cfg: IntegratorConfig,
+    t_eval: Optional[Sequence[float]],
+    constants: PhysicalConstants,
+    spin_moment: str,
+) -> list[Trajectory]:
+    """Integrate n trajectories (one per start, initial spin and flip
+    schedule), all starting at ``starts[0].t``, as one stacked (n, 6)
+    state; see the module docstring.  A failure raises
+    :class:`IntegrationError` with the first row's last state."""
+    t0 = starts[0].t
+    if not t_end > t0:
+        raise ValueError("t_end must exceed the initial time")
+    if any(s not in (-1, 1) for s in spins):
+        raise ValueError("spin_initial must be -1 or +1")
+    if t_eval is None:
+        t_eval = np.linspace(t0, t_end, 1000)
+    t_eval = np.asarray(t_eval, dtype=float)
+    if np.any(t_eval < t0) or np.any(t_eval > t_end):
+        raise ValueError("t_eval must lie within [initial.t, t_end]")
+
+    n = len(starts)
+    flips = [_flip_times(sched, t_end) for sched in schedules]
+    boundaries = np.unique(np.concatenate(
+        [[t0, t_end]] + [np.concatenate(f) for f in flips]))
+    boundaries = boundaries[(boundaries >= t0) & (boundaries <= t_end)]
+    mids = 0.5 * (boundaries[:-1] + boundaries[1:])
+    # Sign of each row (axis 0) on each segment (axis 1).
+    spin_signs = np.array(spins)[:, None] * np.array(
+        [(-1) ** np.searchsorted(sf, mids, side="right") for sf, _ in flips])
+    field_signs = np.array(
+        [(-1.0) ** np.searchsorted(ff, mids, side="right") for _, ff in flips])
+
+    mass = nd.mass
+    # scipy's error norm is an RMS over the whole flattened state; dividing
+    # both tolerances by sqrt(n) turns it into sqrt(sum_i norm_i^2) over the
+    # rows, which bounds every row's own norm.
+    scale = 1.0 / math.sqrt(n)
+    atol = scale * np.tile([cfg.abs_tol_pos] * 3 + [cfg.abs_tol_vel] * 3, n)
+    rtol = scale * cfg.rel_tol
+    max_step = cfg.max_step if cfg.max_step is not None else np.inf
+
+    order = np.argsort(t_eval, kind="stable")
+    t_sorted = t_eval[order]
+    out = np.empty((n, 6, len(t_eval)))
+    out_spin = np.empty((n, len(t_eval)), dtype=int)
+
+    state = np.array([[*st.q, *st.v] for st in starts], dtype=float).ravel()
+    h = None
+    filled = 0
+    for k in range(len(boundaries) - 1):
+        ta, tb = boundaries[k], boundaries[k + 1]
+        spin_sign, field_sign = spin_signs[:, k], field_signs[:, k]
+
+        def rhs(_t, y, s=spin_sign, fs=field_sign):
+            if not np.isfinite(y).all():
+                raise FloatingPointError("non-finite state during integration")
+            y = y.reshape(n, 6)
+            f = force(y[:, :3], s, source, nd, constants, spin_moment, fs)
+            return np.concatenate((y[:, 3:], f / mass), axis=1).ravel()
+
+        hi = filled
+        while hi < len(t_sorted) and t_sorted[hi] <= tb + 1e-15 * max(1.0, tb):
+            hi += 1
+
+        sol = solve_ivp(rhs, (ta, tb), state, method=cfg.method,
+                        rtol=rtol, atol=atol, max_step=max_step,
+                        first_step=None if h is None else min(h, tb - ta),
+                        dense_output=hi > filled)
+        if not sol.success:
+            last = TrajectoryState(t=float(sol.t[-1]) if sol.t.size else ta,
+                                   q=tuple(sol.y[:3, -1]) if sol.t.size else starts[0].q,
+                                   v=tuple(sol.y[3:6, -1]) if sol.t.size else starts[0].v)
+            raise IntegrationError(
+                f"integration failed in [{ta:g}, {tb:g}] s: {sol.message}", last)
+        if hi > filled:
+            seg_eval = np.clip(t_sorted[filled:hi], ta, tb)
+            idx = order[filled:hi]
+            out[:, :, idx] = sol.sol(seg_eval).reshape(n, 6, -1)
+            out_spin[:, idx] = spin_sign[:, None]
+            filled = hi
+        state = sol.y[:, -1]
+        # The last step is cut short at the boundary, so the largest step
+        # before it is the next segment's first step; a one-step segment
+        # keeps the larger of its step and the previous estimate.
+        steps = np.diff(sol.t)
+        h = steps[:-1].max() if len(steps) > 1 else max(h or 0.0, steps[0])
+
+    return [Trajectory(t=t_eval.copy(), q=out[i, :3].T.copy(),
+                       v=out[i, 3:].T.copy(), spin=out_spin[i],
+                       flip_times=flips[i][0])
+            for i in range(n)]
 
 
 def integrate(
@@ -208,70 +332,8 @@ def integrate(
     Samples are produced at ``t_eval`` (default: 1000 uniform times).  Flip
     events partition the integration into restart segments.
     """
-    if not t_end > initial.t:
-        raise ValueError("t_end must exceed the initial time")
-    if spin_initial not in (-1, 1):
-        raise ValueError("spin_initial must be -1 or +1")
-    if t_eval is None:
-        t_eval = np.linspace(initial.t, t_end, 1000)
-    t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < initial.t) or np.any(t_eval > t_end):
-        raise ValueError("t_eval must lie within [initial.t, t_end]")
-
-    spin_flips, field_flips = _flip_times(schedule, t_end)
-    boundaries = np.unique(np.concatenate(
-        ([initial.t, t_end], spin_flips, field_flips)))
-    boundaries = boundaries[(boundaries >= initial.t) & (boundaries <= t_end)]
-
-    mass = nd.mass
-    atol = np.array([cfg.abs_tol_pos] * 3 + [cfg.abs_tol_vel] * 3)
-    max_step = cfg.max_step if cfg.max_step is not None else np.inf
-
-    order = np.argsort(t_eval, kind="stable")
-    t_sorted = t_eval[order]
-    out_q = np.empty((len(t_eval), 3))
-    out_v = np.empty((len(t_eval), 3))
-    out_spin = np.empty(len(t_eval), dtype=int)
-
-    state = np.array([*initial.q, *initial.v], dtype=float)
-    filled = 0
-    for k in range(len(boundaries) - 1):
-        t0, t1 = boundaries[k], boundaries[k + 1]
-        mid = 0.5 * (t0 + t1)
-        spin_sign = spin_initial * (-1) ** int(np.sum(spin_flips <= mid))
-        field_sign = (-1.0) ** int(np.sum(field_flips <= mid))
-
-        def rhs(_t, y, s=spin_sign, fs=field_sign):
-            if not np.all(np.isfinite(y)):
-                raise FloatingPointError("non-finite state during integration")
-            f = force(y[:3], s, source, nd, constants, spin_moment, fs)
-            return np.concatenate((y[3:], f / mass))
-
-        hi = filled
-        while hi < len(t_sorted) and t_sorted[hi] <= t1 + 1e-15 * max(1.0, t1):
-            hi += 1
-
-        sol = solve_ivp(rhs, (t0, t1), state, method=cfg.method,
-                        rtol=cfg.rel_tol, atol=atol, max_step=max_step,
-                        dense_output=True)
-        if not sol.success:
-            last = TrajectoryState(t=float(sol.t[-1]) if sol.t.size else t0,
-                                   q=tuple(sol.y[:3, -1]) if sol.t.size else initial.q,
-                                   v=tuple(sol.y[3:, -1]) if sol.t.size else initial.v)
-            raise IntegrationError(
-                f"integration failed in [{t0:g}, {t1:g}] s: {sol.message}", last)
-        if hi > filled:
-            seg_eval = np.clip(t_sorted[filled:hi], t0, t1)
-            vals = sol.sol(seg_eval)
-            idx = order[filled:hi]
-            out_q[idx] = vals[:3].T
-            out_v[idx] = vals[3:].T
-            out_spin[idx] = spin_sign
-            filled = hi
-        state = sol.y[:, -1]
-
-    return Trajectory(t=t_eval.copy(), q=out_q, v=out_v, spin=out_spin,
-                      flip_times=spin_flips)
+    return _integrate_stack([initial], [spin_initial], [schedule], source, nd,
+                            t_end, cfg, t_eval, constants, spin_moment)[0]
 
 
 def sensitivity_scan(
@@ -293,7 +355,8 @@ def sensitivity_scan(
     with the angles on the first octant.  Each record carries the transverse
     spin-overlap metrics (normalized by the shell radius, or absolutely for
     r = 0) and the maximum x-channel spin separation.  ``spin_moment`` is
-    the convention of :func:`magnetic_moment`.
+    the convention of :func:`magnetic_moment`.  Every start and both spins
+    are integrated as one stack.
     """
     if any(not (0.0 <= a <= math.pi / 2.0 + 1e-12)
            for a in (*theta_values, *phi_values)):
@@ -302,32 +365,31 @@ def sensitivity_scan(
         raise ValueError("shell radius must be >= 0")
     t_eval = np.linspace(0.0, t_end, n_samples)
     norm = r if r > 0.0 else 1.0
-    records: list[dict] = []
     thetas = list(theta_values) if r > 0.0 else [0.0]
     phis = list(phi_values) if r > 0.0 else [0.0]
-    for theta in thetas:
-        for phi in phis:
-            q0 = (r * math.sin(theta) * math.cos(phi),
-                  r * math.sin(theta) * math.sin(phi),
-                  r * math.cos(theta))
-            start = TrajectoryState(t=0.0, q=q0, v=(0.0, 0.0, 0.0))
-            trajs = {
-                spin: integrate(start, spin, source, nd, schedule, t_end, cfg,
-                                t_eval, constants, spin_moment)
-                for spin in (1, -1)
-            }
-            dy = np.max(np.abs(trajs[1].y - trajs[-1].y))
-            dz = np.max(np.abs(trajs[1].z - trajs[-1].z))
-            dx = np.max(np.abs(trajs[1].x - trajs[-1].x))
-            records.append({
-                "theta": theta,
-                "phi": phi,
-                "start": q0,
-                "y_overlap": dy / norm,
-                "z_overlap": dz / norm,
-                "x_separation_max": dx,
-                "trajectories": trajs,
-            })
+    angles = [(theta, phi) for theta in thetas for phi in phis]
+    starts = [(r * math.sin(theta) * math.cos(phi),
+               r * math.sin(theta) * math.sin(phi),
+               r * math.cos(theta)) for theta, phi in angles]
+    # One stacked run: rows (start 0, +1), (start 0, -1), (start 1, +1), ...
+    spins = (1, -1)
+    trajs = _integrate_stack(
+        [TrajectoryState(t=0.0, q=q0, v=(0.0, 0.0, 0.0))
+         for q0 in starts for _ in spins],
+        spins * len(starts), [schedule] * (2 * len(starts)), source, nd,
+        t_end, cfg, t_eval, constants, spin_moment)
+    records: list[dict] = []
+    for i, ((theta, phi), q0) in enumerate(zip(angles, starts)):
+        up, down = trajs[2 * i], trajs[2 * i + 1]
+        records.append({
+            "theta": theta,
+            "phi": phi,
+            "start": q0,
+            "y_overlap": np.max(np.abs(up.y - down.y)) / norm,
+            "z_overlap": np.max(np.abs(up.z - down.z)) / norm,
+            "x_separation_max": np.max(np.abs(up.x - down.x)),
+            "trajectories": {1: up, -1: down},
+        })
     return records
 
 
@@ -348,7 +410,8 @@ def delta_scan(
     For each phase shift delta between the spin flip and the current flip,
     integrates one full motion period from the origin and reports
     max |x_delta(t) - x_0(t)| / dx_max against the delta = 0 reference.
-    ``spin_moment`` is the convention of :func:`magnetic_moment`.
+    ``spin_moment`` is the convention of :func:`magnetic_moment`.  The
+    reference and every distinct lag are integrated as one stack.
     """
     if any(not (0.0 <= d < math.pi) for d in delta_values):
         raise ValueError("deltas must lie in [0, pi)")
@@ -356,20 +419,16 @@ def delta_scan(
     t_eval = np.linspace(0.0, period, n_samples)
     start = TrajectoryState(t=0.0, q=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0))
     omega_dd = n_flip * omega
-
-    def run(delta: float) -> np.ndarray:
-        sched = FlipSchedule(omega_dd=omega_dd, delta=delta, spin_initial=1)
-        return integrate(start, 1, source, nd, sched, period, cfg, t_eval,
-                         constants, spin_moment).x
-
-    x_ref = run(0.0)
+    # One stacked run: the synchronized reference, then each distinct lag.
+    lags = [0.0] + sorted({float(d) for d in delta_values} - {0.0})
+    trajs = _integrate_stack(
+        [start] * len(lags), [1] * len(lags),
+        [FlipSchedule(omega_dd=omega_dd, delta=d, spin_initial=1) for d in lags],
+        source, nd, period, cfg, t_eval, constants, spin_moment)
+    x = {d: tr.x for d, tr in zip(lags, trajs)}
+    x_ref = x[0.0]
     if dx_max is None:
         dx_max = float(np.max(np.abs(x_ref)) * 2.0)
-    results = []
-    for delta in delta_values:
-        x = x_ref if delta == 0.0 else run(delta)
-        results.append({
-            "delta": float(delta),
-            "deviation": float(np.max(np.abs(x - x_ref)) / dx_max),
-        })
-    return results
+    return [{"delta": float(delta),
+             "deviation": float(np.max(np.abs(x[float(delta)] - x_ref)) / dx_max)}
+            for delta in delta_values]

@@ -313,9 +313,9 @@ def test_criterion_11_field_solver_oracles(rng):
         J = field_jacobian(p, coil)
         worst_div = max(worst_div, abs(np.trace(J)) / np.max(np.abs(J)))
 
-    ok = worst_ke <= 1e-12 and worst_bs <= 1e-8 and worst_div < 1e-6
+    ok = worst_ke <= 1e-12 and worst_bs <= 1e-13 and worst_div < 1e-6
     _report(11, ok, f"elliptic-vs-quadrature {worst_ke:.2e} (1e-12); "
-                    f"loop-vs-line-integral {worst_bs:.2e} (1e-8); "
+                    f"loop-vs-line-integral {worst_bs:.2e} (1e-13); "
                     f"div residual {worst_div:.2e} (1e-6)")
 
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ndspin import (
     CONSTANTS,
+    CoilAssembly,
     FieldConfig,
     FlipSchedule,
     IntegrationError,
@@ -21,6 +23,72 @@ from ndspin import (
     max_separation,
     sensitivity_scan,
 )
+from ndspin.coils import _RHO_SERIES_FACTOR
+from ndspin.trajectory import _integrate_stack
+
+
+def _solve_ivp_oracle(q0, spin, source, nd, omega_dd, delta, t_end, cfg,
+                      t_eval):
+    """Test-only oracle for one trajectory: scipy's solve_ivp on this
+    trajectory alone, restarted at its own spin and current flips, at the
+    configured tolerances, with the force J mu built from the source's B and
+    J, both negated while the current is reversed.  Returns the positions at
+    ``t_eval``, shape (n, 3)."""
+    coef = -nd.chi_magnitude * nd.volume / CONSTANTS.mu0
+    spin_flips = []
+    if omega_dd is not None:
+        k = 1
+        while k * 2.0 * math.pi / omega_dd < t_end:
+            spin_flips.append(k * 2.0 * math.pi / omega_dd)
+            k += 1
+    lag = 0.0 if omega_dd is None else delta / omega_dd
+    field_flips = [t + lag for t in spin_flips if t + lag < t_end]
+    edges = sorted({0.0, t_end, *spin_flips, *field_flips})
+    atol = [cfg.abs_tol_pos] * 3 + [cfg.abs_tol_vel] * 3
+    max_step = np.inf if cfg.max_step is None else cfg.max_step
+    y = np.array([*q0, 0.0, 0.0, 0.0])
+    out = np.empty((len(t_eval), 3))
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (a + b)
+        s = spin * (-1) ** sum(t <= mid for t in spin_flips)
+        fs = (-1.0) ** sum(t <= mid for t in field_flips)
+
+        def rhs(_t, y, s=s, fs=fs):
+            B, J = source.field_and_jacobian(y[None, :3])
+            B, J = fs * B[0], fs * J[0]
+            mu = coef * B
+            mu[0] -= s * CONSTANTS.hbar * CONSTANTS.gamma_e
+            return np.concatenate((y[3:], J @ mu / nd.mass))
+
+        sol = solve_ivp(rhs, (a, b), y, method=cfg.method, rtol=cfg.rel_tol,
+                        atol=atol, max_step=max_step, dense_output=True)
+        assert sol.success
+        sel = (t_eval >= a) & (t_eval <= b)
+        out[sel] = sol.sol(t_eval[sel])[:3].T
+        y = sol.y[:, -1]
+    return out
+
+
+def _oracle_bound(cfg, q):
+    """Ten times the integrator's local position tolerance at the scale of
+    q, for global error accumulated over the run."""
+    return 10.0 * (cfg.abs_tol_pos + cfg.rel_tol * np.max(np.abs(q)))
+
+
+#: The 3 cm / 564 At pair, and a 5 mm pair with the same central gradient
+#: whose near-axis series zone (2.5 um) is smaller than the 5 um shell.
+_COILS = {
+    "3cm": (CoilAssembly.anti_helmholtz(r_c=0.03, d_c=0.03, mmf=564.0), 5e-7),
+    "5mm": (CoilAssembly.anti_helmholtz(r_c=5e-3, d_c=5e-3, mmf=564.0 / 36.0),
+            5e-6),
+}
+
+
+def _coil_period(coil, nd):
+    bprime = coil.jacobian_at((0.0, 0.0, 0.0))[0, 0]
+    omega = bprime * math.sqrt(nd.chi_magnitude * nd.volume
+                               / (CONSTANTS.mu0 * nd.mass))
+    return omega, 2.0 * math.pi / omega
 
 
 def test_moment_zero_field_is_axial_spin(nd_250nm):
@@ -217,6 +285,10 @@ def test_nan_field_raises(nd_250nm):
         def jacobian_at(self, p, constants=None):
             return np.full((3, 3), math.nan)
 
+        def field_and_jacobian(self, q, constants=None):
+            return (np.full((len(q), 3), math.nan),
+                    np.full((len(q), 3, 3), math.nan))
+
     start = TrajectoryState(0.0, (1e-7, 0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises((IntegrationError, FloatingPointError, ValueError)):
         integrate(start, 1, BrokenSource(), nd_250nm, None, 1.0)
@@ -229,11 +301,17 @@ def test_sensitivity_scan_degenerate_origin(nd_250nm, field_fig2):
     recs = sensitivity_scan(0.0, [0.0, math.pi / 4.0], [0.0], src, nd_250nm,
                             None, osc.period, cfg, n_samples=50)
     assert len(recs) == 1  # r = 0 collapses the angular grid
-    traj = recs[0]["trajectories"][1]
-    direct = integrate(TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-                       1, src, nd_250nm, None, osc.period, cfg,
-                       np.linspace(0.0, osc.period, 50))
-    assert np.allclose(traj.x, direct.x, rtol=0.0, atol=1e-18)
+    # the scan is the engine's two-spin stack from the origin, exactly
+    t_eval = np.linspace(0.0, osc.period, 50)
+    origin = TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    stack = _integrate_stack([origin] * 2, [1, -1], [None] * 2, src, nd_250nm,
+                             osc.period, cfg, t_eval, CONSTANTS, "gamma_e")
+    for spin, row in zip((1, -1), stack):
+        traj = recs[0]["trajectories"][spin]
+        assert np.array_equal(traj.q, row.q) and np.array_equal(traj.v, row.v)
+        want = _solve_ivp_oracle((0.0, 0.0, 0.0), spin, src, nd_250nm, None,
+                                 0.0, osc.period, cfg, t_eval)
+        assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
 
 
 def test_x_shift_leaves_max_separation(nd_250nm, field_fig2):
@@ -291,3 +369,75 @@ def test_delta_scan_reference_is_zero(nd_250nm, field_fig2):
     assert res[1]["deviation"] > 0.0
     with pytest.raises(ValueError):
         delta_scan([math.pi], src, nd_250nm, 40, osc.omega, cfg)
+
+
+#: About half the largest step each method takes on these scans (RK45
+#: T/185, DOP853 T/20), so the bound binds.
+_BINDING_MAX_STEP = {"RK45": 1.0 / 400.0, "DOP853": 1.0 / 40.0}
+
+
+@pytest.mark.parametrize("bind_max_step", [False, True])
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+@pytest.mark.parametrize("coil_name", ["3cm", "5mm"])
+def test_stacked_shell_scan_matches_per_row_oracle(coil_name, method,
+                                                   bind_max_step):
+    coil, r = _COILS[coil_name]
+    nd = NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(coil, nd)
+    max_step = _BINDING_MAX_STEP[method] * period if bind_max_step else None
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19,
+                           method=method, max_step=max_step)
+    schedule = FlipSchedule(omega_dd=10.0 * omega)
+    angles = [0.0, math.pi / 4.0, math.pi / 2.0]
+    recs = sensitivity_scan(r, angles, [0.3], coil, nd, schedule,
+                            period, cfg, n_samples=101)
+    t_eval = np.linspace(0.0, period, 101)
+    zone = _RHO_SERIES_FACTOR * coil.loops[0].r_c
+    in_zone = [math.hypot(*rec["start"][1:]) < zone for rec in recs]
+    # the 5 mm shell has starts on both sides of the series switch
+    assert in_zone == ([True] * 3 if coil_name == "3cm" else [False, False, True])
+    for rec in recs:
+        for spin, traj in rec["trajectories"].items():
+            want = _solve_ivp_oracle(rec["start"], spin, coil, nd,
+                                     schedule.omega_dd, 0.0, period, cfg, t_eval)
+            assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
+    if max_step is not None:
+        # the key takes effect: the same scan without it comes out different
+        free = sensitivity_scan(r, angles, [0.3], coil, nd, schedule,
+                                period, IntegratorConfig(
+                                    rel_tol=1e-10, abs_tol_pos=1e-17,
+                                    abs_tol_vel=1e-19, method=method),
+                                n_samples=101)
+        assert any(not np.array_equal(a["trajectories"][1].q,
+                                      b["trajectories"][1].q)
+                   for a, b in zip(recs, free))
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+def test_stacked_delta_scan_matches_per_row_oracle(coil_564, method):
+    nd = NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(coil_564, nd)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19,
+                           method=method)
+    n_flip = 20
+    deltas = [0.0, math.pi / 25.0, math.pi / 5.0]
+    t_eval = np.linspace(0.0, period, 201)
+    origin = TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    rows = _integrate_stack(
+        [origin] * 3, [1] * 3,
+        [FlipSchedule(omega_dd=n_flip * omega, delta=d) for d in deltas],
+        coil_564, nd, period, cfg, t_eval, CONSTANTS, "gamma_e")
+    x = []
+    for d, traj in zip(deltas, rows):
+        want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil_564, nd,
+                                 n_flip * omega, d, period, cfg, t_eval)
+        assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
+        x.append(want[:, 0])
+    # the public scan runs the same stack and reports the oracle's deviations
+    dx_max = 2.0 * np.max(np.abs(x[0]))
+    res = delta_scan(deltas[1:], coil_564, nd, n_flip, omega, cfg,
+                     n_samples=201)
+    for d, r, want_x in zip(deltas[1:], res, x[1:]):
+        assert r["delta"] == d
+        dev = np.max(np.abs(want_x - x[0])) / dx_max
+        assert abs(r["deviation"] - dev) <= 2.0 * _oracle_bound(cfg, x[0]) / dx_max
