@@ -27,15 +27,10 @@ from .coherent import (
     ramsey_phase,
 )
 from .decoupling import (
-    DDBranchTrace,
     DDConfig,
-    FlipScheme,
-    build_dd_trace,
     dd_branch_state,
-    dd_branch_states,
     dd_expectation,
     dd_piecewise_ode_reference,
-    dd_symmetry_metric,
 )
 from .coils import (
     CoilAssembly,

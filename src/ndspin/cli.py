@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from . import __version__
 from .coherent import branch_state, classical_position, expectation_xp, ramsey_phase
 from .config import ConfigError, ScenarioConfig, load_config
 from .core import FieldConfig, derive_oscillator, equilibrium_positions, max_separation
-from .decoupling import DDConfig, FlipScheme, dd_expectation
+from .decoupling import DDConfig, dd_expectation
 from .coils import field_jacobian, field_map
 from .protocol import (
     SURFACE_CSV_HEADER,
@@ -72,12 +73,10 @@ def cmd_trajectory(cfg: ScenarioConfig, args) -> int:
     for b0 in cfg.trajectory_B0_values:
         fld = FieldConfig(B0=b0, Bprime=cfg.field.Bprime,
                           tilt_theta_g=cfg.field.tilt_theta_g)
-        for t in times:
-            rows.append((b0, float(t),
-                         classical_position(float(t), 1, cfg.nanodiamond, fld,
-                                            cfg.constants),
-                         classical_position(float(t), -1, cfg.nanodiamond, fld,
-                                            cfg.constants)))
+        x_plus, x_minus = (classical_position(times, spin, cfg.nanodiamond, fld,
+                                              cfg.constants) for spin in (1, -1))
+        rows.extend(zip(itertools.repeat(b0), times.tolist(), x_plus.tolist(),
+                        x_minus.tolist()))
     write_csv(_out(args, "trajectory.csv"),
               ("B0_T", "t_s", "x_plus_m", "x_minus_m"), rows)
     write_json(_out(args, "trajectory_manifest.json"), {
@@ -94,19 +93,17 @@ def cmd_dd(cfg: ScenarioConfig, args) -> int:
     osc = derive_oscillator(cfg.nanodiamond, cfg.field, cfg.constants)
     times = np.linspace(0.0, osc.period, cfg.dd_n_samples)
     rows = []
-    for spin in (1, -1):
-        states = [branch_state(float(t), spin, cfg.nanodiamond, cfg.field,
-                               cfg.constants, osc) for t in times]
-        for t, s in zip(times, states):
-            x, p = expectation_xp(s, osc)
-            rows.append((0, spin, float(t), x, p))
-    for n in cfg.dd_n_values:
-        dd = DDConfig(n=n, scheme=FlipScheme.GRADIENT_ONLY_FLIP)
+    for n in (0, *cfg.dd_n_values):
         for spin in (1, -1):
-            xp = dd_expectation(times, spin, cfg.nanodiamond, cfg.field, dd,
-                                cfg.constants)
-            for t, (x, p) in zip(times, xp):
-                rows.append((n, spin, float(t), float(x), float(p)))
+            if n == 0:
+                x, p = expectation_xp(branch_state(
+                    times, spin, cfg.nanodiamond, cfg.field, cfg.constants, osc),
+                    osc)
+            else:
+                x, p = dd_expectation(times, spin, cfg.nanodiamond, cfg.field,
+                                      DDConfig(n=n), cfg.constants).T
+            rows.extend(zip(itertools.repeat(n), itertools.repeat(spin),
+                            times.tolist(), x.tolist(), p.tolist()))
     write_csv(_out(args, "dd_phase_space.csv"),
               ("n_flip", "spin", "t_s", "x_m", "p_kg_m_per_s"), rows)
     write_json(_out(args, "dd_manifest.json"), {

@@ -17,10 +17,12 @@ momentum quadrature is <p> = -2 p_zpf Im(alpha); the sign is fixed by
 matching the classical m dx/dt and is verified against the trajectory
 integrator in the tests.
 
-Phases are accumulated as plain real scalars, never wrapped modulo 2 pi.
-The oscillatory factors are evaluated with the time argument reduced by the
-oscillation period, so that branch closure after exactly one period is
-resolved far below the magnitude of the accumulated phases themselves.
+Every function of time broadcasts over an array of times and derives the
+oscillator once per call.  Phases are accumulated as plain reals, never
+wrapped modulo 2 pi.  The oscillatory factors are evaluated with the time
+argument reduced by the oscillation period, so that branch closure after
+exactly one period is resolved far below the magnitude of the accumulated
+phases themselves.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .core import (
     CONSTANTS,
@@ -51,38 +55,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BranchState:
-    """Coherent amplitude and accumulated phase of one spin branch at time t."""
+    """Coherent amplitude and accumulated phase of one spin branch.
 
-    t: float
+    ``alpha`` and ``theta`` have the shape of ``t``: scalars for one time,
+    arrays for an array of times.
+    """
+
+    t: float | np.ndarray
     spin: int
-    alpha: complex
-    theta: float
+    alpha: complex | np.ndarray
+    theta: float | np.ndarray
 
 
-def _reduced_angle(t: float, omega: float) -> float:
+def _reduced_angle(t, omega: float):
     """omega*t reduced modulo one period before the multiply.
 
     Reducing t/T first keeps sin/cos accurate for large accumulated angles
     and makes t = n*T land on an exact zero of the reduced argument.
     """
     period = 2.0 * math.pi / omega
-    u = t / period
-    return 2.0 * math.pi * (u - math.floor(u))
+    u = np.asarray(t, dtype=float) / period
+    return 2.0 * math.pi * (u - np.floor(u))
 
 
-def _phasor(t: float, omega: float) -> complex:
-    """e^{+i omega t} with period-reduced argument."""
-    ang = _reduced_angle(t, omega)
-    return complex(math.cos(ang), math.sin(ang))
+def _phasor(angle):
+    """e^{+i angle}, with cos and sin as its exact real and imaginary parts."""
+    return np.cos(angle) + 1j * np.sin(angle)
 
 
 def classical_position(
-    t: float,
+    t,
     spin: int,
     nd: NanodiamondParams,
     fld: FieldConfig,
     constants: PhysicalConstants = CONSTANTS,
-) -> float:
+):
     """Classical branch trajectory x_s(t) = x0_s (1 - cos omega t), lab frame."""
     osc = derive_oscillator(nd, fld, constants)
     x0_plus, x0_minus = equilibrium_positions(nd, fld, constants)
@@ -94,7 +101,7 @@ def classical_position(
         x0 = -fld.B0 / fld.Bprime
     else:
         raise ValueError("spin eigenvalue must be -1, 0 or +1")
-    return x0 * (1.0 - math.cos(_reduced_angle(t, osc.omega)))
+    return x0 * (1.0 - np.cos(_reduced_angle(t, osc.omega)))
 
 
 def _zeeman_zfs_rate(spin: int, fld: FieldConfig, constants: PhysicalConstants) -> float:
@@ -103,14 +110,14 @@ def _zeeman_zfs_rate(spin: int, fld: FieldConfig, constants: PhysicalConstants) 
 
 
 def branch_state(
-    t: float,
+    t,
     spin: int,
     nd: NanodiamondParams,
     fld: FieldConfig,
     constants: PhysicalConstants = CONSTANTS,
     osc: Optional[OscillatorParams] = None,
 ) -> BranchState:
-    """Coherent-state amplitude and phase of one spin branch at time t.
+    """Coherent-state amplitude and phase of one spin branch at time(s) t.
 
     Valid for spin eigenvalues -1, 0 and +1; the protocol only ever
     populates +-1, the 0 block is kept for completeness.
@@ -119,16 +126,17 @@ def branch_state(
         osc = derive_oscillator(nd, fld, constants)
     lam_s = osc.lambda_j(spin)
     chi = lam_s / osc.omega
-    alpha = chi * (_phasor(t, osc.omega) - 1.0)
+    angle = _reduced_angle(t, osc.omega)
+    alpha = chi * (_phasor(angle) - 1.0)
     theta = (
         (_zeeman_zfs_rate(spin, fld, constants) - lam_s**2 / osc.omega) * t
-        + chi**2 * math.sin(_reduced_angle(t, osc.omega))
+        + chi**2 * np.sin(angle)
     )
     return BranchState(t=t, spin=spin, alpha=alpha, theta=theta)
 
 
 def branch_phase_difference(
-    t: float,
+    t,
     nd: NanodiamondParams,
     fld: FieldConfig,
     constants: PhysicalConstants = CONSTANTS,
@@ -145,21 +153,21 @@ def branch_phase_difference(
     cancellation, since each phase is dominated by the huge D t term.
     """
     osc = derive_oscillator(nd, fld, constants)
-    return (2.0 * constants.gamma_e * fld.B0 / osc.omega) * math.sin(
+    return (2.0 * constants.gamma_e * fld.B0 / osc.omega) * np.sin(
         _reduced_angle(t, osc.omega))
 
 
 def expectation_xp(
     state: BranchState,
     osc: OscillatorParams,
-) -> tuple[float, float]:
-    """Lab-frame (<x>, <p>) of a branch state.
+):
+    """Lab-frame (<x>, <p>) of a branch state, each shaped like ``state.t``.
 
     <x> = 2 x_zpf Re(alpha); <p> = -2 p_zpf Im(alpha) in the e^{+i omega t}
     convention (sign fixed by the classical limit).
     """
-    return (2.0 * osc.x_zpf * state.alpha.real,
-            -2.0 * osc.p_zpf * state.alpha.imag)
+    return (2.0 * osc.x_zpf * np.real(state.alpha),
+            -2.0 * osc.p_zpf * np.imag(state.alpha))
 
 
 def phase_space_curve(
@@ -173,42 +181,20 @@ def phase_space_curve(
     """Sample (<x>, <p>) over one full oscillation period.
 
     With ``dd`` set to a :class:`~ndspin.decoupling.DDConfig` the curve is
-    generated from the piecewise decoupling evolution instead of the plain
-    closed form.
+    generated from the decoupled evolution instead of the plain closed form.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     osc = derive_oscillator(nd, fld, constants)
-    times = [osc.period * i / max(n_samples - 1, 1) for i in range(n_samples)]
+    times = osc.period * np.arange(n_samples) / max(n_samples - 1, 1)
     if dd is not None:
-        from .decoupling import dd_branch_states
+        from .decoupling import dd_branch_state
 
-        states = dd_branch_states(times, spin, nd, fld, dd, constants)
+        state = dd_branch_state(times, spin, nd, fld, dd, constants)
     else:
-        states = [branch_state(t, spin, nd, fld, constants, osc) for t in times]
-    return [expectation_xp(s, osc) for s in states]
-
-
-def tilted_branch_phase(
-    t: float,
-    spin: int,
-    nd: NanodiamondParams,
-    fld: FieldConfig,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
-    """Accumulated phase of one branch under the tilted Hamiltonian,
-
-        vartheta_s(t) = Phi_s t + (Lambda_s / omega)^2 sin(omega t),
-        Phi_s = D s^2 + gamma_e B0 s - Lambda_s^2 / omega,
-
-    where Lambda_s = lambda0 + lambda_g + lambda s includes the gravity
-    coupling.  Internal accumulator for the Ramsey phase; the public result
-    is the branch difference after one period.
-    """
-    osc = derive_oscillator(nd, fld, constants)
-    Lam = osc.Lambda_j(spin)
-    Phi = _zeeman_zfs_rate(spin, fld, constants) - Lam**2 / osc.omega
-    return Phi * t + (Lam / osc.omega) ** 2 * math.sin(_reduced_angle(t, osc.omega))
+        state = branch_state(times, spin, nd, fld, constants, osc)
+    x, p = expectation_xp(state, osc)
+    return list(zip(x.tolist(), p.tolist()))
 
 
 def ramsey_phase(

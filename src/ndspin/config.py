@@ -15,7 +15,6 @@ from typing import Any, Optional
 
 from .core import CONSTANTS, FieldConfig, NanodiamondParams, PhysicalConstants
 from .coils import CoilAssembly
-from .decoupling import DDConfig, FlipScheme
 from .protocol import ProtocolConfig, Scenario
 from .trajectory import IntegratorConfig
 
@@ -101,7 +100,6 @@ class ScenarioConfig:
     constants: PhysicalConstants
     nanodiamond: NanodiamondParams
     field: FieldConfig
-    dd: Optional[DDConfig] = None
     dd_n_values: list[int] = dc_field(default_factory=lambda: [4, 20, 200])
     dd_n_samples: int = 1024
     protocol: ProtocolConfig = dc_field(default_factory=ProtocolConfig)
@@ -194,17 +192,10 @@ def parse_config(doc: Any) -> ScenarioConfig:
 
     if "dd" in root:
         sec = _require_mapping(root["dd"], "$.dd")
-        _check_keys(sec, {"n_flip", "scheme", "n_periods", "n_values",
-                          "n_samples"}, "$.dd")
-        n_flip = _integer(sec, "n_flip", "$.dd", 200, minimum=1)
-        scheme_name = sec.get("scheme", "gradient-only-flip")
-        try:
-            scheme = FlipScheme(scheme_name)
-        except ValueError:
-            raise ConfigError("$.dd.scheme",
-                              f"unknown scheme {scheme_name!r}") from None
-        n_periods = _number(sec, "n_periods", "$.dd", 1.0, positive=True)
-        cfg.dd = DDConfig(n=n_flip, scheme=scheme, n_periods=n_periods)
+        _check_keys(sec, {"n_flip", "n_values", "n_samples"}, "$.dd")
+        # Accepted for existing scenario files and validated, but no verb
+        # reads a single flip multiplier: `dd` renders every n in n_values.
+        _integer(sec, "n_flip", "$.dd", minimum=1)
         n_values = sec.get("n_values")
         if n_values is not None:
             if (not isinstance(n_values, list) or not n_values

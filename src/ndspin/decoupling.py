@@ -1,45 +1,47 @@
-"""Piecewise branch evolution under dynamical decoupling.
+"""Branch evolution under dynamical decoupling, in closed form.
 
-Spin flips at omega_DD = N omega are idealized as instantaneous.  Two
-control schemes exist:
-
-* ``FULL_FLIP``: B0 and B' both reverse with the spin.  The Hamiltonian is
-  invariant, so the branch evolution equals the plain closed form.
-* ``GRADIENT_ONLY_FLIP``: only B' follows the spin, equivalent to B0 alone
-  flipping sign every interval [2 pi j / omega_DD, 2 pi (j+1) / omega_DD).
-  Each branch then hops between two shifted oscillators with coupling
-  lambda_s^{(j)} = (-1)^j lambda0 + s lambda.
+Spin flips at omega_DD = N omega are idealized as instantaneous, and only
+the gradient B' follows the spin.  That is equivalent to the bias B0 alone
+flipping sign at the start of every interval [j Dt, (j+1) Dt),
+Dt = 2 pi / omega_DD, so each branch hops between two shifted oscillators
+with coupling lambda^{(j)} = (-1)^j lambda0 + s lambda.  (Were B0 to flip
+with B' as well, the Hamiltonian would be invariant and the plain evolution
+of :mod:`ndspin.coherent` would apply.)
 
 Within segment j (local time tau, chi_j = lambda^{(j)} / omega):
 
-    alpha^{(j)}(tau) = -chi_j + (A_j + chi_j) e^{+i omega tau},
-    A_{j+1} = alpha^{(j)}(Dt),            Dt = 2 pi / omega_DD,
+    alpha(tau) = -chi_j + (A_j + chi_j) e^{+i omega tau},
+    Q(tau)     = Q_j + zeta_j tau + chi_j^2 sin(omega tau)
+                 - chi_j Im[A_j (1 - e^{+i omega tau})],
+    zeta_j     = D s^2 + gamma_e B0 (-1)^j s - (lambda^{(j)})^2 / omega,
 
-with A_0 = 0, so the running sum over earlier segments is carried in O(1)
-per segment advance.  The phase accumulates per segment as
+which reduces to the no-decoupling evolution on segment 0.  The segment
+starts follow from A_0 = Q_0 = 0, A_{j+1} = alpha(Dt), Q_{j+1} = Q(Dt).
+With r = e^{i omega Dt} = e^{2 pi i / N} that recursion is a sum of
+geometric series,
 
-    Q^{(j)}(tau) = zeta_j tau + chi_j^2 sin(omega tau)
-                   - chi_j Im[A_j (1 - e^{+i omega tau})],
-    zeta_j = D s^2 + gamma_e B0 (-1)^j s - (lambda^{(j)})^2 / omega,
+    A_j = (s lambda / omega)(r^j - 1) + (lambda0 / omega) g (r^j - (-1)^j),
+    g   = (r - 1) / (r + 1) = i tan(pi / N),
 
-which reduces to the no-decoupling phase on segment 0 and keeps the
-recursive phase coefficient C^{(j)} = e^{-i sum Q} exactly unimodular.
-The e^{+i omega t} phasor convention matches the plain branch evolution;
-expectation values are checked against an independent piecewise classical
-integration rather than trusting either phasor sign in isolation.
+and Q_j sums series in r, -r and -1 (see :func:`_segment_starts`), so any
+time is evaluated directly, with no walk over the segments before it.
+r^j is built from the exactly reduced angle 2 pi (j mod N) / N.  N = 1
+(r = 1, g = 0) and N = 2 (r = -1, where A_j grows linearly in j) take their
+limit sums.  The e^{+i omega t} phasor convention matches the plain branch
+evolution; expectation values are checked against an independent piecewise
+classical integration rather than trusting either phasor sign in isolation.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .coherent import BranchState, branch_state, expectation_xp
+from .coherent import BranchState, _phasor, branch_state, expectation_xp
 from .core import (
     CONSTANTS,
     FieldConfig,
@@ -51,199 +53,108 @@ from .core import (
 )
 
 __all__ = [
-    "FlipScheme",
     "DDConfig",
-    "DDBranchTrace",
-    "build_dd_trace",
     "dd_branch_state",
-    "dd_branch_states",
     "dd_expectation",
     "dd_piecewise_ode_reference",
-    "dd_symmetry_metric",
     "dd_mirror_defect",
-    "sampled_symmetry_metric",
     "sampled_mirror_defect",
     "excursion_bias_defect",
 ]
 
 
-class FlipScheme(enum.Enum):
-    FULL_FLIP = "full-flip"
-    GRADIENT_ONLY_FLIP = "gradient-only-flip"
-
-
 @dataclass(frozen=True)
 class DDConfig:
-    """Decoupling drive: omega_DD = n * omega, plus the control scheme."""
+    """Decoupling drive: omega_DD = n * omega."""
 
     n: int
-    scheme: FlipScheme = FlipScheme.GRADIENT_ONLY_FLIP
-    n_periods: float = 1.0  # default evolution window in motion periods
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("DD frequency multiplier n must be >= 1")
-        if not self.n_periods > 0.0:
-            raise ValueError("n_periods must be > 0")
 
 
-@dataclass(frozen=True)
-class DDBranchTrace:
-    """Per-segment closed-form data for one spin branch under decoupling.
+def _segment_starts(j, spin: int, osc: OscillatorParams, n: int,
+                    chi: np.ndarray, zeta: np.ndarray):
+    """A_j and Q_j at the start of segment(s) j, in closed form.
 
-    ``alpha_starts[j]`` is the coherent amplitude at the start of segment j
-    and ``phase_starts[j]`` the phase accumulated over all earlier segments;
-    both let any time inside segment j be evaluated in O(1).
+    ``chi`` and ``zeta`` hold the (even, odd) segment constants.  With
+    a = s lambda / omega, b = lambda0 / omega, chi_k = a + (-1)^k b and
+    e_j = j mod 2,
+
+        Q_j = sum_{k<j} [zeta_k Dt + chi_k^2 sin(omega Dt)] - X_j,
+        X_j = Im[(1 - r) sum_{k<j} chi_k A_k]
+            = Im[(a + b g) (a (1 - r^j) - b g (1 - (-1)^j r^j))
+                 - (1 - r) ((a^2 + b^2 g) j + a b (1 + g) e_j)].
+
+    At N = 2 every A_k is real, A_j = a ((-1)^j - 1) + 2 j b (-1)^j, and
+    X_j = 0.
     """
-
-    spin: int
-    osc: OscillatorParams
-    segment_duration: float
-    lambdas: np.ndarray
-    zetas: np.ndarray
-    alpha_starts: np.ndarray
-    phase_starts: np.ndarray
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.lambdas)
-
-    @property
-    def t_end(self) -> float:
-        return self.n_segments * self.segment_duration
-
-    def segment_index(self, t: float) -> int:
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
-        j = int(t / self.segment_duration)
-        return min(j, self.n_segments - 1)
-
-    def _local(self, t: float) -> tuple[int, float]:
-        j = self.segment_index(t)
-        return j, t - j * self.segment_duration
-
-    def alpha_at(self, t: float) -> complex:
-        j, tau = self._local(t)
-        chi = self.lambdas[j] / self.osc.omega
-        rot = complex(math.cos(self.osc.omega * tau), math.sin(self.osc.omega * tau))
-        return -chi + (self.alpha_starts[j] + chi) * rot
-
-    def phase_at(self, t: float) -> float:
-        j, tau = self._local(t)
-        chi = self.lambdas[j] / self.osc.omega
-        rot = complex(math.cos(self.osc.omega * tau), math.sin(self.osc.omega * tau))
-        a0 = self.alpha_starts[j]
-        return (
-            self.phase_starts[j]
-            + self.zetas[j] * tau
-            + chi**2 * math.sin(self.osc.omega * tau)
-            - chi * (a0 * (1.0 - rot)).imag
-        )
-
-    def state_at(self, t: float) -> BranchState:
-        return BranchState(t=t, spin=self.spin, alpha=self.alpha_at(t),
-                           theta=self.phase_at(t))
-
-    def phase_coefficient(self, t: float) -> complex:
-        """Recursive phase coefficient C(t) = e^{-i Q(t)}, unit modulus."""
-        q = self.phase_at(t)
-        return complex(math.cos(q), -math.sin(q))
-
-    def expectation_at(self, t: float) -> tuple[float, float]:
-        return expectation_xp(self.state_at(t), self.osc)
-
-
-def build_dd_trace(
-    spin: int,
-    nd: NanodiamondParams,
-    fld: FieldConfig,
-    dd: DDConfig,
-    t_end: Optional[float] = None,
-    constants: PhysicalConstants = CONSTANTS,
-) -> DDBranchTrace:
-    """Walk the segment recursion once up to ``t_end`` (default: the window
-    set by ``dd.n_periods``) and cache per-segment prefix data."""
-    if spin not in (-1, 0, 1):
-        raise ValueError("spin eigenvalue must be -1, 0 or +1")
-    if dd.scheme is not FlipScheme.GRADIENT_ONLY_FLIP:
-        raise ValueError("segment recursion applies to the gradient-only scheme")
-    osc = derive_oscillator(nd, fld, constants)
-    if t_end is None:
-        t_end = dd.n_periods * osc.period
-    seg = osc.period / dd.n  # 2 pi / omega_DD
-    n_segments = max(1, math.ceil(t_end / seg - 1e-12))
-
-    omega = osc.omega
-    rot_seg = complex(math.cos(omega * seg), math.sin(omega * seg))
-    sin_seg = math.sin(omega * seg)
-
-    lambdas = np.empty(n_segments)
-    zetas = np.empty(n_segments)
-    alpha_starts = np.empty(n_segments, dtype=complex)
-    phase_starts = np.empty(n_segments)
-
-    d_term = constants.D_zfs * spin * spin
-    zeeman = constants.gamma_e * fld.B0 * spin
-
-    alpha = 0.0 + 0.0j
-    phase = 0.0
-    for j in range(n_segments):
-        sign = 1.0 if j % 2 == 0 else -1.0
-        lam_j = sign * osc.lambda0 + spin * osc.lam
-        chi = lam_j / omega
-        lambdas[j] = lam_j
-        zetas[j] = d_term + sign * zeeman - lam_j**2 / omega
-        alpha_starts[j] = alpha
-        phase_starts[j] = phase
-        phase += (
-            zetas[j] * seg
-            + chi**2 * sin_seg
-            - chi * (alpha * (1.0 - rot_seg)).imag
-        )
-        alpha = -chi + (alpha + chi) * rot_seg
-
-    return DDBranchTrace(spin=spin, osc=osc, segment_duration=seg,
-                         lambdas=lambdas, zetas=zetas,
-                         alpha_starts=alpha_starts, phase_starts=phase_starts)
+    a = spin * osc.lam / osc.omega
+    b = osc.lambda0 / osc.omega
+    e = j % 2
+    sign = 1.0 - 2.0 * e
+    r = _phasor(2.0 * math.pi * (1 % n) / n)
+    if n == 2:
+        alpha = a * (sign - 1.0) + 2.0 * j * b * sign
+        cross = 0.0
+    else:
+        r_j = _phasor(2.0 * math.pi * (j % n) / n)
+        g = 0.0 if n == 1 else 1j * math.tan(math.pi / n)
+        alpha = a * (r_j - 1.0) + b * g * (r_j - sign)
+        cross = ((a + b * g) * (a * (1.0 - r_j) - b * g * (1.0 - sign * r_j))
+                 - (1.0 - r) * ((a * a + b * b * g) * j
+                                + a * b * (1.0 + g) * e)).imag
+    n_odd = j // 2
+    n_even = j - n_odd
+    phase = ((n_even * zeta[0] + n_odd * zeta[1]) * (osc.period / n)
+             + (n_even * chi[0] ** 2 + n_odd * chi[1] ** 2) * r.imag
+             - cross)
+    return alpha, phase
 
 
 def dd_branch_state(
-    t: float,
+    times,
     spin: int,
     nd: NanodiamondParams,
     fld: FieldConfig,
     dd: DDConfig,
     constants: PhysicalConstants = CONSTANTS,
 ) -> BranchState:
-    """Branch state at time t under the configured decoupling scheme."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if dd.scheme is FlipScheme.FULL_FLIP:
-        # B0 and B' flip together with the spin: dynamics identical to no DD.
-        return branch_state(t, spin, nd, fld, constants)
-    trace = build_dd_trace(spin, nd, fld, dd, t_end=t if t > 0 else None,
-                           constants=constants)
-    return trace.state_at(t)
+    """Branch state at time(s) ``times`` under gradient-only decoupling.
 
-
-def dd_branch_states(
-    times: Sequence[float],
-    spin: int,
-    nd: NanodiamondParams,
-    fld: FieldConfig,
-    dd: DDConfig,
-    constants: PhysicalConstants = CONSTANTS,
-) -> list[BranchState]:
-    """Branch states at many times with a single segment walk."""
-    times = list(times)
-    if any(t < 0.0 for t in times):
+    ``alpha`` and ``theta`` have the shape of ``times``.
+    """
+    if spin not in (-1, 0, 1):
+        raise ValueError("spin eigenvalue must be -1, 0 or +1")
+    shape = np.shape(times)
+    # A scalar goes through the same vector loops as an array: numpy's scalar
+    # complex arithmetic rounds differently (no fused multiply-add).
+    t = np.asarray(times, dtype=float).reshape(-1)
+    if np.any(t < 0.0):
         raise ValueError("times must be >= 0")
-    if dd.scheme is FlipScheme.FULL_FLIP:
-        return [branch_state(t, spin, nd, fld, constants) for t in times]
-    t_max = max(times) if times else 0.0
-    trace = build_dd_trace(spin, nd, fld, dd, t_end=t_max if t_max > 0 else None,
-                           constants=constants)
-    return [trace.state_at(t) for t in times]
+    osc = derive_oscillator(nd, fld, constants)
+    omega = osc.omega
+    seg = osc.period / dd.n  # 2 pi / omega_DD
+    j = np.floor(t / seg)
+    tau = t - j * seg
+
+    # Segment constants, indexed by the parity of j.
+    flip = np.array([1.0, -1.0])
+    lam = flip * osc.lambda0 + spin * osc.lam
+    chi = lam / omega
+    zeta = (constants.D_zfs * spin * spin
+            + flip * constants.gamma_e * fld.B0 * spin - lam**2 / omega)
+    parity = (j % 2).astype(np.intp)
+    chi_j, zeta_j = chi[parity], zeta[parity]
+
+    a_start, q_start = _segment_starts(j, spin, osc, dd.n, chi, zeta)
+    rot = _phasor(omega * tau)
+    alpha = -chi_j + (a_start + chi_j) * rot
+    theta = (q_start + zeta_j * tau + chi_j**2 * np.sin(omega * tau)
+             - chi_j * np.imag(a_start * (1.0 - rot)))
+    return BranchState(t=times, spin=spin, alpha=alpha.reshape(shape)[()],
+                       theta=theta.reshape(shape)[()])
 
 
 def dd_expectation(
@@ -256,8 +167,8 @@ def dd_expectation(
 ) -> np.ndarray:
     """(<x>, <p>) samples, shape (len(times), 2)."""
     osc = derive_oscillator(nd, fld, constants)
-    states = dd_branch_states(times, spin, nd, fld, dd, constants)
-    return np.array([expectation_xp(s, osc) for s in states])
+    state = dd_branch_state(times, spin, nd, fld, dd, constants)
+    return np.column_stack(expectation_xp(state, osc))
 
 
 def dd_piecewise_ode_reference(
@@ -277,8 +188,6 @@ def dd_piecewise_ode_reference(
     decoupling segment exactly as the recursion assumes.  Returns lab-frame
     (<x>, <p>) samples, shape (len(times), 2).  Integrator failures raise.
     """
-    if dd.scheme is not FlipScheme.GRADIENT_ONLY_FLIP:
-        raise ValueError("the oracle targets the gradient-only scheme")
     osc = derive_oscillator(nd, fld, constants)
     times = np.asarray(list(times), dtype=float)
     if np.any(times < 0.0):
@@ -314,29 +223,9 @@ def dd_piecewise_ode_reference(
     return out
 
 
-def dd_symmetry_metric(
-    x_plus: Iterable[float],
-    x_minus: Iterable[float],
-    dx_max: float,
-) -> float:
-    """Excursion asymmetry | max|x_+| - max|x_-| | / dx_max of a branch pair.
-
-    The inputs are position samples covering at least one full period.
-
-    Caveat: for an even flip multiplier the decoupled orbit closes after one
-    period, and time-reversal then forces the two branch excursions to agree
-    identically, so this metric is zero for any decoupled pair regardless of
-    the bias.  It still separates the undecoupled biased case from the
-    decoupled ones; :func:`dd_mirror_defect` resolves the convergence with N.
-    """
-    xp = np.max(np.abs(np.asarray(list(x_plus))))
-    xm = np.max(np.abs(np.asarray(list(x_minus))))
-    return abs(xp - xm) / dx_max
-
-
 def dd_mirror_defect(
-    x_plus: Iterable[float],
-    x_minus: Iterable[float],
+    x_plus: Sequence[float],
+    x_minus: Sequence[float],
     dx_max: float,
 ) -> float:
     """Pointwise origin-symmetry defect max_t |x_+(t) + x_-(t)| / dx_max.
@@ -345,46 +234,25 @@ def dd_mirror_defect(
     instant, which is how the bias immunity of the decoupled dynamics shows
     up in phase space; decays with the flip multiplier.
     """
-    xp = np.asarray(list(x_plus))
-    xm = np.asarray(list(x_minus))
+    xp = np.asarray(x_plus, dtype=float)
+    xm = np.asarray(x_minus, dtype=float)
     return float(np.max(np.abs(xp + xm)) / dx_max)
 
 
-def _sampled_branch_positions(
+def _branch_x(
+    times: np.ndarray,
+    spin: int,
     nd: NanodiamondParams,
     fld: FieldConfig,
     dd: Optional[DDConfig],
-    n_samples: int,
     constants: PhysicalConstants,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> np.ndarray:
+    """<x> samples of one branch, decoupled by ``dd`` or, for None, not."""
+    if dd is not None:
+        return dd_expectation(times, spin, nd, fld, dd, constants)[:, 0]
     osc = derive_oscillator(nd, fld, constants)
-    times = np.linspace(0.0, osc.period, n_samples)
-    if dd is None:
-        xs = {}
-        for spin in (1, -1):
-            states = [branch_state(t, spin, nd, fld, constants, osc) for t in times]
-            xs[spin] = np.array([expectation_xp(s, osc)[0] for s in states])
-        x_plus, x_minus = xs[1], xs[-1]
-    else:
-        x_plus = dd_expectation(times, 1, nd, fld, dd, constants)[:, 0]
-        x_minus = dd_expectation(times, -1, nd, fld, dd, constants)[:, 0]
-    return x_plus, x_minus, max_separation(nd, fld, constants)
-
-
-def sampled_symmetry_metric(
-    nd: NanodiamondParams,
-    fld: FieldConfig,
-    dd: Optional[DDConfig],
-    n_samples: int = 4096,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
-    """Excursion asymmetry over one period, from the closed-form evolution.
-
-    ``dd=None`` evaluates the undecoupled dynamics (the biased baseline).
-    """
-    x_plus, x_minus, dx = _sampled_branch_positions(nd, fld, dd, n_samples,
-                                                    constants)
-    return dd_symmetry_metric(x_plus, x_minus, dx)
+    return expectation_xp(branch_state(times, spin, nd, fld, constants, osc),
+                          osc)[0]
 
 
 def sampled_mirror_defect(
@@ -394,10 +262,15 @@ def sampled_mirror_defect(
     n_samples: int = 4096,
     constants: PhysicalConstants = CONSTANTS,
 ) -> float:
-    """Origin-symmetry defect over one period, from the closed-form evolution."""
-    x_plus, x_minus, dx = _sampled_branch_positions(nd, fld, dd, n_samples,
-                                                    constants)
-    return dd_mirror_defect(x_plus, x_minus, dx)
+    """Origin-symmetry defect over one period, from the closed-form evolution.
+
+    ``dd=None`` evaluates the undecoupled dynamics (the biased baseline).
+    """
+    times = np.linspace(0.0, derive_oscillator(nd, fld, constants).period,
+                        n_samples)
+    return dd_mirror_defect(_branch_x(times, 1, nd, fld, dd, constants),
+                            _branch_x(times, -1, nd, fld, dd, constants),
+                            max_separation(nd, fld, constants))
 
 
 def excursion_bias_defect(
@@ -414,20 +287,10 @@ def excursion_bias_defect(
     for the spin +1 branch over one period.  Large without decoupling,
     shrinking with the flip multiplier as the dynamics forgets the bias.
     """
-    osc = derive_oscillator(nd, fld, constants)
-    times = np.linspace(0.0, osc.period, n_samples)
+    times = np.linspace(0.0, derive_oscillator(nd, fld, constants).period,
+                        n_samples)
     fld0 = FieldConfig(B0=0.0, Bprime=fld.Bprime, tilt_theta_g=fld.tilt_theta_g)
-    osc0 = derive_oscillator(nd, fld0, constants)
-    x_ref = np.array([
-        expectation_xp(branch_state(float(t), 1, nd, fld0, constants, osc0),
-                       osc0)[0]
-        for t in times])
-    if dd is None:
-        x = np.array([
-            expectation_xp(branch_state(float(t), 1, nd, fld, constants, osc),
-                           osc)[0]
-            for t in times])
-    else:
-        x = dd_expectation(times, 1, nd, fld, dd, constants)[:, 0]
+    x_ref = _branch_x(times, 1, nd, fld0, None, constants)
+    x = _branch_x(times, 1, nd, fld, dd, constants)
     dx = max_separation(nd, fld, constants)
     return float(abs(np.max(np.abs(x)) - np.max(np.abs(x_ref))) / dx)

@@ -44,7 +44,7 @@ from ndspin import (
     sensitivity_scan,
 )
 from ndspin.coils import LoopSource
-from ndspin.decoupling import excursion_bias_defect, sampled_symmetry_metric
+from ndspin.decoupling import excursion_bias_defect, sampled_mirror_defect
 from ndspin.protocol import partial_transpose
 
 from conftest import random_valid_config
@@ -178,15 +178,18 @@ def test_criterion_05_ramsey_dual_path(rng):
 def test_criterion_06_dd_bias_immunity():
     nd = NanodiamondParams()
     fld = FieldConfig(B0=5e-4, Bprime=1e3)
-    excursion_200 = sampled_symmetry_metric(nd, fld, DDConfig(n=200))
+    mirror_none = sampled_mirror_defect(nd, fld, None)
+    mirror = [sampled_mirror_defect(nd, fld, DDConfig(n=n)) for n in (4, 20, 200)]
     baseline = excursion_bias_defect(nd, fld, None)
     defects = [excursion_bias_defect(nd, fld, DDConfig(n=n))
                for n in (4, 20, 200)]
-    ok = (excursion_200 < 0.01
+    ok = (mirror_none > mirror[0] > mirror[1] > mirror[2]
+          and mirror[2] <= 0.035
           and baseline > defects[0] > defects[1] > defects[2]
           and defects[2] < 0.01)
     _report(6, ok,
-            f"N=200 excursion asymmetry {excursion_200:.2e}; bias-immunity "
+            f"mirror defect no-DD {mirror_none:.3f} -> N=4 {mirror[0]:.3f} -> "
+            f"N=20 {mirror[1]:.3f} -> N=200 {mirror[2]:.4f}; bias-immunity "
             f"defect no-DD {baseline:.3f} -> N=4 {defects[0]:.3f} -> "
             f"N=20 {defects[1]:.4f} -> N=200 {defects[2]:.5f}")
 

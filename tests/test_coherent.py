@@ -20,7 +20,6 @@ from ndspin import (
     ramsey_phase,
 )
 import ndspin.coherent
-from ndspin.coherent import tilted_branch_phase
 from conftest import random_valid_config
 
 
@@ -222,14 +221,6 @@ def test_ramsey_dual_formula_identity(rng):
                   * CONSTANTS.g_earth * math.sin(theta) / fld.Bprime**2)
         assert got == direct
         assert abs(direct - closed) <= 1e-12 * abs(closed)
-
-
-def test_tilted_phase_reduces_to_untilted(nd_250nm, field_biased):
-    osc = derive_oscillator(nd_250nm, field_biased)
-    t = 0.4 * osc.period
-    for spin in (1, -1):
-        assert tilted_branch_phase(t, spin, nd_250nm, field_biased) == \
-            branch_state(t, spin, nd_250nm, field_biased).theta
 
 
 def test_momentum_sign_matches_classical_velocity(nd_250nm, field_fig2):

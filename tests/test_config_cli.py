@@ -122,6 +122,34 @@ def test_cmd_dd_writes_phase_space(tmp_path):
     assert len(lines) == 1 + 3 * 2 * 64
 
 
+def test_cmd_dd_deterministic(tmp_path):
+    doc = {**BASE,
+           "field": {"B0_T": 5e-4, "Bprime_T_per_m": 1000.0},
+           "dd": {"n_values": [1, 2, 7, 200], "n_samples": 64}}
+    path = _write_config(tmp_path, doc)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["dd", "--config", path, "--out", str(out1)]) == 0
+    assert main(["dd", "--config", path, "--out", str(out2)]) == 0
+    assert (out1 / "dd_phase_space.csv").read_bytes() == \
+        (out2 / "dd_phase_space.csv").read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("scheme", "full-flip"),
+                                        ("n_periods", 3)])
+def test_dd_removed_keys_exit_2(tmp_path, capsys, key, value):
+    doc = {**BASE, "dd": {"n_flip": 7, key: value}}
+    path = _write_config(tmp_path, doc)
+    assert main(["dd", "--config", path, "--out", str(tmp_path)]) == 2
+    assert f"$.dd.{key}" in capsys.readouterr().err
+
+
+def test_dd_n_flip_still_validated(tmp_path, capsys):
+    assert parse_config({**BASE, "dd": {"n_flip": 7}}).dd_n_values == [4, 20, 200]
+    path = _write_config(tmp_path, {**BASE, "dd": {"n_flip": 0}})
+    assert main(["dd", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "$.dd.n_flip" in capsys.readouterr().err
+
+
 def test_cmd_ramsey(tmp_path):
     doc = {**BASE, "ramsey": {"theta_g_values_rad": [0.0, 0.3, 0.6]}}
     path = _write_config(tmp_path, doc)
