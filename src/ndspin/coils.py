@@ -34,7 +34,9 @@ k-th axial derivatives b_k of the on-axis field:
 B_x = b0 - rho^2 b2/4, t = -b1/2 + rho^2 b3/16, u = -b2/2, w = b3/8.
 
 The kernel is array-valued: one pass evaluates every loop at a batch of
-points, each point taking the series or the closed form by a mask.
+points, each point taking the series or the closed form by a mask.  Field
+sources expose the summed four numbers as ``btuw``; the trajectory force
+is taken from them directly, without forming J.
 
 Fields are treated as exactly static (no retardation), valid for coil sizes
 far below the driving wavelength.
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,13 +112,23 @@ class CoilAssembly:
     def d_c(self) -> float:
         return abs(self.loops[0].x_c - self.loops[1].x_c)
 
+    @cached_property
+    def _params(self) -> np.ndarray:
+        return _loop_params(self.loops)
+
+    def btuw(self, q: np.ndarray,
+             constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+        """(B_x, t, u, w), shape (4, n), summed over both loops at the rows
+        of q, shape (n, 3), from one pass of the loop kernel."""
+        return _btuw(np.asarray(q, dtype=float), self._params, constants.mu0)
+
     def field_and_jacobian(self, q: np.ndarray,
                            constants: PhysicalConstants = CONSTANTS
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Field B, shape (n, 3), and gradient J, shape (n, 3, 3), at the
         rows of q, shape (n, 3), from one pass of the loop kernel."""
         q = np.asarray(q, dtype=float)
-        return _field_and_jacobian(q, _btuw(q, self.loops, constants.mu0))
+        return _field_and_jacobian(q, self.btuw(q, constants))
 
     def field_at(self, p: Sequence[float],
                  constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
@@ -148,16 +161,22 @@ class UniformGradientField:
             raise ValueError("Bprime must be > 0")
         self.Bprime = Bprime
 
+    def btuw(self, q: np.ndarray,
+             constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+        """(B_x, t, u, w) = (B' x, -B'/2, 0, 0), shape (4, n), at the rows
+        of q, shape (n, 3)."""
+        q = np.asarray(q, dtype=float)
+        n = len(q)
+        return np.array((self.Bprime * q[:, 0], np.full(n, -0.5 * self.Bprime),
+                         np.zeros(n), np.zeros(n)))
+
     def field_and_jacobian(self, q: np.ndarray,
                            constants: PhysicalConstants = CONSTANTS
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Field, shape (n, 3), and gradient, shape (n, 3, 3), at the rows
         of q, shape (n, 3)."""
         q = np.asarray(q, dtype=float)
-        B = self.Bprime * (q * np.array([1.0, -0.5, -0.5]))
-        J = np.repeat(self.Bprime * np.diag([1.0, -0.5, -0.5])[None], len(q),
-                      axis=0)
-        return B, J
+        return _field_and_jacobian(q, self.btuw(q, constants))
 
     def field_at(self, p: Sequence[float],
                  constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
@@ -216,17 +235,25 @@ def _elliptic_btuw(s, rho2, rc, mmf, mu0):
     return (c * ((rc2 - r2) * E + a2 * K), t, u, (-g - 2.0 * t) / rho2)
 
 
-def _btuw(q: np.ndarray, loops: Sequence[LoopSource], mu0: float) -> np.ndarray:
-    """(B_x, t, u, w) summed over the loops at the rows of q, shape (n, 3);
-    returns shape (4, n).
+def _loop_params(loops: Sequence[LoopSource]) -> np.ndarray:
+    """Per-loop (x_c, r_c, mmf, r_c^2, mmf r_c^2 / 2, squared series-zone
+    radius), shape (6, n_loops, 1), for :func:`_btuw`."""
+    return np.array([
+        (lp.x_c, lp.r_c, lp.mmf, lp.r_c ** 2, 0.5 * lp.mmf * lp.r_c ** 2,
+         (_RHO_SERIES_FACTOR * lp.r_c) ** 2) for lp in loops]).T[:, :, None]
+
+
+def _btuw(q: np.ndarray, loop_params: np.ndarray, mu0: float) -> np.ndarray:
+    """(B_x, t, u, w) summed over the loops of ``loop_params`` (from
+    :func:`_loop_params`) at the rows of q, shape (n, 3); returns shape
+    (4, n).
 
     Every loop and point is evaluated in one pass over (loop, point) arrays.
     Points within _RHO_SERIES_FACTOR r_c of a loop's axis take the series,
     the rest the elliptic closed form.
     """
-    x_c, rc, mmf, rc2, b_amp, zone2 = np.array([
-        (lp.x_c, lp.r_c, lp.mmf, lp.r_c ** 2, 0.5 * mu0 * lp.mmf * lp.r_c ** 2,
-         (_RHO_SERIES_FACTOR * lp.r_c) ** 2) for lp in loops]).T[:, :, None]
+    x_c, rc, mmf, rc2, half_mmf_rc2, zone2 = loop_params
+    b_amp = mu0 * half_mmf_rc2
     s = q[:, 0] - x_c
     rho2 = q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2]
     series = rho2 < zone2
@@ -277,7 +304,8 @@ def loop_field(
 ) -> np.ndarray:
     """Magnetic field vector (T) of a single loop at point p = (x, y, z)."""
     q = _point(p)
-    return _field_and_jacobian(q, _btuw(q, (loop,), constants.mu0))[0][0]
+    return _field_and_jacobian(q, _btuw(q, _loop_params((loop,)),
+                                        constants.mu0))[0][0]
 
 
 def assembly_field(

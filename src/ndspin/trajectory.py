@@ -13,15 +13,21 @@ is excluded: the trap is taken to compensate it.
 
 Decoupling flips are instantaneous events.  The spin sign reverses at every
 multiple of 2 pi / omega_DD and the coil current sign follows after the
-phase lag delta / omega_DD; each flip is an exact step boundary (the
-integrator restarts there), so no event is ever straddled by a step.
+phase lag delta / omega_DD.  The force depends only on the product of the
+two signs, so a spin flip and a current flip at the same instant cancel:
+a trajectory's effective flips are the times in exactly one of its two
+flip lists.  Each effective flip is an exact step boundary (the
+integrator restarts there), so no sign change of the force is ever
+straddled by a step; a synchronized schedule (delta = 0) has none.
 
 The trajectories of one scan (every shell start with both spins, or the
 synchronized run with every flip lag) are integrated together as one
 stacked (n, 6) state: one ``solve_ivp`` call per segment of the union of
-their flip boundaries, one array-valued field evaluation per right-hand
-side call.  Each segment starts from the largest interior step of the one
-before, so no segment probes for a step again.  scipy's error norm is an
+their effective flips, one array-valued kernel evaluation per right-hand
+side call, with the force J mu taken in closed form from the kernel's
+(B_x, t, u, w) (see :mod:`ndspin.coils`).  Each segment starts from the
+largest interior step of the one before, so no segment probes for a step
+again.  scipy's error norm is an
 RMS over the whole state, so ``rtol`` and ``atol`` are divided by sqrt(n):
 the stack's norm is then sqrt(sum_i norm_i^2) >= max_i norm_i, and every
 trajectory is held at least as tightly as it would be alone.
@@ -102,15 +108,12 @@ class FlipSchedule:
 
     omega_dd: float
     delta: float = 0.0
-    spin_initial: int = 1
 
     def __post_init__(self) -> None:
         if not self.omega_dd > 0.0:
             raise ValueError("omega_dd must be > 0")
         if not (0.0 <= self.delta < math.pi):
             raise ValueError("delta must lie in [0, pi)")
-        if self.spin_initial not in (-1, 1):
-            raise ValueError("spin_initial must be -1 or +1")
 
 
 @dataclass(frozen=True)
@@ -157,18 +160,27 @@ def magnetic_moment(
     Broadcasts over rows: ``B`` of shape (3,) or (n, 3) with ``spin_sign``
     a scalar or one sign per row.
     """
+    mu = _chi_coefficient(nd, constants) * np.asarray(B, dtype=float)
+    mu[..., 0] += _spin_moment(spin_sign, constants, spin_moment)
+    return mu
+
+
+def _chi_coefficient(nd: NanodiamondParams, constants: PhysicalConstants) -> float:
+    """Induced moment per unit field, -chi V / mu0 (A m^2 / T)."""
+    return -nd.chi_magnitude * nd.volume / constants.mu0
+
+
+def _spin_moment(spin_sign, constants: PhysicalConstants, spin_moment: str):
+    """Spin moment along x (A m^2) for each sign of ``spin_sign``, in the
+    convention ``spin_moment``; both are checked here."""
     if spin_moment not in SPIN_MOMENT_CONVENTIONS:
         raise ValueError(f"spin_moment must be one of {SPIN_MOMENT_CONVENTIONS}")
     spin_sign = np.asarray(spin_sign)
     if not (np.abs(spin_sign) == 1).all():
         raise ValueError("spin_sign must be -1 or +1")
-    mu = (-nd.chi_magnitude * nd.volume / constants.mu0) * np.asarray(B, dtype=float)
     if spin_moment == "gamma_e":
-        mu_spin = spin_sign * (-constants.hbar * constants.gamma_e)
-    else:
-        mu_spin = spin_sign * constants.mu_B
-    mu[..., 0] += mu_spin
-    return mu
+        return spin_sign * (-constants.hbar * constants.gamma_e)
+    return spin_sign * constants.mu_B
 
 
 def force(
@@ -182,11 +194,11 @@ def force(
 ) -> np.ndarray:
     """Magnetic force (mu . grad) B at position q (N).
 
-    ``source`` is any field source exposing ``field_and_jacobian`` (a coil
-    assembly or the idealized uniform-gradient field); ``field_sign`` = -1
-    models the reversed coil current during decoupling.  Broadcasts over
-    rows: ``q`` of shape (3,) or (n, 3), with ``spin_sign`` and
-    ``field_sign`` (each +-1) scalars or one value per row.
+    ``source`` is any field source exposing ``btuw`` (a coil assembly or the
+    idealized uniform-gradient field); ``field_sign`` = -1 models the
+    reversed coil current during decoupling.  Broadcasts over rows: ``q`` of
+    shape (3,) or (n, 3), with ``spin_sign`` and ``field_sign`` (each +-1)
+    scalars or one value per row.
 
     Reversing the current negates B and J together.  The diamagnetic force,
     even in B, is unchanged and the spin force flips, so the force is J
@@ -194,10 +206,31 @@ def force(
     are exact, so this equals negating B and J term by term.
     """
     q = np.asarray(q, dtype=float)
-    B, J = source.field_and_jacobian(q.reshape(-1, 3), constants)
-    mu = magnetic_moment(B, np.multiply(spin_sign, field_sign), nd, constants,
-                         spin_moment)
-    return (J @ mu[..., None]).reshape(q.shape)
+    rows = q.reshape(-1, 3)
+    mu_spin = _spin_moment(np.multiply(spin_sign, field_sign), constants,
+                           spin_moment)
+    return _force(rows, source.btuw(rows, constants),
+                  _chi_coefficient(nd, constants), mu_spin).reshape(q.shape)
+
+
+def _force(q: np.ndarray, btuw: np.ndarray, a: float, mu_spin) -> np.ndarray:
+    """J mu per row, shape (n, 3), in closed form from the kernel's
+    (B_x, t, u, w) at the rows of q, for the moment mu = a B + mu_spin e_x.
+
+    With rho^2 = y^2 + z^2 and mu_x = a B_x + mu_spin, the J and B of
+    :mod:`ndspin.coils` give
+    F = (-(2t + w rho^2) mu_x + a t u rho^2, y G, z G) with
+    G = u mu_x + a t (t + w rho^2).  The force is linear in (a, mu_spin),
+    so scaling both by 1/m gives the acceleration.
+    """
+    bx, t, u, w = btuw
+    y, z = q[:, 1], q[:, 2]
+    rho2 = y * y + z * z
+    mu_x = a * bx + mu_spin
+    at = a * t
+    w_rho2 = w * rho2
+    g = u * mu_x + at * (t + w_rho2)
+    return np.array((at * u * rho2 - (2.0 * t + w_rho2) * mu_x, y * g, z * g)).T
 
 
 def _flip_times(schedule: Optional[FlipSchedule], t_end: float
@@ -244,17 +277,22 @@ def _integrate_stack(
 
     n = len(starts)
     flips = [_flip_times(sched, t_end) for sched in schedules]
-    boundaries = np.unique(np.concatenate(
-        [[t0, t_end]] + [np.concatenate(f) for f in flips]))
+    # The force follows the sign spin * current alone, so a spin flip and a
+    # current flip at the same instant cancel; each row restarts only at
+    # the times found in exactly one of its two flip lists.
+    effective = [np.setxor1d(sf, ff) for sf, ff in flips]
+    boundaries = np.unique(np.concatenate([[t0, t_end], *effective]))
     boundaries = boundaries[(boundaries >= t0) & (boundaries <= t_end)]
     mids = 0.5 * (boundaries[:-1] + boundaries[1:])
-    # Sign of each row (axis 0) on each segment (axis 1).
-    spin_signs = np.array(spins)[:, None] * np.array(
-        [(-1) ** np.searchsorted(sf, mids, side="right") for sf, _ in flips])
-    field_signs = np.array(
-        [(-1.0) ** np.searchsorted(ff, mids, side="right") for _, ff in flips])
+    # The RHS takes the acceleration from _force with both moment terms
+    # divided by the mass: the spin moment of each row (axis 0) on each
+    # segment (axis 1), at the sign spin * current, and -chi V / mu0.
+    mu_spin = _spin_moment(
+        np.array(spins)[:, None] * np.array(
+            [(-1) ** np.searchsorted(ef, mids, side="right") for ef in effective]),
+        constants, spin_moment) / nd.mass
+    a_mass = _chi_coefficient(nd, constants) / nd.mass
 
-    mass = nd.mass
     # scipy's error norm is an RMS over the whole flattened state; dividing
     # both tolerances by sqrt(n) turns it into sqrt(sum_i norm_i^2) over the
     # rows, which bounds every row's own norm.
@@ -265,26 +303,24 @@ def _integrate_stack(
 
     order = np.argsort(t_eval, kind="stable")
     t_sorted = t_eval[order]
+    # A sample within rounding of a boundary or a spin flip belongs to the
+    # time before it.
+    ends = np.searchsorted(t_sorted, _with_slack(boundaries[1:]), side="right")
     out = np.empty((n, 6, len(t_eval)))
-    out_spin = np.empty((n, len(t_eval)), dtype=int)
 
     state = np.array([[*st.q, *st.v] for st in starts], dtype=float).ravel()
     h = None
     filled = 0
-    for k in range(len(boundaries) - 1):
+    for k, hi in enumerate(ends):
         ta, tb = boundaries[k], boundaries[k + 1]
-        spin_sign, field_sign = spin_signs[:, k], field_signs[:, k]
 
-        def rhs(_t, y, s=spin_sign, fs=field_sign):
+        def rhs(_t, y, mu_spin=mu_spin[:, k]):
             if not np.isfinite(y).all():
                 raise FloatingPointError("non-finite state during integration")
             y = y.reshape(n, 6)
-            f = force(y[:, :3], s, source, nd, constants, spin_moment, fs)
-            return np.concatenate((y[:, 3:], f / mass), axis=1).ravel()
-
-        hi = filled
-        while hi < len(t_sorted) and t_sorted[hi] <= tb + 1e-15 * max(1.0, tb):
-            hi += 1
+            q = y[:, :3]
+            acc = _force(q, source.btuw(q, constants), a_mass, mu_spin)
+            return np.concatenate((y[:, 3:], acc), axis=1).ravel()
 
         sol = solve_ivp(rhs, (ta, tb), state, method=cfg.method,
                         rtol=rtol, atol=atol, max_step=max_step,
@@ -298,9 +334,7 @@ def _integrate_stack(
                 f"integration failed in [{ta:g}, {tb:g}] s: {sol.message}", last)
         if hi > filled:
             seg_eval = np.clip(t_sorted[filled:hi], ta, tb)
-            idx = order[filled:hi]
-            out[:, :, idx] = sol.sol(seg_eval).reshape(n, 6, -1)
-            out_spin[:, idx] = spin_sign[:, None]
+            out[:, :, order[filled:hi]] = sol.sol(seg_eval).reshape(n, 6, -1)
             filled = hi
         state = sol.y[:, -1]
         # The last step is cut short at the boundary, so the largest step
@@ -310,9 +344,17 @@ def _integrate_stack(
         h = steps[:-1].max() if len(steps) > 1 else max(h or 0.0, steps[0])
 
     return [Trajectory(t=t_eval.copy(), q=out[i, :3].T.copy(),
-                       v=out[i, 3:].T.copy(), spin=out_spin[i],
-                       flip_times=flips[i][0])
-            for i in range(n)]
+                       v=out[i, 3:].T.copy(),
+                       spin=spins[i] * (-1) ** np.searchsorted(
+                           _with_slack(sf), t_eval, side="left"),
+                       flip_times=sf)
+            for i, (sf, _ff) in enumerate(flips)]
+
+
+def _with_slack(times: np.ndarray) -> np.ndarray:
+    """Each time plus 1e-15 max(1, t): a sample at or below it is taken as
+    before the event, so one landing on a flip keeps the pre-flip sign."""
+    return times + 1e-15 * np.maximum(1.0, times)
 
 
 def integrate(
@@ -329,8 +371,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate the translational dynamics from ``initial`` to ``t_end``.
 
-    Samples are produced at ``t_eval`` (default: 1000 uniform times).  Flip
-    events partition the integration into restart segments.
+    Samples are produced at ``t_eval`` (default: 1000 uniform times).  The
+    effective flips (see the module docstring) partition the integration
+    into restart segments.
     """
     return _integrate_stack([initial], [spin_initial], [schedule], source, nd,
                             t_end, cfg, t_eval, constants, spin_moment)[0]
@@ -423,7 +466,7 @@ def delta_scan(
     lags = [0.0] + sorted({float(d) for d in delta_values} - {0.0})
     trajs = _integrate_stack(
         [start] * len(lags), [1] * len(lags),
-        [FlipSchedule(omega_dd=omega_dd, delta=d, spin_initial=1) for d in lags],
+        [FlipSchedule(omega_dd=omega_dd, delta=d) for d in lags],
         source, nd, period, cfg, t_eval, constants, spin_moment)
     x = {d: tr.x for d, tr in zip(lags, trajs)}
     x_ref = x[0.0]

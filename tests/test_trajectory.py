@@ -23,8 +23,9 @@ from ndspin import (
     max_separation,
     sensitivity_scan,
 )
+import ndspin.trajectory
 from ndspin.coils import _RHO_SERIES_FACTOR
-from ndspin.trajectory import _integrate_stack
+from ndspin.trajectory import _flip_times, _integrate_stack
 
 
 def _solve_ivp_oracle(q0, spin, source, nd, omega_dd, delta, t_end, cfg,
@@ -143,6 +144,46 @@ def test_spinless_force_vanishes_at_null(coil_564):
     fm = force((0.0, 0.0, 0.0), -1, coil_564, nd)
     # the diamagnetic parts are even in spin; they cancel at the field null
     assert np.linalg.norm(fp + fm) < 1e-9 * np.linalg.norm(fp)
+
+
+def _force_points(name, rng):
+    """(source, points (64, 3)) for the closed-form force check: the 3 cm
+    pair inside its series zone, the 5 mm pair outside its own, and the
+    uniform-gradient field."""
+    if name == "uniform":
+        return UniformGradientField(1.0e3), rng.uniform(-1e-6, 1e-6, (64, 3))
+    coil, _r = _COILS[name]
+    zone = _RHO_SERIES_FACTOR * coil.loops[0].r_c
+    rho = (rng.uniform(0.0, 0.9 * zone, 64) if name == "3cm"
+           else rng.uniform(2.0 * zone, 0.4 * coil.loops[0].r_c, 64))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 64)
+    x = rng.uniform(-0.3, 0.3, 64) * coil.d_c
+    return coil, np.stack((x, rho * np.cos(phi), rho * np.sin(phi)), axis=1)
+
+
+@pytest.mark.parametrize("field_sign", [1.0, -1.0])
+@pytest.mark.parametrize("spin_moment", ["gamma_e", "mu_B"])
+@pytest.mark.parametrize("source_name", ["3cm", "5mm", "uniform"])
+def test_closed_form_force_matches_jacobian_times_moment(source_name,
+                                                         spin_moment,
+                                                         field_sign, rng):
+    source, q = _force_points(source_name, rng)
+    nd = NanodiamondParams.from_mass(5.6e-14)
+    spin = rng.choice([-1, 1], len(q))
+    # oracle: the reversed current negates B and J, then F = J mu
+    B, J = source.field_and_jacobian(q)
+    B, J = field_sign * B, field_sign * J
+    mu = magnetic_moment(B, spin, nd, spin_moment=spin_moment)
+    want = np.einsum("nij,nj->ni", J, mu)
+    got = force(q, spin, source, nd, spin_moment=spin_moment,
+                field_sign=field_sign)
+    assert got.shape == q.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # one row at a time gives the same as the batch
+    for i in (0, len(q) - 1):
+        row = force(q[i], spin[i], source, nd, spin_moment=spin_moment,
+                    field_sign=field_sign)
+        assert np.array_equal(row, got[i])
 
 
 def test_uniform_gradient_matches_closed_form(nd_250nm, field_fig2):
@@ -285,12 +326,16 @@ def test_nan_field_raises(nd_250nm):
         def jacobian_at(self, p, constants=None):
             return np.full((3, 3), math.nan)
 
+        def btuw(self, q, constants=None):
+            return np.full((4, len(q)), math.nan)
+
         def field_and_jacobian(self, q, constants=None):
             return (np.full((len(q), 3), math.nan),
                     np.full((len(q), 3, 3), math.nan))
 
     start = TrajectoryState(0.0, (1e-7, 0.0, 0.0), (0.0, 0.0, 0.0))
-    with pytest.raises((IntegrationError, FloatingPointError, ValueError)):
+    # the NaN force reaches the state and the non-finite-state check
+    with pytest.raises((IntegrationError, FloatingPointError)):
         integrate(start, 1, BrokenSource(), nd_250nm, None, 1.0)
 
 
@@ -441,3 +486,75 @@ def test_stacked_delta_scan_matches_per_row_oracle(coil_564, method):
         assert r["delta"] == d
         dev = np.max(np.abs(want_x - x[0])) / dx_max
         assert abs(r["deviation"] - dev) <= 2.0 * _oracle_bound(cfg, x[0]) / dx_max
+
+
+def _count_solver_calls(monkeypatch):
+    """Replace the solver the trajectory engine calls with a counting
+    wrapper; returns the one-element call counter."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(ndspin.trajectory, "solve_ivp", counting)
+    return calls
+
+
+def test_restarts_only_where_the_force_changes(monkeypatch, nd_250nm,
+                                               field_fig2):
+    src = UniformGradientField(field_fig2.Bprime)
+    osc = derive_oscillator(nd_250nm, field_fig2)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-16)
+    n_flip = 20
+    schedule = FlipSchedule(omega_dd=n_flip * osc.omega)
+    calls = _count_solver_calls(monkeypatch)
+    # spin and current flip together: the force never changes sign
+    sensitivity_scan(2e-7, [0.0, math.pi / 3.0], [0.2], src, nd_250nm,
+                     schedule, osc.period, cfg, n_samples=50)
+    assert calls[0] == 1
+    # a lagged row restarts at its spin flips and at its current flips; the
+    # synchronized reference adds nothing
+    lags = [math.pi / 25.0, math.pi / 5.0]
+    calls[0] = 0
+    delta_scan([0.0, *lags], src, nd_250nm, n_flip, osc.omega, cfg,
+               n_samples=50)
+    spin_flips, _ = _flip_times(schedule, osc.period)
+    current_flips = [_flip_times(FlipSchedule(omega_dd=n_flip * osc.omega,
+                                              delta=d), osc.period)[1]
+                     for d in lags]
+    distinct = set(spin_flips).union(*current_flips)
+    assert len(distinct) == len(spin_flips) + sum(map(len, current_flips))
+    assert calls[0] == 1 + len(distinct)
+
+
+@pytest.mark.parametrize("source_name", ["uniform", "3cm"])
+def test_sampled_spin_counts_only_spin_flips(source_name, nd_250nm,
+                                             field_fig2):
+    # the uniform case puts samples exactly on the flips, the 3 cm coil's
+    # period puts them one or two ulps after
+    if source_name == "uniform":
+        src, nd = UniformGradientField(field_fig2.Bprime), nd_250nm
+        omega = derive_oscillator(nd, field_fig2).omega
+    else:
+        src, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+        omega = _coil_period(src, nd)[0]
+    period = 2.0 * math.pi / omega
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-16)
+    n_flip, n_samples = 20, 201
+    t_eval = np.linspace(0.0, period, n_samples)
+    schedules = [FlipSchedule(omega_dd=n_flip * omega, delta=d)
+                 for d in (0.0, 0.0, math.pi / 5.0)]
+    origin = TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    rows = _integrate_stack([origin] * 3, [1, -1, -1], schedules, src, nd,
+                            period, cfg, t_eval, CONSTANTS, "gamma_e")
+    # spin flip k falls at sample 10 k, within rounding
+    flips = rows[0].flip_times
+    assert np.max(np.abs(t_eval[10:200:10] - flips[:19])) <= 4.0 * np.spacing(
+        period)
+    # spin flips strictly before sample i, counted in exact arithmetic:
+    # flip k precedes sample i when 10 k < i
+    before = np.maximum(0, (np.arange(n_samples) - 1) // 10)
+    for spin0, traj in zip((1, -1, -1), rows):
+        assert np.array_equal(traj.spin, spin0 * (-1) ** before)
+        assert np.array_equal(traj.flip_times, flips)
