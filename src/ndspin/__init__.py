@@ -15,7 +15,6 @@ from .core import (
     derive_oscillator,
     equilibrium_positions,
     max_separation,
-    oscillation_period,
 )
 from .coherent import (
     BranchState,
@@ -23,7 +22,6 @@ from .coherent import (
     branch_state,
     classical_position,
     expectation_xp,
-    phase_space_curve,
     ramsey_phase,
 )
 from .decoupling import (
@@ -34,14 +32,12 @@ from .decoupling import (
 )
 from .coils import (
     CoilAssembly,
-    FieldSample,
     LoopSource,
     UniformGradientField,
-    assembly_field,
     complete_elliptic_KE,
+    field_and_jacobian,
     field_jacobian,
     field_map,
-    loop_field,
 )
 from .protocol import (
     OptimizeResult,

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coherent import branch_state, classical_position, expectation_xp, ramsey_phase
+from .coherent import classical_position, ramsey_phase
 from .config import ConfigError, ScenarioConfig, load_config
 from .core import FieldConfig, derive_oscillator, equilibrium_positions, max_separation
 from .decoupling import DDConfig, dd_expectation
@@ -95,13 +95,8 @@ def cmd_dd(cfg: ScenarioConfig, args) -> int:
     rows = []
     for n in (0, *cfg.dd_n_values):
         for spin in (1, -1):
-            if n == 0:
-                x, p = expectation_xp(branch_state(
-                    times, spin, cfg.nanodiamond, cfg.field, cfg.constants, osc),
-                    osc)
-            else:
-                x, p = dd_expectation(times, spin, cfg.nanodiamond, cfg.field,
-                                      DDConfig(n=n), cfg.constants).T
+            x, p = dd_expectation(times, spin, cfg.nanodiamond, cfg.field,
+                                  DDConfig(n=n) if n else None, cfg.constants).T
             rows.extend(zip(itertools.repeat(n), itertools.repeat(spin),
                             times.tolist(), x.tolist(), p.tolist()))
     write_csv(_out(args, "dd_phase_space.csv"),
@@ -139,10 +134,10 @@ def cmd_fieldmap(cfg: ScenarioConfig, args) -> int:
     y0, y1, ny = cfg.fieldmap_y
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
-    samples = field_map(cfg.coil, cfg.fieldmap_z, xs, ys, cfg.constants)
-    rows = [(s.position[0], s.position[1], s.position[2], *s.B) for s in samples]
+    q, B = field_map(cfg.coil, cfg.fieldmap_z, xs, ys, cfg.constants)
     write_csv(_out(args, "fieldmap.csv"),
-              ("x_m", "y_m", "z_m", "Bx_T", "By_T", "Bz_T"), rows)
+              ("x_m", "y_m", "z_m", "Bx_T", "By_T", "Bz_T"),
+              np.hstack((q, B)).tolist())
     grad = field_jacobian((0.0, 0.0, 0.0), cfg.coil, constants=cfg.constants)
     write_json(_out(args, "fieldmap_manifest.json"), {
         "generated_by": "ndspin fieldmap",

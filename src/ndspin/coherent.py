@@ -48,7 +48,6 @@ __all__ = [
     "classical_position",
     "branch_state",
     "branch_phase_difference",
-    "phase_space_curve",
     "ramsey_phase",
 ]
 
@@ -168,33 +167,6 @@ def expectation_xp(
     """
     return (2.0 * osc.x_zpf * np.real(state.alpha),
             -2.0 * osc.p_zpf * np.imag(state.alpha))
-
-
-def phase_space_curve(
-    n_samples: int,
-    spin: int,
-    nd: NanodiamondParams,
-    fld: FieldConfig,
-    dd=None,
-    constants: PhysicalConstants = CONSTANTS,
-) -> list[tuple[float, float]]:
-    """Sample (<x>, <p>) over one full oscillation period.
-
-    With ``dd`` set to a :class:`~ndspin.decoupling.DDConfig` the curve is
-    generated from the decoupled evolution instead of the plain closed form.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    osc = derive_oscillator(nd, fld, constants)
-    times = osc.period * np.arange(n_samples) / max(n_samples - 1, 1)
-    if dd is not None:
-        from .decoupling import dd_branch_state
-
-        state = dd_branch_state(times, spin, nd, fld, dd, constants)
-    else:
-        state = branch_state(times, spin, nd, fld, constants, osc)
-    x, p = expectation_xp(state, osc)
-    return list(zip(x.tolist(), p.tolist()))
 
 
 def ramsey_phase(

@@ -34,9 +34,10 @@ k-th axial derivatives b_k of the on-axis field:
 B_x = b0 - rho^2 b2/4, t = -b1/2 + rho^2 b3/16, u = -b2/2, w = b3/8.
 
 The kernel is array-valued: one pass evaluates every loop at a batch of
-points, each point taking the series or the closed form by a mask.  Field
-sources expose the summed four numbers as ``btuw``; the trajectory force
-is taken from them directly, without forming J.
+points, each point taking the series or the closed form by a mask.  A field
+source is anything that exposes the summed four numbers as ``btuw``;
+:func:`field_and_jacobian` builds B and J from them for every source, and
+the trajectory force is taken from them directly, without forming J.
 
 Fields are treated as exactly static (no retardation), valid for coil sizes
 far below the driving wavelength.
@@ -57,11 +58,9 @@ from .core import CONSTANTS, PhysicalConstants
 __all__ = [
     "LoopSource",
     "CoilAssembly",
-    "FieldSample",
     "UniformGradientField",
     "complete_elliptic_KE",
-    "loop_field",
-    "assembly_field",
+    "field_and_jacobian",
     "field_jacobian",
     "field_map",
 ]
@@ -95,10 +94,12 @@ class LoopSource:
 
 @dataclass(frozen=True)
 class CoilAssembly:
-    """Two coaxial loops; the anti-Helmholtz constructor enforces equal and
-    opposite magnetomotive forces at symmetric axial positions +-d_c/2."""
+    """Coaxial loops, their fields superposed; a single loop is
+    ``CoilAssembly(loops=(loop,))``.  The anti-Helmholtz constructor builds
+    a pair of equal and opposite magnetomotive forces at symmetric axial
+    positions +-d_c/2."""
 
-    loops: tuple[LoopSource, LoopSource]
+    loops: tuple[LoopSource, ...]
 
     @classmethod
     def anti_helmholtz(cls, r_c: float, d_c: float, mmf: float) -> "CoilAssembly":
@@ -118,37 +119,19 @@ class CoilAssembly:
 
     def btuw(self, q: np.ndarray,
              constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
-        """(B_x, t, u, w), shape (4, n), summed over both loops at the rows
+        """(B_x, t, u, w), shape (4, n), summed over the loops at the rows
         of q, shape (n, 3), from one pass of the loop kernel."""
         return _btuw(np.asarray(q, dtype=float), self._params, constants.mu0)
 
-    def field_and_jacobian(self, q: np.ndarray,
-                           constants: PhysicalConstants = CONSTANTS
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Field B, shape (n, 3), and gradient J, shape (n, 3, 3), at the
-        rows of q, shape (n, 3), from one pass of the loop kernel."""
-        q = np.asarray(q, dtype=float)
-        return _field_and_jacobian(q, self.btuw(q, constants))
-
     def field_at(self, p: Sequence[float],
                  constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
-        return assembly_field(p, self, constants)
+        """Field vector (T) at one point p = (x, y, z)."""
+        return field_and_jacobian(self, _point(p), constants)[0][0]
 
     def jacobian_at(self, p: Sequence[float],
                     constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+        """Gradient J_ij = dB_i/dx_j (T/m) at one point p = (x, y, z)."""
         return field_jacobian(p, self, constants)
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One sampled point: position (x, y, z) in m and field (Bx, By, Bz) in T."""
-
-    position: tuple[float, float, float]
-    B: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (*self.position, *self.B)):
-            raise ValueError("field sample has non-finite components")
 
 
 class UniformGradientField:
@@ -169,22 +152,6 @@ class UniformGradientField:
         n = len(q)
         return np.array((self.Bprime * q[:, 0], np.full(n, -0.5 * self.Bprime),
                          np.zeros(n), np.zeros(n)))
-
-    def field_and_jacobian(self, q: np.ndarray,
-                           constants: PhysicalConstants = CONSTANTS
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Field, shape (n, 3), and gradient, shape (n, 3, 3), at the rows
-        of q, shape (n, 3)."""
-        q = np.asarray(q, dtype=float)
-        return _field_and_jacobian(q, self.btuw(q, constants))
-
-    def field_at(self, p: Sequence[float],
-                 constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
-        return self.field_and_jacobian(_point(p), constants)[0][0]
-
-    def jacobian_at(self, p: Sequence[float],
-                    constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
-        return self.field_and_jacobian(_point(p), constants)[1][0]
 
 
 def complete_elliptic_KE(k2):
@@ -281,40 +248,28 @@ _JACOBIAN_BASIS = np.array([
 ], dtype=float)
 
 
-def _field_and_jacobian(q: np.ndarray, btuw: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """B = (B_x, t y, t z), shape (n, 3), and J, shape (n, 3, 3), symmetric
-    and traceless, per row from (B_x, t, u, w)."""
-    bx, t, u, w = btuw
+def _field(q: np.ndarray, bx: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """B = (B_x, t y, t z), shape (n, 3), at the rows of q."""
+    return np.array((bx, t * q[:, 1], t * q[:, 2])).T
+
+
+def field_and_jacobian(source, q: np.ndarray,
+                       constants: PhysicalConstants = CONSTANTS
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Field B, shape (n, 3), and gradient J, shape (n, 3, 3), symmetric
+    and traceless, at the rows of q, shape (n, 3), from one ``btuw`` call of
+    the field source."""
+    q = np.asarray(q, dtype=float)
+    bx, t, u, w = source.btuw(q, constants)
     y, z = q[:, 1], q[:, 2]
     wy, wz = w * y, w * z
-    cols = np.array((bx, t * y, t * z, t, u * y, u * z, wy * y, wz * z, wy * z)).T
-    return cols[:, :3], (cols[:, 3:] @ _JACOBIAN_BASIS).reshape(-1, 3, 3)
+    cols = np.array((t, u * y, u * z, wy * y, wz * z, wy * z)).T
+    return _field(q, bx, t), (cols @ _JACOBIAN_BASIS).reshape(-1, 3, 3)
 
 
 def _point(p: Sequence[float]) -> np.ndarray:
     """One field point as a (1, 3) batch."""
     return np.asarray(p, dtype=float).reshape(1, 3)
-
-
-def loop_field(
-    p: Sequence[float],
-    loop: LoopSource,
-    constants: PhysicalConstants = CONSTANTS,
-) -> np.ndarray:
-    """Magnetic field vector (T) of a single loop at point p = (x, y, z)."""
-    q = _point(p)
-    return _field_and_jacobian(q, _btuw(q, _loop_params((loop,)),
-                                        constants.mu0))[0][0]
-
-
-def assembly_field(
-    p: Sequence[float],
-    coil: CoilAssembly,
-    constants: PhysicalConstants = CONSTANTS,
-) -> np.ndarray:
-    """Superposed field of both loops of the assembly."""
-    return coil.field_and_jacobian(_point(p), constants)[0][0]
 
 
 def field_jacobian(
@@ -323,7 +278,7 @@ def field_jacobian(
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
     """3x3 gradient matrix J_ij = dB_i/dx_j of the assembly, analytic."""
-    return coil.field_and_jacobian(_point(p), constants)[1][0]
+    return field_and_jacobian(coil, _point(p), constants)[1][0]
 
 
 def field_map(
@@ -332,13 +287,16 @@ def field_map(
     x_values: Iterable[float],
     y_values: Iterable[float],
     constants: PhysicalConstants = CONSTANTS,
-) -> list[FieldSample]:
-    """Row-major sample table of a z = const plane (rows over x, columns y),
-    evaluated in one kernel pass over the whole plane."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions q and fields B, each shape (n_x n_y, 3), of a z = const
+    plane, row-major (rows over x, columns y), from one kernel pass over the
+    whole plane.  A non-finite position or field component raises."""
     xs = np.asarray(list(x_values), dtype=float)
     ys = np.asarray(list(y_values), dtype=float)
     q = np.stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs)),
                   np.full(len(xs) * len(ys), float(z))), axis=1)
-    B = coil.field_and_jacobian(q, constants)[0]
-    return [FieldSample(position=(float(x), float(y), float(z)),
-                        B=(b[0], b[1], b[2])) for (x, y, _), b in zip(q, B)]
+    bx, t, _u, _w = coil.btuw(q, constants)
+    B = _field(q, bx, t)
+    if not np.isfinite((q, B)).all():
+        raise ValueError("field sample has non-finite components")
+    return q, B

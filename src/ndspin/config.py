@@ -78,7 +78,10 @@ def _number_list(obj: dict, key: str, path: str, default=None) -> Optional[list[
     if not isinstance(v, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
         raise ConfigError(f"{path}.{key}", "expected a list of numbers")
-    return [float(x) for x in v]
+    v = [float(x) for x in v]
+    if not all(math.isfinite(x) for x in v):
+        raise ConfigError(f"{path}.{key}", "entries must be finite")
+    return v
 
 
 _CONSTANT_KEYS = {
@@ -137,7 +140,7 @@ _TOP_KEYS = {"version", "constants", "nanodiamond", "field", "dd", "protocol",
 def parse_config(doc: Any) -> ScenarioConfig:
     root = _require_mapping(doc, "$")
     _check_keys(root, _TOP_KEYS, "$")
-    version = root.get("version")
+    version = _integer(root, "version", "$")
     if version != SCHEMA_VERSION:
         raise ConfigError("$.version", f"expected {SCHEMA_VERSION}, got {version!r}")
 
@@ -225,8 +228,9 @@ def parse_config(doc: Any) -> ScenarioConfig:
             distance_val = None
         elif isinstance(distance, (int, float)) and not isinstance(distance, bool):
             distance_val = float(distance)
-            if not distance_val > 0.0:
-                raise ConfigError("$.protocol.distance_m", "must be > 0 or 'auto'")
+            if not 0.0 < distance_val < math.inf:
+                raise ConfigError("$.protocol.distance_m",
+                                  "must be finite and > 0, or 'auto'")
         else:
             raise ConfigError("$.protocol.distance_m",
                               "expected a number or 'auto'")

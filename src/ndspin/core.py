@@ -22,7 +22,7 @@ same restoring force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "PhysicalConstants",
@@ -33,7 +33,6 @@ __all__ = [
     "derive_oscillator",
     "equilibrium_positions",
     "max_separation",
-    "oscillation_period",
 ]
 
 
@@ -160,10 +159,9 @@ class FieldConfig:
 class OscillatorParams:
     """Derived magneto-mechanical oscillator quantities.
 
-    ``lambda_plus/lambda_minus`` are the spin-branch coupling rates
-    lambda0 +/- lambda; ``Lambda_plus/Lambda_minus`` add the gravity rate
-    lambda_g that appears when the interferometer is tilted.
-    All coupling rates are in rad/s.
+    :meth:`lambda_j` gives the spin-branch coupling rates lambda0 + s lambda;
+    ``lambda_g`` is the gravity rate that appears when the interferometer is
+    tilted.  All coupling rates are in rad/s.
     """
 
     omega: float
@@ -172,16 +170,6 @@ class OscillatorParams:
     lam: float
     lambda0: float
     lambda_g: float
-    lambda_plus: float = field(init=False)
-    lambda_minus: float = field(init=False)
-    Lambda_plus: float = field(init=False)
-    Lambda_minus: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda_plus", self.lambda0 + self.lam)
-        object.__setattr__(self, "lambda_minus", self.lambda0 - self.lam)
-        object.__setattr__(self, "Lambda_plus", self.lambda0 + self.lambda_g + self.lam)
-        object.__setattr__(self, "Lambda_minus", self.lambda0 + self.lambda_g - self.lam)
 
     @property
     def period(self) -> float:
@@ -193,12 +181,6 @@ class OscillatorParams:
         if spin not in (-1, 0, 1):
             raise ValueError("spin eigenvalue must be -1, 0 or +1")
         return self.lambda0 + self.lam * spin
-
-    def Lambda_j(self, spin: int) -> float:
-        """Tilted coupling rate lambda0 + lambda_g + lambda * s."""
-        if spin not in (-1, 0, 1):
-            raise ValueError("spin eigenvalue must be -1, 0 or +1")
-        return self.lambda0 + self.lambda_g + self.lam * spin
 
 
 def derive_oscillator(
@@ -260,12 +242,3 @@ def max_separation(
     """
     return 4.0 * constants.hbar * constants.gamma_e * constants.mu0 / (
         nd.chi_magnitude * nd.volume * fld.Bprime)
-
-
-def oscillation_period(
-    nd: NanodiamondParams,
-    fld: FieldConfig,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
-    """Period 2 pi / omega of the branch oscillation in s."""
-    return derive_oscillator(nd, fld, constants).period

@@ -162,12 +162,16 @@ def dd_expectation(
     spin: int,
     nd: NanodiamondParams,
     fld: FieldConfig,
-    dd: DDConfig,
+    dd: Optional[DDConfig] = None,
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
-    """(<x>, <p>) samples, shape (len(times), 2)."""
+    """(<x>, <p>) samples, shape (len(times), 2), of one branch decoupled by
+    ``dd`` or, for None, evolving without decoupling."""
     osc = derive_oscillator(nd, fld, constants)
-    state = dd_branch_state(times, spin, nd, fld, dd, constants)
+    if dd is None:
+        state = branch_state(times, spin, nd, fld, constants, osc)
+    else:
+        state = dd_branch_state(times, spin, nd, fld, dd, constants)
     return np.column_stack(expectation_xp(state, osc))
 
 
@@ -239,22 +243,6 @@ def dd_mirror_defect(
     return float(np.max(np.abs(xp + xm)) / dx_max)
 
 
-def _branch_x(
-    times: np.ndarray,
-    spin: int,
-    nd: NanodiamondParams,
-    fld: FieldConfig,
-    dd: Optional[DDConfig],
-    constants: PhysicalConstants,
-) -> np.ndarray:
-    """<x> samples of one branch, decoupled by ``dd`` or, for None, not."""
-    if dd is not None:
-        return dd_expectation(times, spin, nd, fld, dd, constants)[:, 0]
-    osc = derive_oscillator(nd, fld, constants)
-    return expectation_xp(branch_state(times, spin, nd, fld, constants, osc),
-                          osc)[0]
-
-
 def sampled_mirror_defect(
     nd: NanodiamondParams,
     fld: FieldConfig,
@@ -268,9 +256,9 @@ def sampled_mirror_defect(
     """
     times = np.linspace(0.0, derive_oscillator(nd, fld, constants).period,
                         n_samples)
-    return dd_mirror_defect(_branch_x(times, 1, nd, fld, dd, constants),
-                            _branch_x(times, -1, nd, fld, dd, constants),
-                            max_separation(nd, fld, constants))
+    x_plus, x_minus = (dd_expectation(times, s, nd, fld, dd, constants)[:, 0]
+                       for s in (1, -1))
+    return dd_mirror_defect(x_plus, x_minus, max_separation(nd, fld, constants))
 
 
 def excursion_bias_defect(
@@ -290,7 +278,7 @@ def excursion_bias_defect(
     times = np.linspace(0.0, derive_oscillator(nd, fld, constants).period,
                         n_samples)
     fld0 = FieldConfig(B0=0.0, Bprime=fld.Bprime, tilt_theta_g=fld.tilt_theta_g)
-    x_ref = _branch_x(times, 1, nd, fld0, None, constants)
-    x = _branch_x(times, 1, nd, fld, dd, constants)
+    x_ref = dd_expectation(times, 1, nd, fld0, None, constants)[:, 0]
+    x = dd_expectation(times, 1, nd, fld, dd, constants)[:, 0]
     dx = max_separation(nd, fld, constants)
     return float(abs(np.max(np.abs(x)) - np.max(np.abs(x_ref))) / dx)

@@ -235,17 +235,17 @@ def _force(q: np.ndarray, btuw: np.ndarray, a: float, mu_spin) -> np.ndarray:
 
 def _flip_times(schedule: Optional[FlipSchedule], t_end: float
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(spin flip times, field flip times) inside (0, t_end)."""
+    """(spin flip times, field flip times) inside (0, t_end).  A flip within
+    rounding of t_end (see :func:`_with_slack`) is dropped: it would only
+    start a segment a few ulps long."""
     if schedule is None:
         return np.empty(0), np.empty(0)
     dt = 2.0 * math.pi / schedule.omega_dd
     n = int(math.floor(t_end / dt + 1e-12))
     spin_flips = dt * np.arange(1, n + 1)
-    spin_flips = spin_flips[spin_flips < t_end]
-    lag = schedule.delta / schedule.omega_dd
-    field_flips = spin_flips + lag
-    field_flips = field_flips[field_flips < t_end]
-    return spin_flips, field_flips
+    spin_flips = spin_flips[_with_slack(spin_flips) < t_end]
+    field_flips = spin_flips + schedule.delta / schedule.omega_dd
+    return spin_flips, field_flips[_with_slack(field_flips) < t_end]
 
 
 def _integrate_stack(

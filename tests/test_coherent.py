@@ -12,11 +12,11 @@ from ndspin import (
     branch_phase_difference,
     branch_state,
     classical_position,
+    dd_expectation,
     derive_oscillator,
     equilibrium_positions,
     expectation_xp,
     max_separation,
-    phase_space_curve,
     ramsey_phase,
 )
 import ndspin.coherent
@@ -40,7 +40,7 @@ def test_branch_state_initial_conditions(nd_250nm, field_biased):
 
 def test_amplitude_circle_bound(nd_250nm, field_biased, rng):
     osc = derive_oscillator(nd_250nm, field_biased)
-    bound = 2.0 * max(abs(osc.lambda_plus), abs(osc.lambda_minus)) / osc.omega
+    bound = 2.0 * max(abs(osc.lambda_j(1)), abs(osc.lambda_j(-1))) / osc.omega
     for t in rng.uniform(0.0, 3.0 * osc.period, 200):
         for spin in (1, -1):
             st = branch_state(float(t), spin, nd_250nm, field_biased)
@@ -102,31 +102,30 @@ def test_amplitude_periodicity(nd_1pg, field_yellow):
         assert abs(a1 - a2) < 1e-12
 
 
+def _one_period(n_samples, nd, fld):
+    return np.linspace(0.0, derive_oscillator(nd, fld).period, n_samples)
+
+
 def test_phase_space_point_symmetry_without_bias(nd_250nm, field_fig2):
-    cp = phase_space_curve(128, 1, nd_250nm, field_fig2)
-    cm = phase_space_curve(128, -1, nd_250nm, field_fig2)
-    x_scale = max(abs(x) for x, _ in cp)
-    p_scale = max(abs(p) for _, p in cp)
-    for (xp_, pp_), (xm_, pm_) in zip(cp, cm):
-        assert abs(xp_ + xm_) <= 1e-12 * x_scale
-        assert abs(pp_ + pm_) <= 1e-12 * p_scale
+    times = _one_period(128, nd_250nm, field_fig2)
+    cp = dd_expectation(times, 1, nd_250nm, field_fig2)
+    cm = dd_expectation(times, -1, nd_250nm, field_fig2)
+    x_scale, p_scale = np.max(np.abs(cp), axis=0)
+    assert np.max(np.abs(cp[:, 0] + cm[:, 0])) <= 1e-12 * x_scale
+    assert np.max(np.abs(cp[:, 1] + cm[:, 1])) <= 1e-12 * p_scale
 
 
 def test_phase_space_centers_shift_identically_with_bias(nd_250nm):
     def center(b0, spin):
-        curve = phase_space_curve(4096, spin, nd_250nm,
-                                  FieldConfig(B0=b0, Bprime=1e3))
-        return float(np.mean([x for x, _ in curve]))
+        fld = FieldConfig(B0=b0, Bprime=1e3)
+        curve = dd_expectation(_one_period(4096, nd_250nm, fld), spin,
+                               nd_250nm, fld)
+        return float(np.mean(curve[:, 0]))
 
     shift_p = center(5e-4, 1) - center(0.0, 1)
     shift_m = center(5e-4, -1) - center(0.0, -1)
     assert shift_p == pytest.approx(-5e-4 / 1e3, rel=1e-3)
     assert shift_p == pytest.approx(shift_m, rel=1e-6)
-
-
-def test_phase_space_single_sample_is_origin(nd_250nm, field_fig2):
-    curve = phase_space_curve(1, 1, nd_250nm, field_fig2)
-    assert curve == [(0.0, 0.0)]
 
 
 def test_separation_profile_matches_branch_difference(nd_250nm):

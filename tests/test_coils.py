@@ -10,14 +10,12 @@ from scipy.integrate import IntegrationWarning, quad
 from ndspin import (
     CONSTANTS,
     CoilAssembly,
-    FieldSample,
     LoopSource,
     UniformGradientField,
-    assembly_field,
     complete_elliptic_KE,
+    field_and_jacobian,
     field_jacobian,
     field_map,
-    loop_field,
 )
 from ndspin.coils import _RHO_SERIES_FACTOR
 
@@ -111,15 +109,17 @@ def test_elliptic_domain_errors():
 
 def test_loop_center_field():
     loop = LoopSource(r_c=0.03, x_c=0.0, mmf=564.0)
-    B = loop_field((0.0, 0.0, 0.0), loop)
+    coil = CoilAssembly(loops=(loop,))
+    B = coil.field_at((0.0, 0.0, 0.0))
     assert B[0] == pytest.approx(CONSTANTS.mu0 * 564.0 / (2.0 * 0.03), rel=1e-14)
     assert B[1] == 0.0 and B[2] == 0.0
 
 
 def test_loop_on_axis_formula():
     loop = LoopSource(r_c=0.02, x_c=0.005, mmf=120.0)
+    coil = CoilAssembly(loops=(loop,))
     for x in (-0.03, 0.0, 0.011, 0.08):
-        B = loop_field((x, 0.0, 0.0), loop)
+        B = coil.field_at((x, 0.0, 0.0))
         s = x - loop.x_c
         want = CONSTANTS.mu0 * 120.0 * 0.02**2 / (
             2.0 * (0.02**2 + s * s) ** 1.5)
@@ -128,23 +128,25 @@ def test_loop_on_axis_formula():
 
 def test_loop_field_against_line_integral(rng):
     loop = LoopSource(r_c=0.03, x_c=0.01, mmf=564.0)
+    coil = CoilAssembly(loops=(loop,))
     for _ in range(12):
         x = float(rng.uniform(-0.02, 0.04))
         rho = float(rng.uniform(0.002, 0.02))
         ang = float(rng.uniform(0.0, 2.0 * math.pi))
         p = (x, rho * math.cos(ang), rho * math.sin(ang))
-        got = loop_field(p, loop)
+        got = coil.field_at(p)
         want = _biot_savart_loop(p, loop)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_transverse_ratio_identity(rng):
     loop = LoopSource(r_c=0.03, x_c=0.0, mmf=564.0)
+    coil = CoilAssembly(loops=(loop,))
     for _ in range(20):
         p = (float(rng.uniform(-0.02, 0.02)),
              float(rng.uniform(0.003, 0.02)),
              float(rng.uniform(-0.02, 0.02)))
-        B = loop_field(p, loop)
+        B = coil.field_at(p)
         if B[1] != 0.0:
             assert B[2] / B[1] == pytest.approx(p[2] / p[1], rel=1e-10)
 
@@ -156,11 +158,12 @@ def test_near_axis_series_continuous_at_seam():
     # side is exact to machine precision there, as the line-integral oracle
     # confirms)
     loop = LoopSource(r_c=0.03, x_c=0.0, mmf=564.0)
+    coil = CoilAssembly(loops=(loop,))
     rho_seam = _RHO_SERIES_FACTOR * 0.03
     for x in (-0.01, 0.002, 0.014):
         y_in, y_out = 0.999999 * rho_seam, 1.000001 * rho_seam
-        inner = loop_field((x, y_in, 0.0), loop)
-        outer = loop_field((x, y_out, 0.0), loop)
+        inner = coil.field_at((x, y_in, 0.0))
+        outer = coil.field_at((x, y_out, 0.0))
         assert inner[0] == pytest.approx(outer[0], rel=1e-10)
         assert inner[1] / y_in == pytest.approx(outer[1] / y_out, rel=1e-9)
 
@@ -168,9 +171,10 @@ def test_near_axis_series_continuous_at_seam():
 def test_near_axis_series_against_line_integral():
     # inside the series zone the closed chain is series -> oracle directly
     loop = LoopSource(r_c=0.03, x_c=0.0, mmf=564.0)
+    coil = CoilAssembly(loops=(loop,))
     for x, rho in ((-0.01, 2.9e-6), (0.004, 1e-6), (0.0, 2e-6)):
         p = (x, rho / math.sqrt(2.0), rho / math.sqrt(2.0))
-        got = loop_field(p, loop)
+        got = coil.field_at(p)
         want = _biot_savart_loop(p, loop)
         assert got[0] == pytest.approx(want[0], rel=1e-10)
         if abs(want[1]) > 0:
@@ -179,23 +183,24 @@ def test_near_axis_series_against_line_integral():
 
 def test_wire_circle_rejected():
     loop = LoopSource(r_c=0.03, x_c=0.0, mmf=564.0)
+    coil = CoilAssembly(loops=(loop,))
     with pytest.raises(ValueError):
-        loop_field((0.0, 0.03, 0.0), loop)
+        coil.field_at((0.0, 0.03, 0.0))
 
 
 def test_assembly_center_null_and_antisymmetry(coil_564, rng):
-    assert np.all(assembly_field((0.0, 0.0, 0.0), coil_564) == 0.0)
+    assert np.all(coil_564.field_at((0.0, 0.0, 0.0)) == 0.0)
     for _ in range(10):
         p = rng.uniform(-0.01, 0.01, size=3)
-        plus = assembly_field(p, coil_564)
-        minus = assembly_field(-p, coil_564)
+        plus = coil_564.field_at(p)
+        minus = coil_564.field_at(-p)
         scale = np.linalg.norm(plus)
         assert np.linalg.norm(plus + minus) <= 1e-12 * max(scale, 1e-30)
 
 
 def test_axial_antisymmetry(coil_564):
-    bx1 = assembly_field((0.004, 0.0, 0.0), coil_564)[0]
-    bx2 = assembly_field((-0.004, 0.0, 0.0), coil_564)[0]
+    bx1 = coil_564.field_at((0.004, 0.0, 0.0))[0]
+    bx2 = coil_564.field_at((-0.004, 0.0, 0.0))[0]
     assert bx1 == pytest.approx(-bx2, rel=1e-13)
 
 
@@ -247,11 +252,10 @@ def test_field_and_jacobian_batch_matches_rows_and_line_integral(coil_564):
         # elliptic closed form
         (1e-4, 2.0 * edge, 0.0), (4e-3, 1e-3, -2e-3), (-1e-2, 5e-3, 3e-3),
     ])
-    B, J = coil_564.field_and_jacobian(pts)
+    B, J = field_and_jacobian(coil_564, pts)
     assert B.shape == (9, 3) and J.shape == (9, 3, 3)
     for p, b, j in zip(pts, B, J):
         assert np.array_equal(b, coil_564.field_at(p))
-        assert np.array_equal(b, assembly_field(p, coil_564))
         assert np.array_equal(j, coil_564.jacobian_at(p))
         want = _biot_savart_gradient(p, coil_564)
         assert np.max(np.abs(j - want)) <= 1e-9 * np.max(np.abs(want))
@@ -277,50 +281,50 @@ def test_gradient_linearity_on_axis(coil_564):
     for x in np.linspace(-0.003, 0.003, 13):
         if x == 0.0:
             continue
-        bx = assembly_field((x, 0.0, 0.0), coil_564)[0]
+        bx = coil_564.field_at((x, 0.0, 0.0))[0]
         assert abs(bx - bprime * x) <= 0.011 * abs(bprime * x)
     for x in np.linspace(-0.002, 0.002, 9):
         if x == 0.0:
             continue
-        bx = assembly_field((x, 0.0, 0.0), coil_564)[0]
+        bx = coil_564.field_at((x, 0.0, 0.0))[0]
         assert abs(bx - bprime * x) <= 0.005 * abs(bprime * x)
 
 
 def test_field_map_axis_row_is_purely_axial(coil_564):
     xs = np.linspace(-0.002, 0.002, 9)
-    samples = field_map(coil_564, 0.0, xs, [0.0])
-    assert len(samples) == 9
-    for s in samples:
-        assert s.B[1] == 0.0 and s.B[2] == 0.0
+    q, B = field_map(coil_564, 0.0, xs, [0.0])
+    assert q.shape == B.shape == (9, 3)
+    assert np.array_equal(q[:, 0], xs)
+    assert np.all(B[:, 1] == 0.0) and np.all(B[:, 2] == 0.0)
 
 
 def test_field_map_off_plane_bz_nearly_uniform(coil_564):
     # z = 10 um window: B_z varies little across the mapped region
     xs = np.linspace(-5e-5, 5e-5, 9)
     ys = np.linspace(-5e-5, 5e-5, 9)
-    samples = field_map(coil_564, 10e-6, xs, ys)
-    bz = np.array([s.B[2] for s in samples])
+    _q, B = field_map(coil_564, 10e-6, xs, ys)
+    bz = B[:, 2]
     assert (bz.max() - bz.min()) <= 0.02 * max(abs(bz.max()), abs(bz.min()))
 
 
 def test_field_map_single_cell_origin(coil_564):
-    samples = field_map(coil_564, 0.0, [0.0], [0.0])
-    assert len(samples) == 1
-    assert samples[0].B == (0.0, 0.0, 0.0)
+    q, B = field_map(coil_564, 0.0, [0.0], [0.0])
+    assert q.shape == B.shape == (1, 3)
+    assert B.tolist() == [[0.0, 0.0, 0.0]]
 
 
-def test_field_sample_rejects_non_finite():
-    with pytest.raises(ValueError):
-        FieldSample(position=(0.0, 0.0, 0.0), B=(math.nan, 0.0, 0.0))
+def test_field_map_rejects_non_finite():
+    coil = CoilAssembly(loops=(LoopSource(r_c=0.03, x_c=0.0, mmf=math.inf),))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        field_map(coil, 0.0, [0.0, 1e-3], [0.0])
 
 
 def test_uniform_gradient_source_consistency():
     src = UniformGradientField(0.663)
     p = (1e-6, 2e-6, -3e-6)
-    B = src.field_at(p)
-    assert B[0] == pytest.approx(0.663 * 1e-6, rel=1e-15)
-    J = src.jacobian_at(p)
-    assert np.trace(J) == pytest.approx(0.0, abs=1e-18)
+    B, J = field_and_jacobian(src, [p])
+    assert B[0, 0] == pytest.approx(0.663 * 1e-6, rel=1e-15)
+    assert np.trace(J[0]) == pytest.approx(0.0, abs=1e-18)
     with pytest.raises(ValueError):
         UniformGradientField(0.0)
 

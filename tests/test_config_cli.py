@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ndspin.cli import main
+from ndspin.cli import _COMMANDS, main
 from ndspin.config import ConfigError, load_config, parse_config
 from test_coherent import _skewed_lambda_g
 
@@ -97,17 +97,13 @@ def test_cmd_derive_rejects_bad_gradient(tmp_path, capsys):
     assert "Bprime_T_per_m" in capsys.readouterr().err
 
 
-def test_cmd_trajectory_deterministic(tmp_path):
+def test_cmd_trajectory_writes_one_period_per_bias(tmp_path):
     doc = {**BASE, "trajectory": {"B0_values_T": [0.0, 5e-4], "n_samples": 32}}
     path = _write_config(tmp_path, doc)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["trajectory", "--config", path, "--out", str(out1)]) == 0
-    assert main(["trajectory", "--config", path, "--out", str(out2)]) == 0
-    f1 = (out1 / "trajectory.csv").read_bytes()
-    f2 = (out2 / "trajectory.csv").read_bytes()
-    assert f1 == f2
-    header = f1.decode().splitlines()[0]
-    assert header == "B0_T,t_s,x_plus_m,x_minus_m"
+    assert main(["trajectory", "--config", path, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "B0_T,t_s,x_plus_m,x_minus_m"
+    assert len(lines) == 1 + 2 * 32
 
 
 def test_cmd_dd_writes_phase_space(tmp_path):
@@ -122,16 +118,55 @@ def test_cmd_dd_writes_phase_space(tmp_path):
     assert len(lines) == 1 + 3 * 2 * 64
 
 
-def test_cmd_dd_deterministic(tmp_path):
-    doc = {**BASE,
-           "field": {"B0_T": 5e-4, "Bprime_T_per_m": 1000.0},
-           "dd": {"n_values": [1, 2, 7, 200], "n_samples": 64}}
-    path = _write_config(tmp_path, doc)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["dd", "--config", path, "--out", str(out1)]) == 0
-    assert main(["dd", "--config", path, "--out", str(out2)]) == 0
-    assert (out1 / "dd_phase_space.csv").read_bytes() == \
-        (out2 / "dd_phase_space.csv").read_bytes()
+#: One small scenario that every verb can render.
+SMALL = {
+    "version": 1,
+    "nanodiamond": {"mass_kg": 5.6e-14},
+    "field": {"B0_T": 5e-4, "Bprime_T_per_m": 1000.0},
+    "dd": {"n_values": [1, 2, 7, 200], "n_samples": 64},
+    "protocol": {"scenario": "hold-only", "mass_range_kg": [1e-14, 1e-12],
+                 "Bprime_range_T_per_m": [0.2, 2.0], "grid_shape": [8, 8]},
+    "coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 564.0},
+    "integrator": {"rel_tol": 1e-8, "abs_tol_pos_m": 1e-15,
+                   "abs_tol_vel_m_per_s": 1e-15},
+    "trajectory": {"B0_values_T": [0.0, 5e-4], "n_samples": 32},
+    "ramsey": {"theta_g_values_rad": [0.0, 0.3]},
+    "fieldmap": {"nx": 7, "ny": 5},
+    "sensitivity": {"radius_m": 5e-7, "theta_values_rad": [0.0, 0.7853],
+                    "phi_values_rad": [0.7853], "delta_values_rad": [0.0, 0.2],
+                    "n_flip": 20, "n_samples": 40},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_COMMANDS))
+def test_every_verb_is_deterministic(tmp_path, verb):
+    path = _write_config(tmp_path, SMALL)
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([verb, "--config", path, "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("section, path", [
+    ({"trajectory": {"B0_values_T": [math.nan]}}, "$.trajectory.B0_values_T"),
+    ({"protocol": {"distance_m": math.inf, "grid_shape": [4, 4]}},
+     "$.protocol.distance_m"),
+    ({"protocol": {"mass_range_kg": [1e-17, math.inf]}},
+     "$.protocol.mass_range_kg"),
+    ({"version": True}, "$.version"),
+    ({"version": 1.0}, "$.version"),
+], ids=["B0_nan", "distance_inf", "mass_range_inf", "version_true",
+        "version_float"])
+def test_non_finite_or_non_integer_numbers_exit_2(tmp_path, capsys, section,
+                                                  path):
+    verb = "protocol-opt" if "protocol" in section else "trajectory"
+    config = _write_config(tmp_path, {**BASE, **section})
+    out = tmp_path / "out"
+    assert main([verb, "--config", config, "--out", str(out)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("scheme", "full-flip"),

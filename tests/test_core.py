@@ -92,9 +92,7 @@ def test_coupling_identities_exact(rng):
         # identities hold to representation accuracy of the larger addend
         ulp = 8.0 * np.spacing(max(abs(osc.lambda0), abs(osc.lam),
                                    abs(osc.lambda_g)))
-        assert abs(osc.lambda_plus - osc.lambda_minus - 2.0 * osc.lam) <= ulp
-        assert abs(osc.Lambda_plus - osc.lambda_plus - osc.lambda_g) <= ulp
-        assert abs(osc.Lambda_minus - osc.lambda_minus - osc.lambda_g) <= ulp
+        assert abs(osc.lambda_j(1) - osc.lambda_j(-1) - 2.0 * osc.lam) <= ulp
 
 
 def test_equilibria_symmetric_without_bias(nd_250nm, field_fig2):

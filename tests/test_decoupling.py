@@ -15,6 +15,7 @@ from ndspin import (
     dd_expectation,
     dd_piecewise_ode_reference,
     derive_oscillator,
+    expectation_xp,
     max_separation,
 )
 from ndspin.decoupling import (
@@ -208,16 +209,21 @@ def test_batch_states_match_single_calls(nd_250nm, field_biased):
             assert single.theta == batch.theta[i]
 
 
-def test_phase_space_curve_takes_dd_config(nd_250nm, field_biased):
-    from ndspin import phase_space_curve
-
+def test_dd_expectation_with_and_without_dd(nd_250nm, field_biased):
     osc = derive_oscillator(nd_250nm, field_biased)
+    times = osc.period * np.arange(33) / 32
     dd = DDConfig(n=8)
-    curve = phase_space_curve(33, 1, nd_250nm, field_biased, dd=dd)
-    times = [osc.period * i / 32 for i in range(33)]
-    direct = dd_expectation(times, 1, nd_250nm, field_biased, dd)
-    assert np.allclose([x for x, _ in curve], direct[:, 0], rtol=0, atol=1e-20)
-    assert np.allclose([p for _, p in curve], direct[:, 1], rtol=0, atol=1e-25)
+    for spin in (1, -1):
+        plain = expectation_xp(branch_state(times, spin, nd_250nm, field_biased),
+                               osc)
+        decoupled = expectation_xp(
+            dd_branch_state(times, spin, nd_250nm, field_biased, dd), osc)
+        for state, got in ((plain, dd_expectation(times, spin, nd_250nm,
+                                                  field_biased)),
+                           (decoupled, dd_expectation(times, spin, nd_250nm,
+                                                      field_biased, dd))):
+            assert got.shape == (33, 2)
+            assert np.array_equal(got, np.column_stack(state))
 
 
 def _order_one_coupling_setup():

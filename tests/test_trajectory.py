@@ -17,6 +17,7 @@ from ndspin import (
     delta_scan,
     derive_oscillator,
     equilibrium_positions,
+    field_and_jacobian,
     force,
     integrate,
     magnetic_moment,
@@ -55,7 +56,7 @@ def _solve_ivp_oracle(q0, spin, source, nd, omega_dd, delta, t_end, cfg,
         fs = (-1.0) ** sum(t <= mid for t in field_flips)
 
         def rhs(_t, y, s=s, fs=fs):
-            B, J = source.field_and_jacobian(y[None, :3])
+            B, J = field_and_jacobian(source, y[None, :3])
             B, J = fs * B[0], fs * J[0]
             mu = coef * B
             mu[0] -= s * CONSTANTS.hbar * CONSTANTS.gamma_e
@@ -171,7 +172,7 @@ def test_closed_form_force_matches_jacobian_times_moment(source_name,
     nd = NanodiamondParams.from_mass(5.6e-14)
     spin = rng.choice([-1, 1], len(q))
     # oracle: the reversed current negates B and J, then F = J mu
-    B, J = source.field_and_jacobian(q)
+    B, J = field_and_jacobian(source, q)
     B, J = field_sign * B, field_sign * J
     mu = magnetic_moment(B, spin, nd, spin_moment=spin_moment)
     want = np.einsum("nij,nj->ni", J, mu)
@@ -320,18 +321,8 @@ def test_input_validation(nd_250nm, field_fig2):
 
 def test_nan_field_raises(nd_250nm):
     class BrokenSource:
-        def field_at(self, p, constants=None):
-            return np.array([math.nan, 0.0, 0.0])
-
-        def jacobian_at(self, p, constants=None):
-            return np.full((3, 3), math.nan)
-
         def btuw(self, q, constants=None):
             return np.full((4, len(q)), math.nan)
-
-        def field_and_jacobian(self, q, constants=None):
-            return (np.full((len(q), 3), math.nan),
-                    np.full((len(q), 3, 3), math.nan))
 
     start = TrajectoryState(0.0, (1e-7, 0.0, 0.0), (0.0, 0.0, 0.0))
     # the NaN force reaches the state and the non-finite-state check
@@ -558,3 +549,25 @@ def test_sampled_spin_counts_only_spin_flips(source_name, nd_250nm,
     for spin0, traj in zip((1, -1, -1), rows):
         assert np.array_equal(traj.spin, spin0 * (-1) ** before)
         assert np.array_equal(traj.flip_times, flips)
+
+
+@pytest.mark.parametrize("n_flip", [13, 20, 40])
+def test_no_flip_within_rounding_of_the_end(monkeypatch, n_flip):
+    # on the 3 cm coil at 5.6e-14 kg, n_flip flip periods put the last flip
+    # one ulp before the end of the period; it must not start a segment
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(coil, nd)
+    spin_flips, field_flips = _flip_times(
+        FlipSchedule(omega_dd=n_flip * omega), period)
+    assert len(spin_flips) == len(field_flips) == n_flip - 1
+    spans = []
+
+    def recording(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(ndspin.trajectory, "solve_ivp", recording)
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol_pos=1e-15, abs_tol_vel=1e-15)
+    delta_scan([0.0, math.pi / 25.0], coil, nd, n_flip, omega, cfg,
+               n_samples=40)
+    assert min(b - a for a, b in spans) >= 1e-9 * period / n_flip
