@@ -28,7 +28,6 @@ from .decoupling import (
     DDConfig,
     dd_branch_state,
     dd_expectation,
-    dd_piecewise_ode_reference,
 )
 from .coils import (
     CoilAssembly,

@@ -10,18 +10,18 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .coherent import classical_position, ramsey_phase
 from .config import ConfigError, ScenarioConfig, load_config
-from .core import FieldConfig, derive_oscillator, equilibrium_positions, max_separation
+from .core import derive_oscillator, equilibrium_positions, max_separation
 from .decoupling import DDConfig, dd_expectation
 from .coils import field_jacobian, field_map
 from .protocol import (
@@ -69,16 +69,14 @@ def cmd_derive(cfg: ScenarioConfig, args) -> int:
 def cmd_trajectory(cfg: ScenarioConfig, args) -> int:
     osc = derive_oscillator(cfg.nanodiamond, cfg.field, cfg.constants)
     times = np.linspace(0.0, osc.period, cfg.trajectory_n_samples)
-    rows = []
-    for b0 in cfg.trajectory_B0_values:
-        fld = FieldConfig(B0=b0, Bprime=cfg.field.Bprime,
-                          tilt_theta_g=cfg.field.tilt_theta_g)
-        x_plus, x_minus = (classical_position(times, spin, cfg.nanodiamond, fld,
-                                              cfg.constants) for spin in (1, -1))
-        rows.extend(zip(itertools.repeat(b0), times.tolist(), x_plus.tolist(),
-                        x_minus.tolist()))
+    b0s = cfg.trajectory_B0_values
+    x_plus, x_minus = (np.concatenate([
+        classical_position(times, spin, cfg.nanodiamond, replace(cfg.field, B0=b0),
+                           cfg.constants) for b0 in b0s]) for spin in (1, -1))
+    grid = np.meshgrid(b0s, times, indexing="ij")
     write_csv(_out(args, "trajectory.csv"),
-              ("B0_T", "t_s", "x_plus_m", "x_minus_m"), rows)
+              ("B0_T", "t_s", "x_plus_m", "x_minus_m"),
+              (*(g.ravel() for g in grid), x_plus, x_minus))
     write_json(_out(args, "trajectory_manifest.json"), {
         "generated_by": "ndspin trajectory",
         "x_axis": "t_s",
@@ -92,15 +90,15 @@ def cmd_trajectory(cfg: ScenarioConfig, args) -> int:
 def cmd_dd(cfg: ScenarioConfig, args) -> int:
     osc = derive_oscillator(cfg.nanodiamond, cfg.field, cfg.constants)
     times = np.linspace(0.0, osc.period, cfg.dd_n_samples)
-    rows = []
-    for n in (0, *cfg.dd_n_values):
-        for spin in (1, -1):
-            x, p = dd_expectation(times, spin, cfg.nanodiamond, cfg.field,
-                                  DDConfig(n=n) if n else None, cfg.constants).T
-            rows.extend(zip(itertools.repeat(n), itertools.repeat(spin),
-                            times.tolist(), x.tolist(), p.tolist()))
+    ns = (0, *cfg.dd_n_values)
+    xp = np.concatenate([
+        dd_expectation(times, spin, cfg.nanodiamond, cfg.field,
+                       DDConfig(n=n) if n else None, cfg.constants)
+        for n in ns for spin in (1, -1)])
+    grid = np.meshgrid(ns, (1, -1), times, indexing="ij")
     write_csv(_out(args, "dd_phase_space.csv"),
-              ("n_flip", "spin", "t_s", "x_m", "p_kg_m_per_s"), rows)
+              ("n_flip", "spin", "t_s", "x_m", "p_kg_m_per_s"),
+              (*(g.ravel() for g in grid), *xp.T))
     write_json(_out(args, "dd_manifest.json"), {
         "generated_by": "ndspin dd",
         "x_axis": "x_m",
@@ -112,12 +110,10 @@ def cmd_dd(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_ramsey(cfg: ScenarioConfig, args) -> int:
-    rows = []
-    for theta in cfg.ramsey_theta_values:
-        dtheta = ramsey_phase(theta, cfg.nanodiamond, cfg.field, cfg.constants)
-        rows.append((theta, dtheta))
-    write_csv(_out(args, "ramsey.csv"),
-              ("theta_g_rad", "delta_theta_rad"), rows)
+    thetas = cfg.ramsey_theta_values
+    write_csv(_out(args, "ramsey.csv"), ("theta_g_rad", "delta_theta_rad"),
+              (thetas, [ramsey_phase(theta, cfg.nanodiamond, cfg.field,
+                                     cfg.constants) for theta in thetas]))
     write_json(_out(args, "ramsey_manifest.json"), {
         "generated_by": "ndspin ramsey",
         "x_axis": "theta_g_rad",
@@ -136,8 +132,7 @@ def cmd_fieldmap(cfg: ScenarioConfig, args) -> int:
     ys = np.linspace(y0, y1, ny)
     q, B = field_map(cfg.coil, cfg.fieldmap_z, xs, ys, cfg.constants)
     write_csv(_out(args, "fieldmap.csv"),
-              ("x_m", "y_m", "z_m", "Bx_T", "By_T", "Bz_T"),
-              np.hstack((q, B)).tolist())
+              ("x_m", "y_m", "z_m", "Bx_T", "By_T", "Bz_T"), (*q.T, *B.T))
     grad = field_jacobian((0.0, 0.0, 0.0), cfg.coil, constants=cfg.constants)
     write_json(_out(args, "fieldmap_manifest.json"), {
         "generated_by": "ndspin fieldmap",
@@ -165,10 +160,9 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     summary = []
     for i, rec in enumerate(records):
         for spin, traj in rec["trajectories"].items():
-            rows = [(float(t), *map(float, q), *map(float, v), int(s))
-                    for t, q, v, s in zip(traj.t, traj.q, traj.v, traj.spin)]
             name = f"sensitivity_start{i:02d}_spin{'p' if spin > 0 else 'm'}.csv"
-            write_csv(_out(args, name), TRAJECTORY_CSV_HEADER, rows)
+            write_csv(_out(args, name), TRAJECTORY_CSV_HEADER,
+                      (traj.t, *traj.q.T, *traj.v.T, traj.spin))
         summary.append({
             "theta_rad": rec["theta"], "phi_rad": rec["phi"],
             "start_m": list(rec["start"]),
@@ -198,7 +192,7 @@ def cmd_protocol_opt(cfg: ScenarioConfig, args) -> int:
         template=cfg.nanodiamond, target_delta_phi=cfg.protocol.target_delta_phi,
         constants=cfg.constants)
     write_csv(_out(args, "protocol_surface.csv"), SURFACE_CSV_HEADER,
-              result.surface_rows())
+              tuple(zip(*result.surface_rows())))
     write_json(_out(args, "protocol_opt.json"), {
         "generated_by": "ndspin protocol-opt",
         "scenario": cfg.protocol.scenario.value,

@@ -101,6 +101,10 @@ class CoilAssembly:
 
     loops: tuple[LoopSource, ...]
 
+    def __post_init__(self) -> None:
+        if not self.loops:
+            raise ValueError("a coil assembly needs at least one loop")
+
     @classmethod
     def anti_helmholtz(cls, r_c: float, d_c: float, mmf: float) -> "CoilAssembly":
         if not d_c > 0.0:
@@ -108,10 +112,6 @@ class CoilAssembly:
         # +mmf on the +x loop yields a positive central gradient dBx/dx.
         return cls(loops=(LoopSource(r_c=r_c, x_c=+0.5 * d_c, mmf=+mmf),
                           LoopSource(r_c=r_c, x_c=-0.5 * d_c, mmf=-mmf)))
-
-    @property
-    def d_c(self) -> float:
-        return abs(self.loops[0].x_c - self.loops[1].x_c)
 
     @cached_property
     def _params(self) -> np.ndarray:

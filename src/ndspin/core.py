@@ -110,10 +110,6 @@ class NanodiamondParams:
         """Mass in kg, fixed by density x volume."""
         return self.density * self.volume
 
-    @property
-    def radius(self) -> float:
-        return 0.5 * self.diameter
-
     @classmethod
     def from_mass(
         cls,

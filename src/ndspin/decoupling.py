@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coherent import BranchState, _phasor, branch_state, expectation_xp
 from .core import (
@@ -56,7 +55,6 @@ __all__ = [
     "DDConfig",
     "dd_branch_state",
     "dd_expectation",
-    "dd_piecewise_ode_reference",
     "dd_mirror_defect",
     "sampled_mirror_defect",
     "excursion_bias_defect",
@@ -173,58 +171,6 @@ def dd_expectation(
     else:
         state = dd_branch_state(times, spin, nd, fld, dd, constants)
     return np.column_stack(expectation_xp(state, osc))
-
-
-def dd_piecewise_ode_reference(
-    times: Sequence[float],
-    spin: int,
-    nd: NanodiamondParams,
-    fld: FieldConfig,
-    dd: DDConfig,
-    constants: PhysicalConstants = CONSTANTS,
-    rtol: float = 1e-12,
-    atol: float = 1e-13,
-) -> np.ndarray:
-    """Brute-force oracle: classical piecewise integration of the branch.
-
-    Integrates u'' = -(u - u_eq^{(j)}) in dimensionless units (u = x per
-    max-separation, tau = omega t), with the equilibrium hopping each
-    decoupling segment exactly as the recursion assumes.  Returns lab-frame
-    (<x>, <p>) samples, shape (len(times), 2).  Integrator failures raise.
-    """
-    osc = derive_oscillator(nd, fld, constants)
-    times = np.asarray(list(times), dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("times must be >= 0")
-    x_scale = max_separation(nd, fld, constants)
-    seg_tau = 2.0 * math.pi / dd.n  # segment length in tau units
-    n_segments = max(1, math.ceil((times.max() * osc.omega if times.size else seg_tau)
-                                  / seg_tau - 1e-12))
-
-    taus = times * osc.omega
-    out = np.empty((len(times), 2))
-    state = np.array([0.0, 0.0])  # (u, du/dtau), rest start at the origin
-    for j in range(n_segments):
-        sign = 1.0 if j % 2 == 0 else -1.0
-        lam_j = sign * osc.lambda0 + spin * osc.lam
-        u_eq = -2.0 * osc.x_zpf * (lam_j / osc.omega) / x_scale
-        t0, t1 = j * seg_tau, (j + 1) * seg_tau
-        mask = (taus >= t0 - 1e-12) & (taus <= t1 + 1e-12) if j < n_segments - 1 \
-            else (taus >= t0 - 1e-12)
-
-        def rhs(_t, y, ueq=u_eq):
-            return [y[1], -(y[0] - ueq)]
-
-        sol = solve_ivp(rhs, (t0, t1), state, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True)
-        if not sol.success:
-            raise RuntimeError(f"piecewise oracle integration failed: {sol.message}")
-        if np.any(mask):
-            vals = sol.sol(np.clip(taus[mask], t0, t1))
-            out[mask, 0] = vals[0] * x_scale
-            out[mask, 1] = vals[1] * x_scale * osc.omega * nd.mass
-        state = sol.y[:, -1]
-    return out
 
 
 def dd_mirror_defect(

@@ -29,7 +29,6 @@ from ndspin import (
     branch_state,
     complete_elliptic_KE,
     dd_expectation,
-    dd_piecewise_ode_reference,
     delta_scan,
     derive_oscillator,
     equilibrium_positions,
@@ -48,6 +47,7 @@ from ndspin.protocol import partial_transpose
 
 from conftest import random_valid_config
 from test_coils import _biot_savart_loop, _ke_quadrature
+from test_decoupling import _piecewise_ode
 from test_protocol import (
     _full_cycle_gradient_mpmath,
     _full_cycle_mpmath,
@@ -203,8 +203,7 @@ def test_criterion_07_recursion_vs_ode_oracle():
     for n in (1, 4, 20, 200):
         for spin in (1, -1):
             rec = dd_expectation(times, spin, nd, fld, DDConfig(n=n))
-            ode = dd_piecewise_ode_reference(times, spin, nd, fld,
-                                             DDConfig(n=n))
+            ode = _piecewise_ode(times, spin, nd, fld, DDConfig(n=n))
             worst = max(worst, float(np.max(np.abs(rec[:, 0] - ode[:, 0]))))
     ok = worst < 1e-8 * dx
     _report(7, ok, f"closed-form vs piecewise-ODE <x>: worst gap "

@@ -334,6 +334,11 @@ def test_anti_helmholtz_constructor_contract():
     f0, f1 = coil.loops
     assert f0.mmf == -f1.mmf
     assert f0.x_c == -f1.x_c
-    assert coil.d_c == pytest.approx(0.04)
+    assert (f0.x_c, f1.x_c) == pytest.approx((0.02, -0.02))
     with pytest.raises(ValueError):
         CoilAssembly.anti_helmholtz(r_c=0.05, d_c=0.0, mmf=100.0)
+
+
+def test_empty_assembly_rejected_at_construction():
+    with pytest.raises(ValueError, match="at least one loop"):
+        CoilAssembly(loops=())

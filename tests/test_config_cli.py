@@ -1,10 +1,13 @@
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from ndspin.cli import _COMMANDS, main
 from ndspin.config import ConfigError, load_config, parse_config
+from ndspin.tables import write_csv
 from test_coherent import _skewed_lambda_g
 
 
@@ -116,6 +119,11 @@ def test_cmd_dd_writes_phase_space(tmp_path):
     assert lines[0] == "n_flip,spin,t_s,x_m,p_kg_m_per_s"
     # undecoupled rows plus one block per n value, both spins
     assert len(lines) == 1 + 3 * 2 * 64
+    # the n_flip and spin columns hold integer literals, never 4.0 or 1.0
+    cells = [line.split(",")[:2] for line in lines[1:]]
+    assert all(re.fullmatch(r"-?\d+", c) for row in cells for c in row)
+    assert {row[0] for row in cells} == {"0", "4", "8"}
+    assert {row[1] for row in cells} == {"1", "-1"}
 
 
 #: One small scenario that every verb can render.
@@ -300,8 +308,19 @@ def test_cmd_protocol_opt_full_cycle(tmp_path):
     assert all(p > 0.0 for p in phases)  # sweep phase recorded per cell
 
 
-def test_float_format_round_trips():
-    from ndspin.tables import fmt
-
-    for x in (0.1, 1.0 / 3.0, 2.83e-29, -1.5637e-4, 188.36231831088523):
-        assert float(fmt(x)) == x
+def test_float_format_round_trips(tmp_path):
+    floats = [0.1, 1.0 / 3.0, 2.83e-29, -1.5637e-4, 188.36231831088523,
+              0.0, -0.0, 5e-324, 1e308]
+    ints = np.resize([4, -1], len(floats))
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ("x", "n"), (np.array(floats), ints))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,n"
+    cells = [line.split(",") for line in lines[1:]]
+    back = [float(x) for x, _ in cells]
+    assert back == floats
+    assert [math.copysign(1.0, x) for x in back] == [
+        math.copysign(1.0, x) for x in floats]
+    assert [n for _, n in cells] == ["4", "-1"] * 4 + ["4"]
+    with pytest.raises(ValueError):
+        write_csv(str(path), ("x", "n"), (np.array(floats), ints[:-1]))

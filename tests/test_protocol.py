@@ -251,7 +251,8 @@ def test_surface_csv_schema(tmp_path):
     res = optimize_tmin(Scenario.HOLD_ONLY, (1e-14, 1e-12), (0.2, 2.0),
                         grid_shape=(6, 6), refine=False)
     path = tmp_path / "surface.csv"
-    write_csv(str(path), SURFACE_CSV_HEADER, res.surface_rows())
+    write_csv(str(path), SURFACE_CSV_HEADER,
+              tuple(zip(*res.surface_rows())))
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(SURFACE_CSV_HEADER)
     assert len(lines) == 1 + 36

@@ -158,7 +158,7 @@ def _force_points(name, rng):
     rho = (rng.uniform(0.0, 0.9 * zone, 64) if name == "3cm"
            else rng.uniform(2.0 * zone, 0.4 * coil.loops[0].r_c, 64))
     phi = rng.uniform(0.0, 2.0 * math.pi, 64)
-    x = rng.uniform(-0.3, 0.3, 64) * coil.d_c
+    x = rng.uniform(-0.3, 0.3, 64) * 2.0 * coil.loops[0].x_c
     return coil, np.stack((x, rho * np.cos(phi), rho * np.sin(phi)), axis=1)
 
 
