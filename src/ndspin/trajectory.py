@@ -25,9 +25,12 @@ synchronized run with every flip lag) are integrated together as one
 stacked (n, 6) state: one ``solve_ivp`` call per segment of the union of
 their effective flips, one array-valued kernel evaluation per right-hand
 side call, with the force J mu taken in closed form from the kernel's
-(B_x, t, u, w) (see :mod:`ndspin.coils`).  Each segment starts from the
-largest interior step of the one before, so no segment probes for a step
-again.  scipy's error norm is an
+(B_x, t, u, w) (see :mod:`ndspin.coils`).  Each segment starts from the step
+size the controller proposed at the end of the one before (the larger of
+its proposals before and after that final step, which is cut short at the
+boundary), so no segment probes for a step again and none is held below
+the controller's natural step; the error test still accepts or rejects
+every step.  scipy's error norm is an
 RMS over the whole state, so ``rtol`` and ``atol`` are divided by sqrt(n):
 the stack's norm is then sqrt(sum_i norm_i^2) >= max_i norm_i, and every
 trajectory is held at least as tightly as it would be alone.
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, RK45, solve_ivp
 
 from .core import CONSTANTS, NanodiamondParams, PhysicalConstants
 
@@ -63,6 +66,11 @@ __all__ = [
 #: "mu_B" is the bare-Bohr-magneton force model +s mu_B.
 SPIN_MOMENT_CONVENTIONS = ("gamma_e", "mu_B")
 
+#: The most steps a ``max_step`` may force on one integration: a scan
+#: needs tens to hundreds of steps per period, and a smaller ``max_step``
+#: would run for hours.
+MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class TrajectoryState:
@@ -79,7 +87,8 @@ class TrajectoryState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive embedded 4(5) pair (Dormand-Prince, scipy RK45).
+    """Adaptive embedded Runge-Kutta pair: Dormand-Prince 5(4) (scipy RK45,
+    the default) or 8(5,3) (scipy DOP853), named by ``method``.
 
     Absolute floors are split between position and velocity; periods of
     hundreds of seconds with nanometer amplitudes need both.
@@ -96,6 +105,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must be > 0")
         if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError("max_step must be > 0")
+        if self.method not in _CARRYING_SOLVERS:
+            raise ValueError(f"method must be one of {tuple(_CARRYING_SOLVERS)}")
 
 
 @dataclass(frozen=True)
@@ -248,6 +259,38 @@ def _flip_times(schedule: Optional[FlipSchedule], t_end: float
     return spin_flips, field_flips[_with_slack(field_flips) < t_end]
 
 
+class _CarriedStep:
+    """Mixin over a scipy Runge-Kutta solver: it starts from the step size
+    held in ``carry[0]`` (``None``: scipy's own initial-step probe) and
+    leaves there, after each step, the larger of the controller's proposal
+    before the step (uncut by the end of the span) and after it."""
+
+    def __init__(self, fun, t0, y0, t_bound, carry, **options):
+        if carry[0] is not None:
+            options["first_step"] = min(carry[0], abs(t_bound - t0))
+        super().__init__(fun, t0, y0, t_bound, **options)
+        if carry[0] is not None:
+            self.h_abs = carry[0]
+        self._carry = carry
+
+    def _step_impl(self):
+        proposed = self.h_abs
+        result = super()._step_impl()
+        self._carry[0] = max(proposed, self.h_abs)
+        return result
+
+
+class _CarriedRK45(_CarriedStep, RK45):
+    pass
+
+
+class _CarriedDOP853(_CarriedStep, DOP853):
+    pass
+
+
+_CARRYING_SOLVERS = {"RK45": _CarriedRK45, "DOP853": _CarriedDOP853}
+
+
 def _integrate_stack(
     starts: Sequence[TrajectoryState],
     spins: Sequence[int],
@@ -267,6 +310,10 @@ def _integrate_stack(
     t0 = starts[0].t
     if not t_end > t0:
         raise ValueError("t_end must exceed the initial time")
+    if cfg.max_step is not None and (t_end - t0) / cfg.max_step > MAX_STEPS:
+        raise ValueError(
+            f"max_step {cfg.max_step:g} s needs more than {MAX_STEPS:.0e} "
+            f"steps over [{t0:g}, {t_end:g}] s")
     if any(s not in (-1, 1) for s in spins):
         raise ValueError("spin_initial must be -1 or +1")
     if t_eval is None:
@@ -309,7 +356,8 @@ def _integrate_stack(
     out = np.empty((n, 6, len(t_eval)))
 
     state = np.array([[*st.q, *st.v] for st in starts], dtype=float).ravel()
-    h = None
+    solver = _CARRYING_SOLVERS[cfg.method]
+    carry = [None]
     filled = 0
     for k, hi in enumerate(ends):
         ta, tb = boundaries[k], boundaries[k + 1]
@@ -322,9 +370,8 @@ def _integrate_stack(
             acc = _force(q, source.btuw(q, constants), a_mass, mu_spin)
             return np.concatenate((y[:, 3:], acc), axis=1).ravel()
 
-        sol = solve_ivp(rhs, (ta, tb), state, method=cfg.method,
+        sol = solve_ivp(rhs, (ta, tb), state, method=solver, carry=carry,
                         rtol=rtol, atol=atol, max_step=max_step,
-                        first_step=None if h is None else min(h, tb - ta),
                         dense_output=hi > filled)
         if not sol.success:
             last = TrajectoryState(t=float(sol.t[-1]) if sol.t.size else ta,
@@ -337,11 +384,6 @@ def _integrate_stack(
             out[:, :, order[filled:hi]] = sol.sol(seg_eval).reshape(n, 6, -1)
             filled = hi
         state = sol.y[:, -1]
-        # The last step is cut short at the boundary, so the largest step
-        # before it is the next segment's first step; a one-step segment
-        # keeps the larger of its step and the previous estimate.
-        steps = np.diff(sol.t)
-        h = steps[:-1].max() if len(steps) > 1 else max(h or 0.0, steps[0])
 
     return [Trajectory(t=t_eval.copy(), q=out[i, :3].T.copy(),
                        v=out[i, 3:].T.copy(),

@@ -1,9 +1,14 @@
+import contextlib
+import copy
 import json
 import math
 import re
+import signal
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndspin.cli import _COMMANDS, main
 from ndspin.config import ConfigError, load_config, parse_config
@@ -306,6 +311,111 @@ def test_cmd_protocol_opt_full_cycle(tmp_path):
     rows = (tmp_path / "protocol_surface.csv").read_text().splitlines()[1:]
     phases = [float(r.split(",")[5]) for r in rows]
     assert all(p > 0.0 for p in phases)  # sweep phase recorded per cell
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_tiny_max_step_exits_2(tmp_path, capsys):
+    # 1e-300 s would need about 1e302 steps over the period
+    doc = {**SMALL, "integrator": {"max_step_s": 1e-300}}
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    with _time_limit(20.0):
+        assert main(["sensitivity", "--config", path, "--out", str(out)]) == 2
+    assert "max_step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: A small scenario every verb renders quickly: the base of the mutations.
+FUZZ_BASE = {
+    "version": 1,
+    "nanodiamond": {"mass_kg": 5.6e-14},
+    "field": {"B0_T": 5e-4, "Bprime_T_per_m": 1000.0},
+    "dd": {"n_values": [4], "n_samples": 16},
+    "protocol": {"scenario": "full-cycle", "mass_range_kg": [1e-14, 1e-12],
+                 "Bprime_range_T_per_m": [0.2, 2.0], "grid_shape": [4, 4]},
+    "coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 564.0},
+    "integrator": {"rel_tol": 1e-8, "abs_tol_pos_m": 1e-15,
+                   "abs_tol_vel_m_per_s": 1e-15},
+    "trajectory": {"B0_values_T": [0.0, 5e-4], "n_samples": 8},
+    "ramsey": {"theta_g_values_rad": [0.0, 0.3]},
+    "fieldmap": {"nx": 3, "ny": 2},
+    "sensitivity": {"radius_m": 5e-7, "theta_values_rad": [0.7853],
+                    "phi_values_rad": [0.7853], "delta_values_rad": [0.0, 0.2],
+                    "n_flip": 4, "n_samples": 16},
+}
+_FUZZ_SECTIONS = [(s,) for s in FUZZ_BASE]
+_FUZZ_KEYS = [(s, k) for s, v in FUZZ_BASE.items() if isinstance(v, dict)
+              for k in v]
+#: Wrong types, empty containers, and huge, tiny and signed magnitudes.
+_FUZZ_VALUES = [None, True, "x", [], {}, [0.1, "x"], [[1.0]], [1e300], 0, -1,
+                0.0, 3, 2.5, -1e300, 1e300, 1e-300, 5e-324]
+
+#: A section or a key inside one, as a path from the root: half of each.
+_fuzz_path = st.one_of(st.sampled_from(_FUZZ_SECTIONS),
+                       st.sampled_from(_FUZZ_KEYS))
+_mutation = st.one_of(
+    st.tuples(st.just("set"), _fuzz_path, st.sampled_from(_FUZZ_VALUES)),
+    st.tuples(st.just("delete"), _fuzz_path, st.none()),
+    st.tuples(st.just("move"), st.sampled_from(_FUZZ_KEYS),
+              st.sampled_from([()] + _FUZZ_SECTIONS)),
+)
+
+
+def _mutate(doc, mutation):
+    """Apply one mutation: set a value, delete a key, or move a key (with
+    its value) into another section or to the root."""
+    op, path, arg = mutation
+    parent = doc
+    for key in path[:-1]:
+        if not isinstance(parent.get(key), dict):
+            return
+        parent = parent[key]
+    if path[-1] not in parent:
+        return
+    if op == "set":
+        parent[path[-1]] = arg
+    elif op == "delete":
+        del parent[path[-1]]
+    else:
+        target = doc
+        for key in arg:
+            if not isinstance(target.get(key), dict):
+                return
+            target = target[key]
+        target[path[-1]] = parent.pop(path[-1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_mutation, min_size=1, max_size=3))
+def test_mutated_config_never_raises(mutations):
+    # every verb exits 0, 2 (config error) or 3 (numerical failure) on a
+    # mutated scenario: never a traceback, and never without end
+    doc = copy.deepcopy(FUZZ_BASE)
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/scenario.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for verb in sorted(_COMMANDS):
+            with _time_limit(60.0), contextlib.redirect_stdout(None), \
+                    contextlib.redirect_stderr(None):
+                code = main([verb, "--config", path, "--out", f"{tmp}/{verb}"])
+            assert code in (0, 2, 3), (verb, doc)
 
 
 def test_float_format_round_trips(tmp_path):

@@ -317,6 +317,11 @@ def test_input_validation(nd_250nm, field_fig2):
         TrajectoryState(0.0, (math.nan, 0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)
+    with pytest.raises(ValueError):
+        IntegratorConfig(method="RK23")
+    with pytest.raises(ValueError, match="max_step"):
+        integrate(start, 1, src, nd_250nm, None, 1.0,
+                  IntegratorConfig(max_step=1e-300))
 
 
 def test_nan_field_raises(nd_250nm):
@@ -571,3 +576,36 @@ def test_no_flip_within_rounding_of_the_end(monkeypatch, n_flip):
     delta_scan([0.0, math.pi / 25.0], coil, nd, n_flip, omega, cfg,
                n_samples=40)
     assert min(b - a for a, b in spans) >= 1e-9 * period / n_flip
+
+
+@pytest.mark.parametrize("lag", [math.pi / 45.0, math.pi / 10.0, math.pi / 5.0])
+def test_flip_segments_start_from_the_controllers_proposal(monkeypatch, lag):
+    # each flip segment of the lagged delta scan is shorter than the
+    # controller's natural step, so once the first segment has ramped the
+    # step up, every later segment starting from the carried proposal is
+    # taken in one step
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(coil, nd)
+    cfg = IntegratorConfig()
+    n_flip = 50
+    steps = []
+
+    def recording(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        steps.append(len(sol.t) - 1)
+        return sol
+
+    monkeypatch.setattr(ndspin.trajectory, "solve_ivp", recording)
+    t_eval = np.linspace(0.0, period, 201)
+    origin = TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    rows = _integrate_stack(
+        [origin] * 2, [1] * 2,
+        [FlipSchedule(omega_dd=n_flip * omega, delta=d) for d in (0.0, lag)],
+        coil, nd, period, cfg, t_eval, CONSTANTS, "gamma_e")
+    monkeypatch.undo()
+    assert len(steps) == 2 * (n_flip - 1) + 1
+    assert steps[1:] == [1] * (len(steps) - 1)
+    for d, traj in zip((0.0, lag), rows):
+        want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil, nd, n_flip * omega,
+                                 d, period, cfg, t_eval)
+        assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
