@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +20,8 @@ import numpy as np
 from . import __version__
 from .coherent import classical_position, ramsey_phase
 from .config import ConfigError, ScenarioConfig, load_config
-from .core import derive_oscillator, equilibrium_positions, max_separation
+from .core import (FieldConfig, derive_oscillator, equilibrium_positions,
+                   max_separation)
 from .decoupling import DDConfig, dd_expectation
 from .coils import field_jacobian, field_map
 from .protocol import (
@@ -126,10 +126,9 @@ def cmd_ramsey(cfg: ScenarioConfig, args) -> int:
 def cmd_fieldmap(cfg: ScenarioConfig, args) -> int:
     if cfg.coil is None:
         raise ConfigError("$.coil", "fieldmap requires a coil section")
-    x0, x1, nx = cfg.fieldmap_x
-    y0, y1, ny = cfg.fieldmap_y
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
+    nx, ny = cfg.fieldmap_nx, cfg.fieldmap_ny
+    xs = np.linspace(cfg.fieldmap_x_min, cfg.fieldmap_x_max, nx)
+    ys = np.linspace(cfg.fieldmap_y_min, cfg.fieldmap_y_max, ny)
     q, B = field_map(cfg.coil, cfg.fieldmap_z, xs, ys, cfg.constants)
     write_csv(_out(args, "fieldmap.csv"),
               ("x_m", "y_m", "z_m", "Bx_T", "By_T", "Bz_T"), (*q.T, *B.T))
@@ -148,10 +147,9 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     if cfg.coil is None:
         raise ConfigError("$.coil", "sensitivity requires a coil section")
     grad = field_jacobian((0.0, 0.0, 0.0), cfg.coil, constants=cfg.constants)
-    omega_eff = grad[0, 0] * math.sqrt(
-        cfg.nanodiamond.chi_magnitude * cfg.nanodiamond.volume
-        / (cfg.constants.mu0 * cfg.nanodiamond.mass))
-    period = 2.0 * math.pi / omega_eff
+    osc = derive_oscillator(cfg.nanodiamond, FieldConfig(Bprime=grad[0, 0]),
+                            cfg.constants)
+    omega_eff, period = osc.omega, osc.period
     schedule = FlipSchedule(omega_dd=cfg.sensitivity_n_flip * omega_eff)
     records = sensitivity_scan(
         cfg.sensitivity_radius, cfg.sensitivity_theta, cfg.sensitivity_phi,

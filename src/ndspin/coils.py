@@ -97,7 +97,7 @@ class CoilAssembly:
     """Coaxial loops, their fields superposed; a single loop is
     ``CoilAssembly(loops=(loop,))``.  The anti-Helmholtz constructor builds
     a pair of equal and opposite magnetomotive forces at symmetric axial
-    positions +-d_c/2."""
+    positions +-d_c/2; by default the 3 cm, 564 At design pair."""
 
     loops: tuple[LoopSource, ...]
 
@@ -106,7 +106,8 @@ class CoilAssembly:
             raise ValueError("a coil assembly needs at least one loop")
 
     @classmethod
-    def anti_helmholtz(cls, r_c: float, d_c: float, mmf: float) -> "CoilAssembly":
+    def anti_helmholtz(cls, r_c: float = 0.03, d_c: float = 0.03,
+                       mmf: float = 564.0) -> "CoilAssembly":
         if not d_c > 0.0:
             raise ValueError("coil separation d_c must be > 0")
         # +mmf on the +x loop yields a positive central gradient dBx/dx.

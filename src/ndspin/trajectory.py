@@ -105,8 +105,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must be > 0")
         if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError("max_step must be > 0")
-        if self.method not in _CARRYING_SOLVERS:
-            raise ValueError(f"method must be one of {tuple(_CARRYING_SOLVERS)}")
+        if self.method not in INTEGRATOR_METHODS:
+            raise ValueError(f"method must be one of {tuple(INTEGRATOR_METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,9 @@ class _CarriedDOP853(_CarriedStep, DOP853):
     pass
 
 
-_CARRYING_SOLVERS = {"RK45": _CarriedRK45, "DOP853": _CarriedDOP853}
+#: Integrator methods by name: scipy's pair, each carrying its step across
+#: restarts.
+INTEGRATOR_METHODS = {"RK45": _CarriedRK45, "DOP853": _CarriedDOP853}
 
 
 def _integrate_stack(
@@ -356,7 +358,7 @@ def _integrate_stack(
     out = np.empty((n, 6, len(t_eval)))
 
     state = np.array([[*st.q, *st.v] for st in starts], dtype=float).ravel()
-    solver = _CARRYING_SOLVERS[cfg.method]
+    solver = INTEGRATOR_METHODS[cfg.method]
     carry = [None]
     filled = 0
     for k, hi in enumerate(ends):

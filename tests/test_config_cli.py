@@ -5,13 +5,19 @@ import math
 import re
 import signal
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ndspin.cli import _COMMANDS, main
-from ndspin.config import ConfigError, load_config, parse_config
+from ndspin.coils import CoilAssembly
+from ndspin.config import ConfigError, ScenarioConfig, load_config, parse_config
+from ndspin.core import CONSTANTS, FieldConfig, NanodiamondParams
+from ndspin.protocol import ProtocolConfig
+from ndspin.trajectory import IntegratorConfig
 from ndspin.tables import write_csv
 from test_coherent import _skewed_lambda_g
 
@@ -34,6 +40,33 @@ def test_parse_defaults():
     assert cfg.nanodiamond.diameter == 250e-9
     assert cfg.field.Bprime == 1000.0
     assert cfg.protocol.target_delta_phi == pytest.approx(0.01 * math.pi)
+
+
+_SECTIONS = ("constants", "nanodiamond", "field", "dd", "protocol", "coil",
+             "integrator", "trajectory", "ramsey", "fieldmap", "sensitivity")
+
+
+@pytest.mark.parametrize("empty_sections", [False, True])
+def test_left_out_keys_take_the_record_defaults(empty_sections):
+    doc = {"version": 1}
+    if empty_sections:
+        doc.update({name: {} for name in _SECTIONS})
+    cfg = parse_config(doc)
+    assert cfg.constants == CONSTANTS
+    assert cfg.nanodiamond == NanodiamondParams()
+    assert cfg.field == FieldConfig()
+    assert cfg.protocol == ProtocolConfig()
+    assert cfg.integrator == IntegratorConfig()
+    # an empty coil section builds the constructor's default pair
+    coil = CoilAssembly.anti_helmholtz() if empty_sections else None
+    assert cfg == ScenarioConfig(coil=coil)
+
+
+def test_readme_example_scenario_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"Example scenario.*?```json\n(.*?)```", readme, re.S)
+    cfg = parse_config(json.loads(block.group(1)))
+    assert cfg.coil is not None and cfg.field.B0 > 0.0
 
 
 def test_unknown_keys_rejected_with_path():
@@ -170,8 +203,9 @@ def test_every_verb_is_deterministic(tmp_path, verb):
      "$.protocol.mass_range_kg"),
     ({"version": True}, "$.version"),
     ({"version": 1.0}, "$.version"),
+    ({"field": {"B0_T": 10**400}}, "$.field.B0_T"),
 ], ids=["B0_nan", "distance_inf", "mass_range_inf", "version_true",
-        "version_float"])
+        "version_float", "B0_past_float_range"])
 def test_non_finite_or_non_integer_numbers_exit_2(tmp_path, capsys, section,
                                                   path):
     verb = "protocol-opt" if "protocol" in section else "trajectory"
@@ -179,6 +213,29 @@ def test_non_finite_or_non_integer_numbers_exit_2(tmp_path, capsys, section,
     out = tmp_path / "out"
     assert main([verb, "--config", config, "--out", str(out)]) == 2
     assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, section, key, value", [
+    ("dd", "dd", "n_samples", 10**15),
+    ("trajectory", "trajectory", "n_samples", 10**15),
+    ("sensitivity", "sensitivity", "n_samples", 10**15),
+    ("sensitivity", "sensitivity", "n_flip", 10**15),
+    ("fieldmap", "fieldmap", "nx", 10**15),
+    ("fieldmap", "fieldmap", "ny", 10**15),
+    ("protocol-opt", "protocol", "grid_shape", [10**15, 4]),
+    ("protocol-opt", "protocol", "grid_shape", [4, 10**15]),
+], ids=["dd_n_samples", "trajectory_n_samples", "sensitivity_n_samples",
+        "sensitivity_n_flip", "fieldmap_nx", "fieldmap_ny", "grid_n_mass",
+        "grid_n_gradient"])
+def test_count_over_its_cap_exits_2(tmp_path, capsys, verb, section, key,
+                                    value):
+    doc = copy.deepcopy(SMALL)
+    doc[section][key] = value
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out)]) == 2
+    assert f"$.{section}.{key}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -300,6 +357,16 @@ def test_cmd_sensitivity_forwards_spin_moment(tmp_path):
     assert outputs["gamma_e"] != outputs["mu_B"]
 
 
+def test_cmd_sensitivity_coil_without_current_exits_2(tmp_path, capsys):
+    # zero central gradient: rejected as a field, before any division by it
+    path = _write_config(tmp_path, {**BASE, "coil": {"mmf_At": 0.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sensitivity", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "Bprime must be > 0" in capsys.readouterr().err
+
+
 def test_cmd_protocol_opt_full_cycle(tmp_path):
     doc = {**BASE,
            "protocol": {"scenario": "full-cycle",
@@ -360,9 +427,10 @@ FUZZ_BASE = {
 _FUZZ_SECTIONS = [(s,) for s in FUZZ_BASE]
 _FUZZ_KEYS = [(s, k) for s, v in FUZZ_BASE.items() if isinstance(v, dict)
               for k in v]
-#: Wrong types, empty containers, and huge, tiny and signed magnitudes.
+#: Wrong types, empty containers, and huge, tiny and signed magnitudes,
+#: among them a count far over every cap.
 _FUZZ_VALUES = [None, True, "x", [], {}, [0.1, "x"], [[1.0]], [1e300], 0, -1,
-                0.0, 3, 2.5, -1e300, 1e300, 1e-300, 5e-324]
+                0.0, 3, 2.5, -1e300, 1e300, 1e-300, 5e-324, 10**15]
 
 #: A section or a key inside one, as a path from the root: half of each.
 _fuzz_path = st.one_of(st.sampled_from(_FUZZ_SECTIONS),
