@@ -190,7 +190,7 @@ def cmd_protocol_opt(cfg: ScenarioConfig, args) -> int:
         template=cfg.nanodiamond, target_delta_phi=cfg.protocol.target_delta_phi,
         constants=cfg.constants)
     write_csv(_out(args, "protocol_surface.csv"), SURFACE_CSV_HEADER,
-              tuple(zip(*result.surface_rows())))
+              result.surface_columns())
     write_json(_out(args, "protocol_opt.json"), {
         "generated_by": "ndspin protocol-opt",
         "scenario": cfg.protocol.scenario.value,

@@ -70,6 +70,10 @@ def _integer(minimum, maximum=None):
             raise ConfigError(path, f"must be >= {minimum}")
         if maximum is not None and v > maximum:
             raise ConfigError(path, f"must be <= {maximum}")
+        try:
+            float(v)  # counts enter the float arithmetic of the model
+        except OverflowError:
+            raise ConfigError(path, "must be within the float range") from None
         return v
     return read
 

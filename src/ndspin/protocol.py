@@ -23,7 +23,6 @@ interferometer must close, so t_total is never below one period.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -237,20 +236,45 @@ SURFACE_CSV_HEADER = ("m_kg", "Bprime_T_per_m", "t_total_s", "t_hold_s",
                       "period_s", "delta_phi_bd_rad", "d_min_m")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizeResult:
+    """Optimum of :func:`optimize_tmin` and the scanned surface.
+
+    ``grid`` holds every :class:`ProtocolResult` field as an (n_m, n_b)
+    array over the axes ``m_values`` and ``b_values``.  Equality is
+    identity: the record holds arrays.
+    """
+
     m_opt: float
     Bprime_opt: float
     t_min: float
     result: ProtocolResult
     on_mass_boundary: bool
     on_gradient_boundary: bool
-    surface: list[tuple[float, float, ProtocolResult]]
+    m_values: np.ndarray
+    b_values: np.ndarray
+    grid: ProtocolResult
+
+    def surface_columns(self) -> tuple[np.ndarray, ...]:
+        """Flat columns matching :data:`SURFACE_CSV_HEADER`, row-major over
+        ascending (m, B')."""
+        m, b = np.meshgrid(self.m_values, self.b_values, indexing="ij")
+        g = self.grid
+        return tuple(a.ravel() for a in (m, b, g.t_total, g.t_hold, g.period,
+                                         g.delta_phi_bd, g.d_used))
+
+    @property
+    def surface(self) -> list[tuple[float, float, ProtocolResult]]:
+        """One (m, B', cell) record per grid cell, built on demand."""
+        m, b = self.surface_columns()[:2]
+        cells = zip(*(getattr(self.grid, f.name).ravel().tolist()
+                      for f in fields(ProtocolResult)))
+        return [(mi, bj, ProtocolResult(*cell))
+                for mi, bj, cell in zip(m.tolist(), b.tolist(), cells)]
 
     def surface_rows(self) -> list[tuple[float, ...]]:
-        """Rows matching :data:`SURFACE_CSV_HEADER`."""
-        return [(m, bp, r.t_total, r.t_hold, r.period, r.delta_phi_bd, r.d_used)
-                for m, bp, r in self.surface]
+        """Rows matching :data:`SURFACE_CSV_HEADER`, built on demand."""
+        return list(zip(*(c.tolist() for c in self.surface_columns())))
 
 
 def optimize_tmin(
@@ -284,17 +308,16 @@ def optimize_tmin(
     m_values = np.logspace(math.log10(mass_range[0]), math.log10(mass_range[1]), n_m)
     b_values = np.logspace(math.log10(bprime_range[0]), math.log10(bprime_range[1]), n_b)
 
-    grid = _timing(m_values[:, None], b_values[None, :], template, cfg, constants)
-    columns = [np.broadcast_to(getattr(grid, f.name), (n_m, n_b)).ravel().tolist()
-               for f in fields(ProtocolResult)]
-    surface = [(m, b, ProtocolResult(*cell)) for (m, b), cell in zip(
-        itertools.product(m_values.tolist(), b_values.tolist()), zip(*columns))]
+    raw = _timing(m_values[:, None], b_values[None, :], template, cfg, constants)
+    grid = ProtocolResult(*(np.broadcast_to(getattr(raw, f.name), (n_m, n_b))
+                            for f in fields(ProtocolResult)))
 
     # row-major over ascending (m, B'): the first minimum is the
     # lexicographic tie-break
-    k = int(np.argmin(grid.t_total))
-    i, j = divmod(k, n_b)
-    m_best, b_best, res_best = surface[k]
+    i, j = divmod(int(np.argmin(grid.t_total)), n_b)
+    m_best, b_best = float(m_values[i]), float(b_values[j])
+    res_best = ProtocolResult(*(float(getattr(grid, f.name)[i, j])
+                                for f in fields(ProtocolResult)))
 
     if refine:
         lo_m = math.log10(m_values[max(i - 1, 0)])
@@ -331,7 +354,8 @@ def optimize_tmin(
 
     return OptimizeResult(m_opt=m_best, Bprime_opt=b_best, t_min=res_best.t_total,
                           result=res_best, on_mass_boundary=bool(mass_edge),
-                          on_gradient_boundary=bool(grad_edge), surface=surface)
+                          on_gradient_boundary=bool(grad_edge),
+                          m_values=m_values, b_values=b_values, grid=grid)
 
 
 def _golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:

@@ -255,6 +255,17 @@ def test_dd_n_flip_still_validated(tmp_path, capsys):
     assert "$.dd.n_flip" in capsys.readouterr().err
 
 
+def test_dd_n_values_past_float_range_exits_2(tmp_path, capsys):
+    # no cap: an entry only has to be a number the model can compute with
+    path = _write_config(tmp_path, {**BASE, "dd": {"n_values": [4, 10**400]}})
+    out = tmp_path / "out"
+    assert main(["dd", "--config", path, "--out", str(out)]) == 2
+    assert "$.dd.n_values" in capsys.readouterr().err
+    assert not out.exists()
+    assert parse_config({**BASE, "dd": {"n_values": [10**15]}}).dd_n_values == [
+        10**15]
+
+
 def test_cmd_ramsey(tmp_path):
     doc = {**BASE, "ramsey": {"theta_g_values_rad": [0.0, 0.3, 0.6]}}
     path = _write_config(tmp_path, doc)
@@ -428,9 +439,9 @@ _FUZZ_SECTIONS = [(s,) for s in FUZZ_BASE]
 _FUZZ_KEYS = [(s, k) for s, v in FUZZ_BASE.items() if isinstance(v, dict)
               for k in v]
 #: Wrong types, empty containers, and huge, tiny and signed magnitudes,
-#: among them a count far over every cap.
+#: among them a count far over every cap and an integer past the float range.
 _FUZZ_VALUES = [None, True, "x", [], {}, [0.1, "x"], [[1.0]], [1e300], 0, -1,
-                0.0, 3, 2.5, -1e300, 1e300, 1e-300, 5e-324, 10**15]
+                0.0, 3, 2.5, -1e300, 1e300, 1e-300, 5e-324, 10**15, 10**400]
 
 #: A section or a key inside one, as a path from the root: half of each.
 _fuzz_path = st.one_of(st.sampled_from(_FUZZ_SECTIONS),

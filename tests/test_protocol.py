@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndspin import (
     CONSTANTS,
@@ -22,7 +24,7 @@ from ndspin import (
     optimize_tmin,
     protocol_duration,
 )
-from ndspin.protocol import SURFACE_CSV_HEADER, partial_transpose
+from ndspin.protocol import ProtocolResult, SURFACE_CSV_HEADER, partial_transpose
 from ndspin.tables import write_csv
 
 
@@ -195,7 +197,7 @@ def test_optimizer_hold_only_small_grid():
     assert 0.475 / 1.5 <= res.Bprime_opt <= 0.475 * 1.5
     assert res.on_mass_boundary
     assert not res.on_gradient_boundary
-    assert len(res.surface) == 24 * 24
+    assert res.grid.t_total.shape == (24, 24)
 
 
 def test_optimizer_rejects_bad_ranges():
@@ -214,19 +216,25 @@ def test_optimizer_deterministic():
     assert a.t_min == b.t_min
 
 
+def _assert_grid_matches_protocol_duration(res, cfg):
+    """Every cell of the array surface against the scalar entry point."""
+    for i, m in enumerate(res.m_values.tolist()):
+        nd = NanodiamondParams.from_mass(m)
+        for j, bp in enumerate(res.b_values.tolist()):
+            want = protocol_duration(nd, FieldConfig(Bprime=bp), cfg)
+            for f in dataclasses.fields(ProtocolResult):
+                assert getattr(res.grid, f.name)[i, j] == pytest.approx(
+                    getattr(want, f.name), rel=1e-12, abs=0.0), (f.name, i, j)
+
+
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_optimizer_grid_matches_protocol_duration(scenario):
     res = optimize_tmin(scenario, (1e-14, 1e-12), (0.2, 2.0),
-                        grid_shape=(8, 8), refine=False)
-    assert len(res.surface) == 64
-    cfg = ProtocolConfig(scenario=scenario)
-    for m, bp, cell in res.surface:
-        want = protocol_duration(NanodiamondParams.from_mass(m),
-                                 FieldConfig(Bprime=bp), cfg)
-        for name in ("t_total", "t_hold", "period", "delta_phi_bd",
-                     "delta_phi_hold", "d_used", "dx_max", "delta_cp"):
-            assert getattr(cell, name) == pytest.approx(
-                getattr(want, name), rel=1e-12, abs=0.0), name
+                        grid_shape=(8, 7), refine=False)
+    assert res.m_values.shape == (8,) and res.b_values.shape == (7,)
+    for f in dataclasses.fields(ProtocolResult):
+        assert getattr(res.grid, f.name).shape == (8, 7), f.name
+    _assert_grid_matches_protocol_duration(res, ProtocolConfig(scenario=scenario))
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
@@ -234,8 +242,48 @@ def test_hold_time_does_not_increase_with_mass(scenario):
     # README: at fixed B' the hold time is weakly decreasing in mass
     res = optimize_tmin(scenario, (1e-17, 1e-12), (0.1, 10.0),
                         grid_shape=(200, 25), refine=False)
-    t_hold = np.array([r.t_hold for _m, _b, r in res.surface]).reshape(200, 25)
-    assert np.max(np.diff(t_hold, axis=0)) <= 0.0
+    assert np.max(np.diff(res.grid.t_hold, axis=0)) <= 0.0
+
+
+def test_surface_views_match_arrays():
+    # the benchmark reads ``surface`` and ``surface_rows()``: both are views
+    # of the arrays, cell for cell in row-major (m, B') order
+    res = optimize_tmin(Scenario.FULL_CYCLE, (1e-14, 1e-12), (0.2, 2.0),
+                        grid_shape=(5, 4), refine=False)
+    surface, rows = res.surface, res.surface_rows()
+    assert len(surface) == len(rows) == 20
+    for k, ((m, bp, cell), row) in enumerate(zip(surface, rows)):
+        i, j = divmod(k, 4)
+        assert m == res.m_values[i] and bp == res.b_values[j]
+        for f in dataclasses.fields(ProtocolResult):
+            assert getattr(cell, f.name) == getattr(res.grid, f.name)[i, j]
+        g = res.grid
+        assert row == (m, bp, g.t_total[i, j], g.t_hold[i, j], g.period[i, j],
+                       g.delta_phi_bd[i, j], g.d_used[i, j])
+    assert all(type(v) is float for row in rows for v in row)
+    assert [tuple(c) for c in zip(*rows)] == [
+        tuple(c.tolist()) for c in res.surface_columns()]
+    assert res == res and res != dataclasses.replace(res)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scenario=st.sampled_from(list(Scenario)),
+       mass=st.tuples(st.floats(-17.0, -13.0), st.floats(0.5, 3.0)),
+       gradient=st.tuples(st.floats(-1.5, 1.0), st.floats(0.3, 2.0)),
+       shape=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+       target=st.floats(1e-3, 1.0))
+def test_surface_properties(scenario, mass, gradient, shape, target):
+    # log10 of the lower end and the span in decades of each range
+    m_range = (10 ** mass[0], 10 ** (mass[0] + mass[1]))
+    b_range = (10 ** gradient[0], 10 ** (gradient[0] + gradient[1]))
+    res = optimize_tmin(scenario, m_range, b_range, grid_shape=shape,
+                        refine=False, target_delta_phi=target)
+    _assert_grid_matches_protocol_duration(
+        res, ProtocolConfig(target_delta_phi=target, scenario=scenario))
+    g = res.grid
+    assert np.all(np.diff(g.t_hold, axis=0) <= 0.0)
+    assert np.all(g.delta_phi_bd + g.delta_phi_hold >= target * (1.0 - 1e-12))
+    assert np.all(g.t_total >= g.period)
 
 
 def test_full_cycle_optimum_reaches_the_mass_cap():
@@ -251,8 +299,7 @@ def test_surface_csv_schema(tmp_path):
     res = optimize_tmin(Scenario.HOLD_ONLY, (1e-14, 1e-12), (0.2, 2.0),
                         grid_shape=(6, 6), refine=False)
     path = tmp_path / "surface.csv"
-    write_csv(str(path), SURFACE_CSV_HEADER,
-              tuple(zip(*res.surface_rows())))
+    write_csv(str(path), SURFACE_CSV_HEADER, res.surface_columns())
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(SURFACE_CSV_HEADER)
     assert len(lines) == 1 + 36
