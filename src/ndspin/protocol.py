@@ -26,7 +26,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -277,6 +277,10 @@ class OptimizeResult:
         return list(zip(*(c.tolist() for c in self.surface_columns())))
 
 
+_ZOOM = 17  # points per axis of each refinement grid
+_TIE_REL = 1e-13  # relative spread of t_total that the refinement calls a tie
+
+
 def optimize_tmin(
     scenario: Scenario,
     mass_range: tuple[float, float],
@@ -290,11 +294,14 @@ def optimize_tmin(
 ) -> OptimizeResult:
     """Minimize the protocol time over a log-log (mass, gradient) grid.
 
-    Two deterministic stages: a coarse logarithmic scan, then alternating
-    golden-section refinement of each coordinate (in log space) down to
-    ``refine_rel_tol`` relative parameter resolution.  Ties in the scan are
-    broken lexicographically by (m, B').  A minimizer on the range boundary
-    is flagged, not treated as a failure.
+    Two deterministic stages: a coarse logarithmic scan, then a zoom that
+    evaluates the box of the best point's neighbours as one array-valued
+    grid and shrinks the box to the neighbours of that grid's best point,
+    until it spans at most ``refine_rel_tol``/4 relative resolution on both
+    axes or stops shrinking.  The scan keeps the first of tied minima in
+    (m, B') order, the zoom the last within rounding.  The zoom's point
+    replaces the scan's only if it is no slower.  A minimizer on the range
+    boundary is flagged, not treated as a failure.
     """
     if template is None:
         template = NanodiamondParams()
@@ -302,9 +309,13 @@ def optimize_tmin(
         raise ValueError("mass_range must be increasing and positive")
     if not (bprime_range[0] > 0.0 and bprime_range[0] < bprime_range[1]):
         raise ValueError("bprime_range must be increasing and positive")
+    n_m, n_b = grid_shape
+    if not (n_m >= 2 and n_b >= 2):
+        raise ValueError("grid_shape needs at least 2 points per axis")
+    if not (math.isfinite(refine_rel_tol) and refine_rel_tol > 0.0):
+        raise ValueError("refine_rel_tol must be finite and > 0")
     cfg = ProtocolConfig(target_delta_phi=target_delta_phi, scenario=scenario)
 
-    n_m, n_b = grid_shape
     m_values = np.logspace(math.log10(mass_range[0]), math.log10(mass_range[1]), n_m)
     b_values = np.logspace(math.log10(bprime_range[0]), math.log10(bprime_range[1]), n_b)
 
@@ -320,31 +331,34 @@ def optimize_tmin(
                                 for f in fields(ProtocolResult)))
 
     if refine:
-        lo_m = math.log10(m_values[max(i - 1, 0)])
-        hi_m = math.log10(m_values[min(i + 1, n_m - 1)])
-        lo_b = math.log10(b_values[max(j - 1, 0)])
-        hi_b = math.log10(b_values[min(j + 1, n_b - 1)])
+        log_m, log_b = np.log10(m_values), np.log10(b_values)
+        t_total = grid.t_total
         xtol = math.log10(1.0 + refine_rel_tol) / 4.0
-
-        def t_total(log_m: float, log_b: float) -> float:
-            return float(_timing(10**log_m, 10**log_b, template, cfg,
-                                 constants).t_total)
-
-        log_m, log_b = math.log10(m_best), math.log10(b_best)
-        for _ in range(12):
-            new_m = _golden_min(lambda lm: t_total(lm, log_b), lo_m, hi_m, xtol)
-            new_b = _golden_min(lambda lb: t_total(new_m, lb), lo_b, hi_b, xtol)
-            moved = max(abs(new_m - log_m), abs(new_b - log_b))
-            log_m, log_b = new_m, new_b
-            if moved < xtol:
+        width = (math.inf, math.inf)
+        while True:
+            # the last point within rounding of the minimum: where the sweep
+            # alone meets the target, t_total is one period at every mass,
+            # and the largest mass leaves the most room to raise B'
+            near = np.flatnonzero(t_total <= t_total.min() * (1.0 + _TIE_REL))
+            i, j = divmod(int(near[-1]), log_b.size)
+            box = (log_m[max(i - 1, 0)], log_m[min(i + 1, log_m.size - 1)],
+                   log_b[max(j - 1, 0)], log_b[min(j + 1, log_b.size - 1)])
+            prev, width = width, (box[1] - box[0], box[3] - box[2])
+            # a box that no longer shrinks has hit the float resolution
+            if max(width) <= xtol or (width[0] >= prev[0] and width[1] >= prev[1]):
                 break
-        nd = NanodiamondParams.from_mass(10**log_m, density=template.density,
+            log_m = np.linspace(box[0], box[1], _ZOOM)
+            log_b = np.linspace(box[2], box[3], _ZOOM)
+            t_total = _timing(10**log_m[:, None], 10**log_b[None, :], template,
+                              cfg, constants).t_total
+        m_ref, b_ref = 10 ** float(log_m[i]), 10 ** float(log_b[j])
+        nd = NanodiamondParams.from_mass(m_ref, density=template.density,
                                          chi_magnitude=template.chi_magnitude,
                                          epsilon=template.epsilon)
-        cand = protocol_duration(nd, FieldConfig(B0=0.0, Bprime=10**log_b), cfg,
+        cand = protocol_duration(nd, FieldConfig(B0=0.0, Bprime=b_ref), cfg,
                                  constants)
         if cand.t_total <= res_best.t_total:
-            m_best, b_best, res_best = 10**log_m, 10**log_b, cand
+            m_best, b_best, res_best = m_ref, b_ref, cand
 
     rel = 1.0 + 1e-9
     mass_edge = m_best <= mass_range[0] * (m_values[1] / m_values[0]) * rel or \
@@ -356,26 +370,6 @@ def optimize_tmin(
                           result=res_best, on_mass_boundary=bool(mass_edge),
                           on_gradient_boundary=bool(grad_edge),
                           m_values=m_values, b_values=b_values, grid=grid)
-
-
-def _golden_min(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """Deterministic golden-section minimizer on [a, b]; returns the best of
-    the final bracket's ends and inner points, so a minimizer on an end of
-    [a, b] is found exactly."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return min((f(a), a), (f1, x1), (f2, x2), (f(b), b))[1]
 
 
 # --- final two-qubit state and entanglement measure -------------------------

@@ -24,8 +24,10 @@ from ndspin import (
     optimize_tmin,
     protocol_duration,
 )
+from ndspin import protocol
 from ndspin.protocol import ProtocolResult, SURFACE_CSV_HEADER, partial_transpose
 from ndspin.tables import write_csv
+from test_config_cli import _time_limit
 
 
 def _cp_bisection_oracle(nd):
@@ -293,6 +295,146 @@ def test_full_cycle_optimum_reaches_the_mass_cap():
                         grid_shape=(60, 60))
     assert res.m_opt == 1e-12
     assert res.on_mass_boundary
+    # where the sweep alone meets the target, t_total is one period at every
+    # mass, equal up to rounding: on any grid the refinement must still move
+    # to the cap instead of keeping the smallest of the near-tied masses
+    for n_m in range(2, 31):
+        for n_b in (2, 5, 16, 17, 30):
+            other = optimize_tmin(Scenario.FULL_CYCLE, (1e-17, 1e-12),
+                                  (0.1, 10.0), grid_shape=(n_m, n_b))
+            assert other.m_opt == 1e-12, (n_m, n_b)
+            assert other.t_min == pytest.approx(res.t_min, rel=1e-5), (n_m, n_b)
+
+
+def _golden_min(f, a, b, xtol):
+    """Deterministic golden-section minimizer on [a, b]; returns the best of
+    the final bracket's ends and inner points, so a minimizer on an end of
+    [a, b] is found exactly."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while (b - a) > xtol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+    return min((f(a), a), (f1, x1), (f2, x2), (f(b), b))[1]
+
+
+def _golden_refine(scenario, mass_range, bprime_range, grid_shape, template,
+                   target, refine_rel_tol=1e-3):
+    """Independent refinement of the optimum: alternating golden-section
+    searches of log m and log B' over the box of the best scanned cell's
+    neighbours, one scalar ``protocol_duration`` per point, for at most 12
+    passes; the result replaces that cell if it is no slower.  Returns the
+    optimum time."""
+    coarse = optimize_tmin(scenario, mass_range, bprime_range,
+                           grid_shape=grid_shape, refine=False,
+                           template=template, target_delta_phi=target)
+    cfg = ProtocolConfig(target_delta_phi=target, scenario=scenario)
+    n_m, n_b = grid_shape
+    i, j = divmod(int(np.argmin(coarse.grid.t_total)), n_b)
+    lo_m = math.log10(coarse.m_values[max(i - 1, 0)])
+    hi_m = math.log10(coarse.m_values[min(i + 1, n_m - 1)])
+    lo_b = math.log10(coarse.b_values[max(j - 1, 0)])
+    hi_b = math.log10(coarse.b_values[min(j + 1, n_b - 1)])
+    xtol = math.log10(1.0 + refine_rel_tol) / 4.0
+
+    def t_total(log_m, log_b):
+        nd = NanodiamondParams.from_mass(
+            10**log_m, density=template.density,
+            chi_magnitude=template.chi_magnitude, epsilon=template.epsilon)
+        return protocol_duration(nd, FieldConfig(B0=0.0, Bprime=10**log_b),
+                                 cfg).t_total
+
+    log_m = math.log10(coarse.m_values[i])
+    log_b = math.log10(coarse.b_values[j])
+    for _ in range(12):
+        new_m = _golden_min(lambda lm: t_total(lm, log_b), lo_m, hi_m, xtol)
+        new_b = _golden_min(lambda lb: t_total(new_m, lb), lo_b, hi_b, xtol)
+        moved = max(abs(new_m - log_m), abs(new_b - log_b))
+        log_m, log_b = new_m, new_b
+        if moved < xtol:
+            break
+    return min(coarse.t_min, t_total(log_m, log_b))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenario=st.sampled_from(list(Scenario)),
+       mass=st.tuples(st.floats(-17.0, -13.0), st.floats(0.5, 3.0)),
+       gradient=st.tuples(st.floats(-1.5, 1.0), st.floats(0.3, 2.0)),
+       shape=st.tuples(st.integers(2, 30), st.integers(2, 30)),
+       target=st.floats(1e-3, 1.0),
+       material=st.tuples(st.floats(3000.0, 4000.0), st.floats(1.5e-5, 2.5e-5),
+                          st.floats(3.0, 8.0)))
+def test_zoom_against_golden_section_oracle(scenario, mass, gradient, shape,
+                                            target, material):
+    m_range = (10 ** mass[0], 10 ** (mass[0] + mass[1]))
+    b_range = (10 ** gradient[0], 10 ** (gradient[0] + gradient[1]))
+    density, chi, eps = material
+    template = NanodiamondParams(density=density, chi_magnitude=chi,
+                                 epsilon=eps)
+    res = optimize_tmin(scenario, m_range, b_range, grid_shape=shape,
+                        template=template, target_delta_phi=target)
+    oracle = _golden_refine(scenario, m_range, b_range, shape, template, target)
+    assert res.t_min <= oracle * (1.0 + 1e-3)
+    # the grid ends are 10**log10 of the range ends, so they may sit an ulp
+    # outside the range
+    ulps = 1.0 + 4.0 * np.finfo(float).eps
+    assert m_range[0] / ulps <= res.m_opt <= m_range[1] * ulps
+    assert b_range[0] / ulps <= res.Bprime_opt <= b_range[1] * ulps
+    nd = NanodiamondParams.from_mass(res.m_opt, density=density,
+                                     chi_magnitude=chi, epsilon=eps)
+    want = protocol_duration(nd, FieldConfig(Bprime=res.Bprime_opt),
+                             ProtocolConfig(target_delta_phi=target,
+                                            scenario=scenario))
+    assert res.t_min == pytest.approx(want.t_total, rel=1e-12, abs=0.0)
+    assert res.t_min <= np.min(res.grid.t_total)
+
+
+def test_refinement_work_count(monkeypatch):
+    # the coarse scan and every zoom pass are one array call each; the
+    # golden-section refinement this replaced made 86
+    calls = []
+    timing = protocol._timing
+
+    def counted(*args):
+        calls.append(args)
+        return timing(*args)
+
+    monkeypatch.setattr(protocol, "_timing", counted)
+    optimize_tmin(Scenario.FULL_CYCLE, (1e-17, 1e-12), (0.1, 10.0),
+                  grid_shape=(16, 16))
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.5, math.nan, math.inf, -math.inf])
+def test_optimizer_rejects_bad_refine_tolerance(tol):
+    with _time_limit(20.0), pytest.raises(ValueError, match="refine_rel_tol"):
+        optimize_tmin(Scenario.FULL_CYCLE, (1e-17, 1e-12), (0.1, 10.0),
+                      grid_shape=(16, 16), refine_rel_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-12, 10.0, 1e300])
+def test_optimizer_ends_for_any_positive_tolerance(tol):
+    # 1e-300 gives a zero log-space tolerance: the zoom ends once its box
+    # stops shrinking at the float resolution
+    with _time_limit(20.0):
+        res = optimize_tmin(Scenario.FULL_CYCLE, (1e-17, 1e-12), (0.1, 10.0),
+                            grid_shape=(16, 16), refine_rel_tol=tol)
+    assert res.t_min <= np.min(res.grid.t_total)
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (16, 1), (0, 16), (-3, 16)])
+def test_optimizer_rejects_grids_below_two_points(shape):
+    with _time_limit(20.0), pytest.raises(ValueError, match="grid_shape"):
+        optimize_tmin(Scenario.FULL_CYCLE, (1e-17, 1e-12), (0.1, 10.0),
+                      grid_shape=shape)
 
 
 def test_surface_csv_schema(tmp_path):
