@@ -35,7 +35,7 @@ from .core import (
     FieldConfig,
     NanodiamondParams,
     PhysicalConstants,
-    derive_oscillator,
+    derive_oscillator,  # unused here; perfbench binds protocol.derive_oscillator
     max_separation,
 )
 
@@ -159,13 +159,8 @@ def delta_phi_bd(
 
         (G m^2/hbar)(2 pi/omega) [1/sqrt(d(d-dx)) + 1/sqrt(d(d+dx)) - 2/d].
     """
-    dx = max_separation(nd, fld, constants)
-    if not dx < d:
-        raise ValueError("d must exceed dx_max "
-                         "(branches may not cross the partner particle)")
-    period = derive_oscillator(nd, fld, constants).period
-    return float(constants.G * nd.mass**2 / constants.hbar * period
-                 * _sweep_bracket(dx, d))
+    cfg = ProtocolConfig(scenario=Scenario.FULL_CYCLE, distance=d)
+    return float(_timing(nd.mass, fld.Bprime, nd, cfg, constants).delta_phi_bd)
 
 
 def _sweep_bracket(dx, d):
@@ -277,8 +272,16 @@ class OptimizeResult:
         return list(zip(*(c.tolist() for c in self.surface_columns())))
 
 
-_ZOOM = 17  # points per axis of each refinement grid
-_TIE_REL = 1e-13  # relative spread of t_total that the refinement calls a tie
+_ZOOM = 17  # points per axis of each zoom grid
+_TIE_REL = 1e-13  # relative spread of t_total that counts as a tie
+_REL_TOL = 1e-3  # relative resolution at which the zoom ends
+
+
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """n log-spaced points from lo to hi, with both ends exact."""
+    axis = np.logspace(math.log10(lo), math.log10(hi), n)
+    axis[0], axis[-1] = lo, hi
+    return axis
 
 
 def optimize_tmin(
@@ -287,21 +290,22 @@ def optimize_tmin(
     bprime_range: tuple[float, float],
     grid_shape: tuple[int, int] = (60, 60),
     refine: bool = True,
-    refine_rel_tol: float = 1e-3,
     template: Optional[NanodiamondParams] = None,
     target_delta_phi: float = 0.01 * math.pi,
     constants: PhysicalConstants = CONSTANTS,
 ) -> OptimizeResult:
     """Minimize the protocol time over a log-log (mass, gradient) grid.
 
-    Two deterministic stages: a coarse logarithmic scan, then a zoom that
-    evaluates the box of the best point's neighbours as one array-valued
-    grid and shrinks the box to the neighbours of that grid's best point,
-    until it spans at most ``refine_rel_tol``/4 relative resolution on both
-    axes or stops shrinking.  The scan keeps the first of tied minima in
-    (m, B') order, the zoom the last within rounding.  The zoom's point
-    replaces the scan's only if it is no slower.  A minimizer on the range
-    boundary is flagged, not treated as a failure.
+    One zoom loop whose first grid is the ``grid_shape`` scan of the ranges.
+    Each grid is one array evaluation on log-spaced axes that end exactly
+    on its box's ends; its best cell is the last within ``_TIE_REL`` of its
+    minimum in row-major (m, B') order, and the next box is that cell's
+    neighbours, on a ``_ZOOM``-point grid.  ``refine=False`` stops after
+    the scan; otherwise the loop stops once the box spans at most a quarter
+    of ``_REL_TOL`` on both axes, and the last best point, evaluated by
+    :func:`protocol_duration`, replaces the scan's if it is no slower.  A
+    minimizer in an axis's end cell is flagged, not treated as a failure;
+    a non-finite protocol time on any grid raises ``ArithmeticError``.
     """
     if template is None:
         template = NanodiamondParams()
@@ -312,46 +316,45 @@ def optimize_tmin(
     n_m, n_b = grid_shape
     if not (n_m >= 2 and n_b >= 2):
         raise ValueError("grid_shape needs at least 2 points per axis")
-    if not (math.isfinite(refine_rel_tol) and refine_rel_tol > 0.0):
-        raise ValueError("refine_rel_tol must be finite and > 0")
     cfg = ProtocolConfig(target_delta_phi=target_delta_phi, scenario=scenario)
 
-    m_values = np.logspace(math.log10(mass_range[0]), math.log10(mass_range[1]), n_m)
-    b_values = np.logspace(math.log10(bprime_range[0]), math.log10(bprime_range[1]), n_b)
+    # A box spans at most its grid and the neighbours of a 17-point grid's
+    # cell 1/8 of it, so even the widest float range (632 decades) shrinks
+    # below the 1.1e-4-decade end within 8 zoom passes.
+    box_end = (1.0 + _REL_TOL) ** 0.25
+    (m_lo, m_hi), (b_lo, b_hi) = mass_range, bprime_range
+    scan = None
+    while True:
+        m_axis, b_axis = _axis(m_lo, m_hi, n_m), _axis(b_lo, b_hi, n_b)
+        cells = _timing(m_axis[:, None], b_axis[None, :], template, cfg,
+                        constants)
+        t_total = cells.t_total
+        if not np.all(np.isfinite(t_total)):
+            raise ArithmeticError(
+                f"protocol time is not finite for m in [{m_lo:.6e}, {m_hi:.6e}] "
+                f"kg, B' in [{b_lo:.6e}, {b_hi:.6e}] T/m")
+        # the last cell within rounding of the minimum: where the sweep
+        # alone meets the target, t_total is one period at every mass, and
+        # the largest mass leaves the most room to raise B'
+        near = np.flatnonzero(t_total <= t_total.min() * (1.0 + _TIE_REL))
+        i, j = divmod(int(near[-1]), n_b)
+        if scan is None:
+            scan = m_axis, b_axis, cells, i, j
+        m_lo, m_hi = m_axis[max(i - 1, 0)], m_axis[min(i + 1, n_m - 1)]
+        b_lo, b_hi = b_axis[max(j - 1, 0)], b_axis[min(j + 1, n_b - 1)]
+        if not refine or (m_hi <= m_lo * box_end and b_hi <= b_lo * box_end):
+            break
+        n_m = n_b = _ZOOM
 
-    raw = _timing(m_values[:, None], b_values[None, :], template, cfg, constants)
-    grid = ProtocolResult(*(np.broadcast_to(getattr(raw, f.name), (n_m, n_b))
+    m_values, b_values, cells, i_s, j_s = scan
+    grid = ProtocolResult(*(np.broadcast_to(getattr(cells, f.name),
+                                            (m_values.size, b_values.size))
                             for f in fields(ProtocolResult)))
-
-    # row-major over ascending (m, B'): the first minimum is the
-    # lexicographic tie-break
-    i, j = divmod(int(np.argmin(grid.t_total)), n_b)
-    m_best, b_best = float(m_values[i]), float(b_values[j])
-    res_best = ProtocolResult(*(float(getattr(grid, f.name)[i, j])
+    m_best, b_best = float(m_values[i_s]), float(b_values[j_s])
+    res_best = ProtocolResult(*(float(getattr(grid, f.name)[i_s, j_s])
                                 for f in fields(ProtocolResult)))
-
     if refine:
-        log_m, log_b = np.log10(m_values), np.log10(b_values)
-        t_total = grid.t_total
-        xtol = math.log10(1.0 + refine_rel_tol) / 4.0
-        width = (math.inf, math.inf)
-        while True:
-            # the last point within rounding of the minimum: where the sweep
-            # alone meets the target, t_total is one period at every mass,
-            # and the largest mass leaves the most room to raise B'
-            near = np.flatnonzero(t_total <= t_total.min() * (1.0 + _TIE_REL))
-            i, j = divmod(int(near[-1]), log_b.size)
-            box = (log_m[max(i - 1, 0)], log_m[min(i + 1, log_m.size - 1)],
-                   log_b[max(j - 1, 0)], log_b[min(j + 1, log_b.size - 1)])
-            prev, width = width, (box[1] - box[0], box[3] - box[2])
-            # a box that no longer shrinks has hit the float resolution
-            if max(width) <= xtol or (width[0] >= prev[0] and width[1] >= prev[1]):
-                break
-            log_m = np.linspace(box[0], box[1], _ZOOM)
-            log_b = np.linspace(box[2], box[3], _ZOOM)
-            t_total = _timing(10**log_m[:, None], 10**log_b[None, :], template,
-                              cfg, constants).t_total
-        m_ref, b_ref = 10 ** float(log_m[i]), 10 ** float(log_b[j])
+        m_ref, b_ref = float(m_axis[i]), float(b_axis[j])
         nd = NanodiamondParams.from_mass(m_ref, density=template.density,
                                          chi_magnitude=template.chi_magnitude,
                                          epsilon=template.epsilon)
@@ -360,16 +363,12 @@ def optimize_tmin(
         if cand.t_total <= res_best.t_total:
             m_best, b_best, res_best = m_ref, b_ref, cand
 
-    rel = 1.0 + 1e-9
-    mass_edge = m_best <= mass_range[0] * (m_values[1] / m_values[0]) * rel or \
-        m_best >= mass_range[1] / (m_values[1] / m_values[0]) / rel
-    grad_edge = b_best <= bprime_range[0] * (b_values[1] / b_values[0]) * rel or \
-        b_best >= bprime_range[1] / (b_values[1] / b_values[0]) / rel
-
-    return OptimizeResult(m_opt=m_best, Bprime_opt=b_best, t_min=res_best.t_total,
-                          result=res_best, on_mass_boundary=bool(mass_edge),
-                          on_gradient_boundary=bool(grad_edge),
-                          m_values=m_values, b_values=b_values, grid=grid)
+    return OptimizeResult(
+        m_opt=m_best, Bprime_opt=b_best, t_min=res_best.t_total,
+        result=res_best,
+        on_mass_boundary=not m_values[1] < m_best < m_values[-2],
+        on_gradient_boundary=not b_values[1] < b_best < b_values[-2],
+        m_values=m_values, b_values=b_values, grid=grid)
 
 
 # --- final two-qubit state and entanglement measure -------------------------

@@ -90,9 +90,9 @@ def test_criterion_02_full_cycle_optimum():
     target = 0.01 * math.pi
     rel_tol = 1e-3
     res = optimize_tmin(Scenario.FULL_CYCLE, (1e-17, 1e-12), (0.1, 10.0),
-                        grid_shape=(60, 60), refine_rel_tol=rel_tol)
+                        grid_shape=(60, 60))
     hold_only = optimize_tmin(Scenario.HOLD_ONLY, (1e-17, 1e-12), (0.1, 10.0),
-                              grid_shape=(60, 60), refine_rel_tol=rel_tol)
+                              grid_shape=(60, 60))
     hold_frac = res.result.t_hold / res.t_min
 
     # Oracle: t_total = period + hold, the period falls as 1/B' and the sweep

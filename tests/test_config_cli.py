@@ -266,6 +266,18 @@ def test_dd_n_values_past_float_range_exits_2(tmp_path, capsys):
         10**15]
 
 
+def test_protocol_time_overflow_exits_3(tmp_path, capsys):
+    # a valid mass range at which G m^2/hbar overflows
+    doc = {"version": 1, "protocol": {"mass_range_kg": [1e200, 1e300],
+                                      "grid_shape": [4, 4]}}
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["protocol-opt", "--config", path, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_ramsey(tmp_path):
     doc = {**BASE, "ramsey": {"theta_g_values_rad": [0.0, 0.3, 0.6]}}
     path = _write_config(tmp_path, doc)
