@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, FloatingPointError, ArithmeticError) as exc:
+    except (IntegrationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

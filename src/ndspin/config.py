@@ -20,7 +20,7 @@ from typing import Any, Optional
 from .core import CONSTANTS, FieldConfig, NanodiamondParams, PhysicalConstants
 from .coils import CoilAssembly
 from .protocol import ProtocolConfig, Scenario
-from .trajectory import INTEGRATOR_METHODS, SPIN_MOMENT_CONVENTIONS, IntegratorConfig
+from .trajectory import SPIN_MOMENT_CONVENTIONS, IntegratorConfig
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "parse_config"]
 
@@ -209,7 +209,6 @@ _RECORDS = {
         "abs_tol_pos_m": ("abs_tol_pos", _POSITIVE),
         "abs_tol_vel_m_per_s": ("abs_tol_vel", _POSITIVE),
         "max_step_s": ("max_step", _POSITIVE),
-        "method": ("method", _choice(INTEGRATOR_METHODS)),
     }),
 }
 

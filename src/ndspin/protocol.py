@@ -324,27 +324,30 @@ def optimize_tmin(
     box_end = (1.0 + _REL_TOL) ** 0.25
     (m_lo, m_hi), (b_lo, b_hi) = mass_range, bprime_range
     scan = None
-    while True:
-        m_axis, b_axis = _axis(m_lo, m_hi, n_m), _axis(b_lo, b_hi, n_b)
-        cells = _timing(m_axis[:, None], b_axis[None, :], template, cfg,
-                        constants)
-        t_total = cells.t_total
-        if not np.all(np.isfinite(t_total)):
-            raise ArithmeticError(
-                f"protocol time is not finite for m in [{m_lo:.6e}, {m_hi:.6e}] "
-                f"kg, B' in [{b_lo:.6e}, {b_hi:.6e}] T/m")
-        # the last cell within rounding of the minimum: where the sweep
-        # alone meets the target, t_total is one period at every mass, and
-        # the largest mass leaves the most room to raise B'
-        near = np.flatnonzero(t_total <= t_total.min() * (1.0 + _TIE_REL))
-        i, j = divmod(int(near[-1]), n_b)
-        if scan is None:
-            scan = m_axis, b_axis, cells, i, j
-        m_lo, m_hi = m_axis[max(i - 1, 0)], m_axis[min(i + 1, n_m - 1)]
-        b_lo, b_hi = b_axis[max(j - 1, 0)], b_axis[min(j + 1, n_b - 1)]
-        if not refine or (m_hi <= m_lo * box_end and b_hi <= b_lo * box_end):
-            break
-        n_m = n_b = _ZOOM
+    # the finiteness check is the only report of an overflow
+    with np.errstate(all="ignore"):
+        while True:
+            m_axis, b_axis = _axis(m_lo, m_hi, n_m), _axis(b_lo, b_hi, n_b)
+            cells = _timing(m_axis[:, None], b_axis[None, :], template,
+                            cfg, constants)
+            t_total = cells.t_total
+            if not np.all(np.isfinite(t_total)):
+                raise ArithmeticError(
+                    f"protocol time is not finite for m in [{m_lo:.6e}, "
+                    f"{m_hi:.6e}] kg, B' in [{b_lo:.6e}, {b_hi:.6e}] T/m")
+            # the last cell within rounding of the minimum: where the sweep
+            # alone meets the target, t_total is one period at every mass,
+            # and the largest mass leaves the most room to raise B'
+            near = np.flatnonzero(t_total <= t_total.min() * (1.0 + _TIE_REL))
+            i, j = divmod(int(near[-1]), n_b)
+            if scan is None:
+                scan = m_axis, b_axis, cells, i, j
+            m_lo, m_hi = m_axis[max(i - 1, 0)], m_axis[min(i + 1, n_m - 1)]
+            b_lo, b_hi = b_axis[max(j - 1, 0)], b_axis[min(j + 1, n_b - 1)]
+            if not refine or (m_hi <= m_lo * box_end
+                              and b_hi <= b_lo * box_end):
+                break
+            n_m = n_b = _ZOOM
 
     m_values, b_values, cells, i_s, j_s = scan
     grid = ProtocolResult(*(np.broadcast_to(getattr(cells, f.name),
@@ -432,20 +435,19 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
 
 def negativity(state: "TwoQubitState | Sequence[complex]") -> float:
     """Entanglement negativity: |sum of negative eigenvalues| of the partial
-    transpose, via a symmetric eigensolver on the explicit 4x4 matrix.
+    transpose.  For a pure state psi that sum is -|psi_0 psi_3 - psi_1 psi_2|
+    (the partial transpose's eigenvalues are the squared Schmidt
+    coefficients and +-their product), so no eigensolver is needed.
 
     Accepts a :class:`TwoQubitState` or a raw length-4 amplitude vector;
     the latter is rejected if its norm deviates from 1 beyond 1e-10.
     """
     if isinstance(state, TwoQubitState):
-        rho = state.density_matrix()
-    else:
-        psi = np.asarray(state, dtype=complex)
-        if psi.shape != (4,):
-            raise ValueError("expected 4 amplitudes")
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-10")
-        rho = np.outer(psi, psi.conj())
-    eigenvalues = np.linalg.eigvalsh(partial_transpose(rho))
-    return float(-np.sum(eigenvalues[eigenvalues < 0.0]))
+        state = state.amplitudes
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape != (4,):
+        raise ValueError("expected 4 amplitudes")
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-10")
+    return float(abs(psi[0] * psi[3] - psi[1] * psi[2]))

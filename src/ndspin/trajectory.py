@@ -21,19 +21,19 @@ integrator restarts there), so no sign change of the force is ever
 straddled by a step; a synchronized schedule (delta = 0) has none.
 
 The trajectories of one scan (every shell start with both spins, or the
-synchronized run with every flip lag) are integrated together as one
-stacked (n, 6) state: one ``solve_ivp`` call per segment of the union of
-their effective flips, one array-valued kernel evaluation per right-hand
-side call, with the force J mu taken in closed form from the kernel's
-(B_x, t, u, w) (see :mod:`ndspin.coils`).  Each segment starts from the step
-size the controller proposed at the end of the one before (the larger of
-its proposals before and after that final step, which is cut short at the
-boundary), so no segment probes for a step again and none is held below
-the controller's natural step; the error test still accepts or rejects
-every step.  scipy's error norm is an
-RMS over the whole state, so ``rtol`` and ``atol`` are divided by sqrt(n):
-the stack's norm is then sqrt(sum_i norm_i^2) >= max_i norm_i, and every
-trajectory is held at least as tightly as it would be alone.
+synchronized run with every flip lag) are integrated together as one stacked
+(n, 6) state: one ``solve_ivp`` call (scipy's Dormand-Prince 5(4) pair,
+RK45) per segment of the union of their effective flips, one array-valued
+kernel evaluation per right-hand side call, with the force J mu taken in
+closed form from the kernel's (B_x, t, u, w) (see :mod:`ndspin.coils`).  Each
+segment starts from the step size the controller proposed at the end of the
+one before (the larger of its proposals before and after that final step,
+which is cut short at the boundary), so no segment probes for a step again
+and none is held below the controller's natural step; the error test still
+accepts or rejects every step.  scipy's error norm is an RMS over the whole
+state, so ``rtol`` and ``atol`` are divided by sqrt(n): the stack's norm is
+then sqrt(sum_i norm_i^2) >= max_i norm_i, and every trajectory is held at
+least as tightly as it would be alone.
 :func:`integrate` is the n = 1 case.
 """
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, RK45, solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from .core import CONSTANTS, NanodiamondParams, PhysicalConstants
 
@@ -87,8 +87,7 @@ class TrajectoryState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive embedded Runge-Kutta pair: Dormand-Prince 5(4) (scipy RK45,
-    the default) or 8(5,3) (scipy DOP853), named by ``method``.
+    """Adaptive embedded Runge-Kutta pair: Dormand-Prince 5(4) (scipy RK45).
 
     Absolute floors are split between position and velocity; periods of
     hundreds of seconds with nanometer amplitudes need both.
@@ -98,15 +97,12 @@ class IntegratorConfig:
     abs_tol_pos: float = 1e-12
     abs_tol_vel: float = 1e-12
     max_step: Optional[float] = None
-    method: str = "RK45"
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and self.abs_tol_pos > 0.0 and self.abs_tol_vel > 0.0):
             raise ValueError("tolerances must be > 0")
         if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError("max_step must be > 0")
-        if self.method not in INTEGRATOR_METHODS:
-            raise ValueError(f"method must be one of {tuple(INTEGRATOR_METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -259,11 +255,11 @@ def _flip_times(schedule: Optional[FlipSchedule], t_end: float
     return spin_flips, field_flips[_with_slack(field_flips) < t_end]
 
 
-class _CarriedStep:
-    """Mixin over a scipy Runge-Kutta solver: it starts from the step size
-    held in ``carry[0]`` (``None``: scipy's own initial-step probe) and
-    leaves there, after each step, the larger of the controller's proposal
-    before the step (uncut by the end of the span) and after it."""
+class _CarriedRK45(RK45):
+    """scipy's RK45, started from the step size held in ``carry[0]``
+    (``None``: scipy's own initial-step probe); after each step it leaves
+    there the larger of the controller's proposal before the step (uncut by
+    the end of the span) and after it."""
 
     def __init__(self, fun, t0, y0, t_bound, carry, **options):
         if carry[0] is not None:
@@ -278,19 +274,6 @@ class _CarriedStep:
         result = super()._step_impl()
         self._carry[0] = max(proposed, self.h_abs)
         return result
-
-
-class _CarriedRK45(_CarriedStep, RK45):
-    pass
-
-
-class _CarriedDOP853(_CarriedStep, DOP853):
-    pass
-
-
-#: Integrator methods by name: scipy's pair, each carrying its step across
-#: restarts.
-INTEGRATOR_METHODS = {"RK45": _CarriedRK45, "DOP853": _CarriedDOP853}
 
 
 def _integrate_stack(
@@ -358,7 +341,6 @@ def _integrate_stack(
     out = np.empty((n, 6, len(t_eval)))
 
     state = np.array([[*st.q, *st.v] for st in starts], dtype=float).ravel()
-    solver = INTEGRATOR_METHODS[cfg.method]
     carry = [None]
     filled = 0
     for k, hi in enumerate(ends):
@@ -372,8 +354,8 @@ def _integrate_stack(
             acc = _force(q, source.btuw(q, constants), a_mass, mu_spin)
             return np.concatenate((y[:, 3:], acc), axis=1).ravel()
 
-        sol = solve_ivp(rhs, (ta, tb), state, method=solver, carry=carry,
-                        rtol=rtol, atol=atol, max_step=max_step,
+        sol = solve_ivp(rhs, (ta, tb), state, method=_CarriedRK45,
+                        carry=carry, rtol=rtol, atol=atol, max_step=max_step,
                         dense_output=hi > filled)
         if not sol.success:
             last = TrajectoryState(t=float(sol.t[-1]) if sol.t.size else ta,

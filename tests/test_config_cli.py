@@ -80,6 +80,10 @@ def test_unknown_keys_rejected_with_path():
         parse_config({**BASE, "extras": {}})
     assert "$.extras" in str(err.value)
 
+    with pytest.raises(ConfigError) as err:
+        parse_config({**BASE, "integrator": {"method": "RK45"}})
+    assert "$.integrator.method" in str(err.value)
+
 
 def test_version_required():
     with pytest.raises(ConfigError) as err:
@@ -272,7 +276,9 @@ def test_protocol_time_overflow_exits_3(tmp_path, capsys):
                                       "grid_shape": [4, 4]}}
     path = _write_config(tmp_path, doc)
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
+    # the non-finite check is the only report: no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["protocol-opt", "--config", path, "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()

@@ -31,10 +31,11 @@ from ndspin.trajectory import _flip_times, _integrate_stack
 
 def _solve_ivp_oracle(q0, spin, source, nd, omega_dd, delta, t_end, cfg,
                       t_eval):
-    """Test-only oracle for one trajectory: scipy's solve_ivp on this
-    trajectory alone, restarted at its own spin and current flips, at the
-    configured tolerances, with the force J mu built from the source's B and
-    J, both negated while the current is reversed.  Returns the positions at
+    """Test-only oracle for one trajectory: scipy's DOP853, a different
+    pair from the integrator's, on this trajectory alone, restarted at its
+    own spin and current flips, at the configured tolerances with no
+    ``max_step``, with the force J mu built from the source's B and J, both
+    negated while the current is reversed.  Returns the positions at
     ``t_eval``, shape (n, 3)."""
     coef = -nd.chi_magnitude * nd.volume / CONSTANTS.mu0
     spin_flips = []
@@ -47,7 +48,6 @@ def _solve_ivp_oracle(q0, spin, source, nd, omega_dd, delta, t_end, cfg,
     field_flips = [t + lag for t in spin_flips if t + lag < t_end]
     edges = sorted({0.0, t_end, *spin_flips, *field_flips})
     atol = [cfg.abs_tol_pos] * 3 + [cfg.abs_tol_vel] * 3
-    max_step = np.inf if cfg.max_step is None else cfg.max_step
     y = np.array([*q0, 0.0, 0.0, 0.0])
     out = np.empty((len(t_eval), 3))
     for a, b in zip(edges[:-1], edges[1:]):
@@ -62,8 +62,8 @@ def _solve_ivp_oracle(q0, spin, source, nd, omega_dd, delta, t_end, cfg,
             mu[0] -= s * CONSTANTS.hbar * CONSTANTS.gamma_e
             return np.concatenate((y[3:], J @ mu / nd.mass))
 
-        sol = solve_ivp(rhs, (a, b), y, method=cfg.method, rtol=cfg.rel_tol,
-                        atol=atol, max_step=max_step, dense_output=True)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=cfg.rel_tol,
+                        atol=atol, dense_output=True)
         assert sol.success
         sel = (t_eval >= a) & (t_eval <= b)
         out[sel] = sol.sol(t_eval[sel])[:3].T
@@ -317,8 +317,6 @@ def test_input_validation(nd_250nm, field_fig2):
         TrajectoryState(0.0, (math.nan, 0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="RK23")
     with pytest.raises(ValueError, match="max_step"):
         integrate(start, 1, src, nd_250nm, None, 1.0,
                   IntegratorConfig(max_step=1e-300))
@@ -412,22 +410,20 @@ def test_delta_scan_reference_is_zero(nd_250nm, field_fig2):
         delta_scan([math.pi], src, nd_250nm, 40, osc.omega, cfg)
 
 
-#: About half the largest step each method takes on these scans (RK45
-#: T/185, DOP853 T/20), so the bound binds.
-_BINDING_MAX_STEP = {"RK45": 1.0 / 400.0, "DOP853": 1.0 / 40.0}
+#: About half the largest step the integrator takes on these scans (T/185),
+#: in periods, so the bound binds.
+_BINDING_MAX_STEP = 1.0 / 400.0
 
 
 @pytest.mark.parametrize("bind_max_step", [False, True])
-@pytest.mark.parametrize("method", ["RK45", "DOP853"])
 @pytest.mark.parametrize("coil_name", ["3cm", "5mm"])
-def test_stacked_shell_scan_matches_per_row_oracle(coil_name, method,
-                                                   bind_max_step):
+def test_stacked_shell_scan_matches_per_row_oracle(coil_name, bind_max_step):
     coil, r = _COILS[coil_name]
     nd = NanodiamondParams.from_mass(5.6e-14)
     omega, period = _coil_period(coil, nd)
-    max_step = _BINDING_MAX_STEP[method] * period if bind_max_step else None
+    max_step = _BINDING_MAX_STEP * period if bind_max_step else None
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19,
-                           method=method, max_step=max_step)
+                           max_step=max_step)
     schedule = FlipSchedule(omega_dd=10.0 * omega)
     angles = [0.0, math.pi / 4.0, math.pi / 2.0]
     recs = sensitivity_scan(r, angles, [0.3], coil, nd, schedule,
@@ -447,19 +443,17 @@ def test_stacked_shell_scan_matches_per_row_oracle(coil_name, method,
         free = sensitivity_scan(r, angles, [0.3], coil, nd, schedule,
                                 period, IntegratorConfig(
                                     rel_tol=1e-10, abs_tol_pos=1e-17,
-                                    abs_tol_vel=1e-19, method=method),
+                                    abs_tol_vel=1e-19),
                                 n_samples=101)
         assert any(not np.array_equal(a["trajectories"][1].q,
                                       b["trajectories"][1].q)
                    for a, b in zip(recs, free))
 
 
-@pytest.mark.parametrize("method", ["RK45", "DOP853"])
-def test_stacked_delta_scan_matches_per_row_oracle(coil_564, method):
+def test_stacked_delta_scan_matches_per_row_oracle(coil_564):
     nd = NanodiamondParams.from_mass(5.6e-14)
     omega, period = _coil_period(coil_564, nd)
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19,
-                           method=method)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
     n_flip = 20
     deltas = [0.0, math.pi / 25.0, math.pi / 5.0]
     t_eval = np.linspace(0.0, period, 201)
