@@ -62,6 +62,7 @@ from .trajectory import (
     TrajectoryState,
     delta_scan,
     force,
+    harmonic_centre,
     integrate,
     magnetic_moment,
     sensitivity_scan,

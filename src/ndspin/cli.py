@@ -32,7 +32,8 @@ from .protocol import (
     protocol_duration,
 )
 from .tables import write_csv, write_json
-from .trajectory import FlipSchedule, IntegrationError, delta_scan, sensitivity_scan
+from .trajectory import (FlipSchedule, IntegrationError, delta_scan,
+                         harmonic_centre, sensitivity_scan)
 
 TRAJECTORY_CSV_HEADER = ("t_s", "x_m", "y_m", "z_m", "vx_mps", "vy_mps",
                          "vz_mps", "spin")
@@ -150,6 +151,11 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     osc = derive_oscillator(cfg.nanodiamond, FieldConfig(Bprime=grad[0, 0]),
                             cfg.constants)
     omega_eff, period = osc.omega, osc.period
+    if harmonic_centre(cfg.coil, cfg.nanodiamond, cfg.constants,
+                       cfg.spin_moment) is None:
+        raise FloatingPointError(
+            "the trap stiffness at the coil centre is not a positive normal "
+            "number, so there is no trap period to integrate over")
     schedule = FlipSchedule(omega_dd=cfg.sensitivity_n_flip * omega_eff)
     records = sensitivity_scan(
         cfg.sensitivity_radius, cfg.sensitivity_theta, cfg.sensitivity_phi,

@@ -106,14 +106,13 @@ def casimir_polder_separation(
 
         Delta_CP = (2.01413/2) (c hbar V^2 (eps-1)^2 / (G m^2 (2+eps)^2))^{1/6}.
 
-    At fixed density the V^2/m^2 ratio is constant, so this depends only on
-    the material, not the particle mass.
+    At fixed density the ratio V/m is constant, so this depends only on
+    the material, not the particle mass; it is taken as one ratio, so no
+    power of V or m overflows.
     """
-    V = nd.volume
-    m = nd.mass
     eps = nd.epsilon
-    arg = (constants.c * constants.hbar * V**2 * (eps - 1.0) ** 2
-           / (constants.G * m**2 * (2.0 + eps) ** 2))
+    arg = (constants.c * constants.hbar * (nd.volume / nd.mass) ** 2
+           * (eps - 1.0) ** 2 / (constants.G * (2.0 + eps) ** 2))
     return (2.01413 / 2.0) * arg ** (1.0 / 6.0)
 
 

@@ -13,27 +13,40 @@ is excluded: the trap is taken to compensate it.
 
 Decoupling flips are instantaneous events.  The spin sign reverses at every
 multiple of 2 pi / omega_DD and the coil current sign follows after the
-phase lag delta / omega_DD.  The force depends only on the product of the
+phase lag delta / omega_DD.  The force depends only on the product s of the
 two signs, so a spin flip and a current flip at the same instant cancel:
 a trajectory's effective flips are the times in exactly one of its two
-flip lists.  Each effective flip is an exact step boundary (the
-integrator restarts there), so no sign change of the force is ever
-straddled by a step; a synchronized schedule (delta = 0) has none.
+flip lists; a synchronized schedule (delta = 0) has none.
+
+Near the trap centre the acceleration is -K q + s c + R(q, s) (Encke's
+split): K and c come in closed form from the kernel's (B_x, t, u, w) at the
+origin (:func:`harmonic_centre`), and R is O((q / r_c)^2) of the force.
+With s piecewise constant the harmonic part has a closed form, the reference
+q_ref (see :class:`_Reference`), and only the residual e = q - q_ref,
+driven by R, is integrated.  The residual still carries the linear term
+-K e; its error estimate sees e only, so the step is held to 1 / omega_x,
+where the stability function of RK45 is within 1.4e-6 of the unit circle.
+
+A flip makes R jump by 2 (mu_s J(q) e_x / m - c): tiny near the centre, so
+one solver call steps across every flip.  Per scan the jump is bounded on
+the reference's (x, rho) envelope; where a step as long as the span allows
+could lose more than the tolerance to it (:func:`_crosses_flips`), the
+solver restarts at every effective flip instead, so no step straddles one.
+Without a harmonic centre (a single loop, or a stiffness that underflows)
+the reference is zero, the whole force is integrated and the solver
+restarts at every effective flip.
 
 The trajectories of one scan (every shell start with both spins, or the
 synchronized run with every flip lag) are integrated together as one stacked
-(n, 6) state: one ``solve_ivp`` call (scipy's Dormand-Prince 5(4) pair,
-RK45) per segment of the union of their effective flips, one array-valued
-kernel evaluation per right-hand side call, with the force J mu taken in
-closed form from the kernel's (B_x, t, u, w) (see :mod:`ndspin.coils`).  Each
-segment starts from the step size the controller proposed at the end of the
-one before (the larger of its proposals before and after that final step,
-which is cut short at the boundary), so no segment probes for a step again
-and none is held below the controller's natural step; the error test still
-accepts or rejects every step.  scipy's error norm is an RMS over the whole
-state, so ``rtol`` and ``atol`` are divided by sqrt(n): the stack's norm is
-then sqrt(sum_i norm_i^2) >= max_i norm_i, and every trajectory is held at
-least as tightly as it would be alone.
+(n, 6) residual state with scipy's Dormand-Prince 5(4) pair (RK45), one
+array-valued kernel evaluation per right-hand side call, with the force J mu
+taken in closed form from the kernel's (B_x, t, u, w) (see
+:mod:`ndspin.coils`).  scipy's error norm is an RMS over the whole state, so
+``rtol`` and ``atol`` are divided by sqrt(n): the stack's norm is then
+sqrt(sum_i norm_i^2) >= max_i norm_i, and every trajectory is held at least
+as tightly as it would be alone.  The residual is far smaller than the
+motion, so ``rtol`` reaches each row through the absolute tolerance, times
+the largest |q| (or |v|) of its reference.
 :func:`integrate` is the n = 1 case.
 """
 
@@ -44,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .core import CONSTANTS, NanodiamondParams, PhysicalConstants
 
@@ -56,6 +69,7 @@ __all__ = [
     "IntegrationError",
     "magnetic_moment",
     "force",
+    "harmonic_centre",
     "integrate",
     "sensitivity_scan",
     "delta_scan",
@@ -255,27 +269,136 @@ def _flip_times(schedule: Optional[FlipSchedule], t_end: float
     return spin_flips, field_flips[_with_slack(field_flips) < t_end]
 
 
-class _CarriedRK45(RK45):
-    """scipy's RK45, started from the step size held in ``carry[0]``
-    (``None``: scipy's own initial-step probe); after each step it leaves
-    there the larger of the controller's proposal before the step (uncut by
-    the end of the span) and after it."""
+def harmonic_centre(
+    source,
+    nd: NanodiamondParams,
+    constants: PhysicalConstants = CONSTANTS,
+    spin_moment: str = "gamma_e",
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(K, c), each shape (3,), of the acceleration -K q + s c near the
+    origin, or None where the origin is no harmonic trap.
 
-    def __init__(self, fun, t0, y0, t_bound, carry, **options):
-        if carry[0] is not None:
-            options["first_step"] = min(carry[0], abs(t_bound - t0))
-        super().__init__(fun, t0, y0, t_bound, **options)
-        if carry[0] is not None:
-            self.h_abs = carry[0]
-        self._carry = carry
+    At the origin the kernel gives B = (B_x, 0, 0) and J = diag(-2t, t, t),
+    so with a = -chi V / mu0 and the spin moment mu_s at s = +1,
+    K = -a J^2 / m = (-a / m) t^2 (4, 1, 1) and c = mu_s J e_x / m =
+    (-2 t mu_s / m, 0, 0), in closed form.  The origin is a trap when the
+    spin-free force a J B / m vanishes there (B_x = 0 exactly, as on any
+    symmetric pair) and every entry of K is a finite, normal positive
+    number.
+    """
+    bx, t, _u, _w = source.btuw(np.zeros((1, 3)), constants)[:, 0]
+    stiffness = ((-_chi_coefficient(nd, constants) / nd.mass * t) * t
+                 * np.array((4.0, 1.0, 1.0)))
+    if not (bx == 0.0 and np.all((stiffness >= np.finfo(float).tiny)
+                                 & (stiffness < np.inf))):
+        return None
+    mu_s = _spin_moment(1, constants, spin_moment)
+    return stiffness, np.array((-2.0 * t * mu_s / nd.mass, 0.0, 0.0))
 
-    def _step_impl(self):
-        proposed = self.h_abs
-        result = super()._step_impl()
-        self._carry[0] = max(proposed, self.h_abs)
-        return result
+
+class _Reference:
+    """Harmonic reference motion q_ref of every row of a stack, with
+    q_ref'' = -K q_ref + s c on each segment of ``edges`` (the row's sign s
+    is ``signs[:, k]`` on segment k), starting from the rows' states ``y0``,
+    shape (n, 6), at ``edges[0]``.
+
+    Per axis, z = x + i v / omega is x*_k + W_k exp(-i omega tau) on segment
+    k, with x*_k = s_k c / omega^2 and tau = t - edges[0].  z is continuous
+    at each boundary tau_j, so W_k = W_0 + sum_{0<j<=k} (x*_{j-1} - x*_j)
+    exp(i omega tau_j): one cumulative sum over the flips.  c lies along x,
+    so only x keeps per-segment arrays, shape (n, n_seg); y and z oscillate
+    freely with their starting W.  Without a harmonic centre every array is
+    zero and q_ref = 0.
+    """
+
+    def __init__(self, centre, edges: np.ndarray, signs: np.ndarray,
+                 y0: np.ndarray):
+        self.edges = edges
+        n, n_seg = signs.shape
+        if centre is None:
+            self.omega2 = self.omega = np.zeros(3)
+            self.xstar = np.zeros((n, n_seg))
+            self.wx = np.zeros((n, n_seg), dtype=complex)
+            self.wyz = np.zeros((n, 2), dtype=complex)
+            return
+        self.omega2, c = centre
+        self.omega = np.sqrt(self.omega2)
+        self.xstar = signs * (c[0] / self.omega2[0])
+        z0 = y0[:, :3] + 1j * y0[:, 3:] / self.omega
+        self.wx = np.empty((n, n_seg), dtype=complex)
+        self.wx[:, 0] = z0[:, 0] - self.xstar[:, 0]
+        self.wx[:, 1:] = (self.xstar[:, :-1] - self.xstar[:, 1:]) * np.exp(
+            1j * self.omega[0] * (edges[1:-1] - edges[0]))
+        np.cumsum(self.wx, axis=1, out=self.wx)
+        self.wyz = z0[:, 1:]
+
+    def offset(self, t: float, k: int) -> np.ndarray:
+        """z_ref - (x*_k, 0, 0) of every row at one time t on segment k,
+        shape (n, 3)."""
+        w = np.empty((len(self.wyz), 3), dtype=complex)
+        w[:, 0] = self.wx[:, k]
+        w[:, 1:] = self.wyz
+        return w * np.exp(-1j * self.omega * (t - self.edges[0]))
+
+    def state(self, t: np.ndarray, lo: int, hi: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """q_ref and v_ref, each shape (n, len(t), 3), at times t of a
+        solver run over segments lo..hi."""
+        k = np.clip(np.searchsorted(self.edges, t, side="right") - 1, lo, hi)
+        w = np.empty((len(self.wyz), len(t), 3), dtype=complex)
+        w[..., 0] = self.wx[:, k]
+        w[..., 1:] = self.wyz[:, None]
+        off = w * np.exp(-1j * self.omega * (t - self.edges[0])[:, None])
+        q = off.real
+        q[..., 0] += self.xstar[:, k]
+        return q, self.omega * off.imag
+
+    def envelope(self) -> tuple[np.ndarray, np.ndarray, tuple, float]:
+        """Per row, the largest |q_ref| and |v_ref| components, shape (n,)
+        each; the x range and the largest rho that q_ref reaches."""
+        ax, ayz = np.abs(self.wx), np.abs(self.wyz)
+        return (np.maximum((np.abs(self.xstar) + ax).max(axis=1), ayz.max(axis=1)),
+                np.maximum(self.omega[0] * ax.max(axis=1),
+                           (self.omega[1:] * ayz).max(axis=1)),
+                ((self.xstar - ax).min(), (self.xstar + ax).max()),
+                float(np.hypot(ayz[:, 0], ayz[:, 1]).max()))
 
 
+#: Points per side of the (x, rho) grid on which R's jump is bounded, and
+#: the safety factor on that bound, for the grid's spacing and for the
+#: residual, which moves q off the reference's envelope.
+_JUMP_GRID = 9
+_JUMP_MARGIN = 2.0
+
+
+def _crosses_flips(source, nd: NanodiamondParams,
+                   constants: PhysicalConstants, spin_moment: str,
+                   c: np.ndarray, x_range: tuple, rho_max: float,
+                   span: float, atol: np.ndarray) -> bool:
+    """Whether one solver call may step across the flips.
+
+    At a flip R jumps by 2 |mu_s J(q) e_x / m - c|, a function of (x, rho)
+    alone, since J e_x = (-2t - w rho^2, u y, u z).  Its largest value on a
+    _JUMP_GRID-square grid over the reference's envelope (x in ``x_range``,
+    rho <= ``rho_max``; one kernel pass), times _JUMP_MARGIN, is the bound
+    D.  A step of length h that straddles flips can lose at most D h of
+    velocity and D h^2 of position to them (twice the jump's integral over
+    the step, for the exact flow and for the stepper's stages); the solver
+    crosses flips if that stays within every absolute tolerance for
+    h = ``span``, the longest step allowed.
+    """
+    x, rho = (g.ravel() for g in np.meshgrid(
+        np.linspace(*x_range, _JUMP_GRID), np.linspace(0.0, rho_max, _JUMP_GRID)))
+    _bx, t, u, w = source.btuw(np.stack((x, rho, np.zeros_like(x)), axis=1),
+                               constants)
+    mu_s = _spin_moment(1, constants, spin_moment) / nd.mass
+    jump = _JUMP_MARGIN * 2.0 * np.max(np.hypot(
+        (-2.0 * t - w * rho * rho) * mu_s - c[0], u * rho * mu_s))
+    return bool(jump * span <= atol[:, 3:].min()
+                and jump * span * span <= atol[:, :3].min())
+
+
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _integrate_stack(
     starts: Sequence[TrajectoryState],
     spins: Sequence[int],
@@ -290,8 +413,10 @@ def _integrate_stack(
 ) -> list[Trajectory]:
     """Integrate n trajectories (one per start, initial spin and flip
     schedule), all starting at ``starts[0].t``, as one stacked (n, 6)
-    state; see the module docstring.  A failure raises
-    :class:`IntegrationError` with the first row's last state."""
+    residual state about the harmonic reference; see the module docstring.
+    A failure raises :class:`IntegrationError` with the first row's last
+    state; an overflow or an invalid operation raises FloatingPointError
+    where it happens."""
     t0 = starts[0].t
     if not t_end > t0:
         raise ValueError("t_end must exceed the initial time")
@@ -310,67 +435,94 @@ def _integrate_stack(
     n = len(starts)
     flips = [_flip_times(sched, t_end) for sched in schedules]
     # The force follows the sign spin * current alone, so a spin flip and a
-    # current flip at the same instant cancel; each row restarts only at
-    # the times found in exactly one of its two flip lists.
+    # current flip at the same instant cancel; each row's sign changes only
+    # at the times found in exactly one of its two flip lists.
     effective = [np.setxor1d(sf, ff) for sf, ff in flips]
-    boundaries = np.unique(np.concatenate([[t0, t_end], *effective]))
-    boundaries = boundaries[(boundaries >= t0) & (boundaries <= t_end)]
-    mids = 0.5 * (boundaries[:-1] + boundaries[1:])
+    edges = np.unique(np.concatenate([[t0, t_end], *effective]))
+    edges = edges[(edges >= t0) & (edges <= t_end)]
+    n_seg = len(edges) - 1
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    # The sign spin * current of each row (axis 0) on each segment (axis 1).
+    signs = np.array(spins)[:, None] * np.array(
+        [(-1) ** np.searchsorted(ef, mids, side="right") for ef in effective])
     # The RHS takes the acceleration from _force with both moment terms
-    # divided by the mass: the spin moment of each row (axis 0) on each
-    # segment (axis 1), at the sign spin * current, and -chi V / mu0.
-    mu_spin = _spin_moment(
-        np.array(spins)[:, None] * np.array(
-            [(-1) ** np.searchsorted(ef, mids, side="right") for ef in effective]),
-        constants, spin_moment) / nd.mass
+    # divided by the mass: the spin moment at each sign, and -chi V / mu0.
+    mu_spin = _spin_moment(signs, constants, spin_moment) / nd.mass
     a_mass = _chi_coefficient(nd, constants) / nd.mass
+    y0 = np.array([[*st.q, *st.v] for st in starts], dtype=float)
+    centre = harmonic_centre(source, nd, constants, spin_moment)
+    ref = _Reference(centre, edges, signs, y0)
 
     # scipy's error norm is an RMS over the whole flattened state; dividing
     # both tolerances by sqrt(n) turns it into sqrt(sum_i norm_i^2) over the
-    # rows, which bounds every row's own norm.
+    # rows, which bounds every row's own norm.  rtol reaches each row
+    # through atol, times the largest |q| and |v| of its reference.
+    pos, vel, x_range, rho_max = ref.envelope()
     scale = 1.0 / math.sqrt(n)
-    atol = scale * np.tile([cfg.abs_tol_pos] * 3 + [cfg.abs_tol_vel] * 3, n)
+    atol = scale * np.repeat(np.stack((cfg.abs_tol_pos + cfg.rel_tol * pos,
+                                       cfg.abs_tol_vel + cfg.rel_tol * vel),
+                                      axis=1), 3, axis=1)
     rtol = scale * cfg.rel_tol
-    max_step = cfg.max_step if cfg.max_step is not None else np.inf
+    # The residual still carries the linear term -K e, which the error
+    # estimate of a residual near zero does not see: a step over 1 / omega_x
+    # would amplify it (see the module docstring).
+    max_step = min(cfg.max_step if cfg.max_step is not None else np.inf,
+                   np.inf if centre is None else 1.0 / ref.omega[0])
+    # One solver call steps across every flip, unless R's jumps could break
+    # the tolerance: then it restarts at every effective flip.
+    if n_seg == 1 or (centre is not None and _crosses_flips(
+            source, nd, constants, spin_moment, centre[1], x_range, rho_max,
+            min(max_step, t_end - t0), atol)):
+        runs = [(0, n_seg - 1)]
+    else:
+        runs = [(k, k) for k in range(n_seg)]
 
     order = np.argsort(t_eval, kind="stable")
     t_sorted = t_eval[order]
-    # A sample within rounding of a boundary or a spin flip belongs to the
+    # A sample within rounding of a restart or a spin flip belongs to the
     # time before it.
-    ends = np.searchsorted(t_sorted, _with_slack(boundaries[1:]), side="right")
-    out = np.empty((n, 6, len(t_eval)))
+    ends = np.searchsorted(t_sorted, _with_slack(edges[[hi + 1 for _lo, hi in runs]]),
+                           side="right")
+    out = np.empty((n, len(t_eval), 6))
 
-    state = np.array([[*st.q, *st.v] for st in starts], dtype=float).ravel()
-    carry = [None]
+    q_ref, v_ref = ref.state(edges[:1], 0, 0)
+    state = (y0 - np.concatenate((q_ref[:, 0], v_ref[:, 0]), axis=1)).ravel()
     filled = 0
-    for k, hi in enumerate(ends):
-        ta, tb = boundaries[k], boundaries[k + 1]
+    for (lo, hi), last in zip(runs, ends):
+        ta, tb = edges[lo], edges[hi + 1]
 
-        def rhs(_t, y, mu_spin=mu_spin[:, k]):
+        def rhs(t, y, hi=hi):
             if not np.isfinite(y).all():
                 raise FloatingPointError("non-finite state during integration")
             y = y.reshape(n, 6)
-            q = y[:, :3]
-            acc = _force(q, source.btuw(q, constants), a_mass, mu_spin)
+            k = min(np.searchsorted(edges, t, side="right") - 1, hi)
+            off = ref.offset(t, k).real
+            q = off + y[:, :3]
+            q[:, 0] += ref.xstar[:, k]
+            acc = (_force(q, source.btuw(q, constants), a_mass, mu_spin[:, k])
+                   + ref.omega2 * off)
             return np.concatenate((y[:, 3:], acc), axis=1).ravel()
 
-        sol = solve_ivp(rhs, (ta, tb), state, method=_CarriedRK45,
-                        carry=carry, rtol=rtol, atol=atol, max_step=max_step,
-                        dense_output=hi > filled)
+        sol = solve_ivp(rhs, (ta, tb), state, rtol=rtol, atol=atol.ravel(),
+                        max_step=max_step, dense_output=last > filled)
         if not sol.success:
-            last = TrajectoryState(t=float(sol.t[-1]) if sol.t.size else ta,
-                                   q=tuple(sol.y[:3, -1]) if sol.t.size else starts[0].q,
-                                   v=tuple(sol.y[3:6, -1]) if sol.t.size else starts[0].v)
+            q_ref, v_ref = ref.state(sol.t[-1:], lo, hi)
             raise IntegrationError(
-                f"integration failed in [{ta:g}, {tb:g}] s: {sol.message}", last)
-        if hi > filled:
-            seg_eval = np.clip(t_sorted[filled:hi], ta, tb)
-            out[:, :, order[filled:hi]] = sol.sol(seg_eval).reshape(n, 6, -1)
-            filled = hi
+                f"integration failed in [{ta:g}, {tb:g}] s: {sol.message}",
+                TrajectoryState(t=float(sol.t[-1]),
+                                q=tuple(q_ref[0, 0] + sol.y[:3, -1]),
+                                v=tuple(v_ref[0, 0] + sol.y[3:6, -1])))
+        if last > filled:
+            seg_t = np.clip(t_sorted[filled:last], ta, tb)
+            q_ref, v_ref = ref.state(seg_t, lo, hi)
+            out[:, order[filled:last]] = (
+                sol.sol(seg_t).reshape(n, 6, -1).transpose(0, 2, 1)
+                + np.concatenate((q_ref, v_ref), axis=2))
+            filled = last
         state = sol.y[:, -1]
 
-    return [Trajectory(t=t_eval.copy(), q=out[i, :3].T.copy(),
-                       v=out[i, 3:].T.copy(),
+    return [Trajectory(t=t_eval.copy(), q=out[i, :, :3].copy(),
+                       v=out[i, :, 3:].copy(),
                        spin=spins[i] * (-1) ** np.searchsorted(
                            _with_slack(sf), t_eval, side="left"),
                        flip_times=sf)
@@ -398,8 +550,8 @@ def integrate(
     """Integrate the translational dynamics from ``initial`` to ``t_end``.
 
     Samples are produced at ``t_eval`` (default: 1000 uniform times).  The
-    effective flips (see the module docstring) partition the integration
-    into restart segments.
+    solver steps across the effective flips (see the module docstring), or
+    restarts at each where their jump in R could break the tolerance.
     """
     return _integrate_stack([initial], [spin_initial], [schedule], source, nd,
                             t_end, cfg, t_eval, constants, spin_moment)[0]

@@ -16,7 +16,7 @@ from ndspin.cli import _COMMANDS, main
 from ndspin.coils import CoilAssembly
 from ndspin.config import ConfigError, ScenarioConfig, load_config, parse_config
 from ndspin.core import CONSTANTS, FieldConfig, NanodiamondParams
-from ndspin.protocol import ProtocolConfig
+from ndspin.protocol import ProtocolConfig, casimir_polder_separation
 from ndspin.trajectory import IntegratorConfig
 from ndspin.tables import write_csv
 from test_coherent import _skewed_lambda_g
@@ -433,6 +433,36 @@ def test_tiny_max_step_exits_2(tmp_path, capsys):
         assert main(["sensitivity", "--config", path, "--out", str(out)]) == 2
     assert "max_step" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section", [
+    # the central gradient is 1e-303 T/m: its stiffness underflows to zero
+    {"coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 1e-300}},
+    # the spin force drives the particle 1e279 m out: the field overflows
+    {"nanodiamond": {"mass_kg": 1e-300},
+     "coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 564.0}},
+])
+def test_sensitivity_absurd_magnitudes_exit_promptly(tmp_path, capsys,
+                                                     section):
+    path = _write_config(tmp_path, {"version": 1, **section})
+    out = tmp_path / "out"
+    with _time_limit(5.0), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sensitivity", "--config", path, "--out", str(out)])
+    assert code in (2, 3)
+    assert "Warning" not in capsys.readouterr().err
+
+
+def test_derive_huge_particle_keeps_casimir_polder_finite(tmp_path):
+    # V / m is taken before squaring, so neither V^2 nor m^2 overflows
+    path = _write_config(tmp_path, {"version": 1,
+                                    "nanodiamond": {"mass_kg": 1e200}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["derive", "--config", path, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "derive.json").read_text())
+    assert report["delta_cp_m"] == pytest.approx(casimir_polder_separation(
+        NanodiamondParams.from_mass(1e-14)), rel=1e-12)
 
 
 #: A small scenario every verb renders quickly: the base of the mutations.

@@ -19,13 +19,14 @@ from ndspin import (
     equilibrium_positions,
     field_and_jacobian,
     force,
+    harmonic_centre,
     integrate,
     magnetic_moment,
     max_separation,
     sensitivity_scan,
 )
 import ndspin.trajectory
-from ndspin.coils import _RHO_SERIES_FACTOR
+from ndspin.coils import LoopSource, _RHO_SERIES_FACTOR
 from ndspin.trajectory import _flip_times, _integrate_stack
 
 
@@ -254,20 +255,36 @@ def test_energy_drift_at_default_tolerances():
 
 
 def test_tolerance_convergence_sanity(nd_250nm, field_fig2):
+    # in the uniform field R = 0: the endpoint is the closed form, to
+    # rounding, at any tolerance
     src = UniformGradientField(field_fig2.Bprime)
     osc = derive_oscillator(nd_250nm, field_fig2)
     x0p, _ = equilibrium_positions(nd_250nm, field_fig2)
     t_end = 3.3 * osc.period
     want = x0p * (1.0 - math.cos(osc.omega * t_end))
 
-    def endpoint_error(rel):
+    def endpoint_error(source, nd, q0, want, rel):
         cfg = IntegratorConfig(rel_tol=rel, abs_tol_pos=1e-18,
                                abs_tol_vel=1e-17)
-        traj = integrate(TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-                         1, src, nd_250nm, None, t_end, cfg, [t_end])
-        return abs(traj.x[0] - want)
+        traj = integrate(TrajectoryState(0.0, q0, (0.0, 0.0, 0.0)),
+                         1, source, nd, None, t_end, cfg, [t_end])
+        return np.max(np.abs(traj.q[0] - want))
 
-    coarse, fine = endpoint_error(1e-6), endpoint_error(1e-9)
+    for rel in (1e-6, 1e-9):
+        assert endpoint_error(src, nd_250nm, (0.0, 0.0, 0.0), (want, 0.0, 0.0),
+                              rel) <= 1e-13 * abs(x0p)
+    # in the 5 mm coil the stepper integrates the anharmonic residual, and
+    # the tighter tolerance lands closer to a tight DOP853 oracle (at 1e-6
+    # the step cap of 1 / omega binds, not the tolerance)
+    coil, r = _COILS["5mm"]
+    nd = NanodiamondParams.from_mass(5.6e-14)
+    q0 = (0.0, r, 0.0)
+    tight = IntegratorConfig(rel_tol=1e-13, abs_tol_pos=1e-20, abs_tol_vel=1e-20)
+    t_end = 3.3 * _coil_period(coil, nd)[1]
+    oracle = _solve_ivp_oracle(q0, 1, coil, nd, None, 0.0, t_end, tight,
+                               np.array([t_end]))[0]
+    coarse, fine = (endpoint_error(coil, nd, q0, oracle, rel)
+                    for rel in (1e-9, 1e-12))
     assert fine < coarse
 
 
@@ -491,6 +508,23 @@ def _count_solver_calls(monkeypatch):
     return calls
 
 
+#: A particle light enough (x0 about 2.8 um) that its motion in the 5 mm
+#: pair reaches the size of that pair's series zone (2.5 um).
+_LIGHT_MASS = 2e-15
+
+
+def _effective_flips(n_flip, omega, period, lags):
+    """The distinct effective flips of the delta-scan rows with these
+    lags: the spin flips and each lag's current flips."""
+    spin_flips, _ = _flip_times(FlipSchedule(omega_dd=n_flip * omega), period)
+    current_flips = [_flip_times(FlipSchedule(omega_dd=n_flip * omega,
+                                              delta=d), period)[1]
+                     for d in lags]
+    distinct = set(spin_flips).union(*current_flips)
+    assert len(distinct) == len(spin_flips) + sum(map(len, current_flips))
+    return distinct
+
+
 def test_restarts_only_where_the_force_changes(monkeypatch, nd_250nm,
                                                field_fig2):
     src = UniformGradientField(field_fig2.Bprime)
@@ -503,19 +537,53 @@ def test_restarts_only_where_the_force_changes(monkeypatch, nd_250nm,
     sensitivity_scan(2e-7, [0.0, math.pi / 3.0], [0.2], src, nd_250nm,
                      schedule, osc.period, cfg, n_samples=50)
     assert calls[0] == 1
-    # a lagged row restarts at its spin flips and at its current flips; the
-    # synchronized reference adds nothing
+    # in the uniform field R = 0 has no jump, so the lagged rows step
+    # across their flips in the same single call
     lags = [math.pi / 25.0, math.pi / 5.0]
     calls[0] = 0
     delta_scan([0.0, *lags], src, nd_250nm, n_flip, osc.omega, cfg,
                n_samples=50)
-    spin_flips, _ = _flip_times(schedule, osc.period)
-    current_flips = [_flip_times(FlipSchedule(omega_dd=n_flip * osc.omega,
-                                              delta=d), osc.period)[1]
-                     for d in lags]
-    distinct = set(spin_flips).union(*current_flips)
-    assert len(distinct) == len(spin_flips) + sum(map(len, current_flips))
-    assert calls[0] == 1 + len(distinct)
+    assert calls[0] == 1
+    # the light particle in the 5 mm pair: R's jump could break the
+    # tolerance, so a lagged row restarts at its spin and at its current
+    # flips, and the synchronized reference adds nothing
+    coil, nd = _COILS["5mm"][0], NanodiamondParams.from_mass(_LIGHT_MASS)
+    omega, period = _coil_period(coil, nd)
+    calls[0] = 0
+    delta_scan([0.0, *lags], coil, nd, n_flip, omega, IntegratorConfig(),
+               n_samples=50)
+    assert calls[0] == 1 + len(_effective_flips(n_flip, omega, period, lags))
+
+
+def test_light_particle_restarts_and_matches_per_row_oracle(monkeypatch):
+    # at 2e-15 kg the x motion reaches 5.6 um and the off-axis row swings
+    # through the 5 mm pair's series zone edge: the restart regime.  At
+    # these tolerances, steps across the flips would miss the oracle bound
+    # by a factor of about 400.
+    coil, nd = _COILS["5mm"][0], NanodiamondParams.from_mass(_LIGHT_MASS)
+    omega, period = _coil_period(coil, nd)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
+    n_flip = 20
+    rows_in = [((0.0, 0.0, 0.0), 0.0), ((0.0, 0.0, 0.0), math.pi / 5.0),
+               ((0.0, 3e-6, 0.0), math.pi / 5.0)]
+    t_eval = np.linspace(0.0, period, 201)
+    calls = _count_solver_calls(monkeypatch)
+    rows = _integrate_stack(
+        [TrajectoryState(0.0, q0, (0.0, 0.0, 0.0)) for q0, _d in rows_in],
+        [1] * 3, [FlipSchedule(omega_dd=n_flip * omega, delta=d)
+                  for _q0, d in rows_in],
+        coil, nd, period, cfg, t_eval, CONSTANTS, "gamma_e")
+    monkeypatch.undo()
+    assert calls[0] == 1 + len(_effective_flips(n_flip, omega, period,
+                                                [math.pi / 5.0]))
+    zone = _RHO_SERIES_FACTOR * coil.loops[0].r_c
+    rho = np.hypot(rows[2].y, rows[2].z)
+    assert rho.min() < zone < rho.max()
+    assert np.max(np.abs(rows[0].x)) > 2.0 * zone
+    for (q0, d), traj in zip(rows_in, rows):
+        want = _solve_ivp_oracle(q0, 1, coil, nd, n_flip * omega, d, period,
+                                 cfg, t_eval)
+        assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
 
 
 @pytest.mark.parametrize("source_name", ["uniform", "3cm"])
@@ -566,18 +634,20 @@ def test_no_flip_within_rounding_of_the_end(monkeypatch, n_flip):
         return solve_ivp(fun, t_span, *args, **kwargs)
 
     monkeypatch.setattr(ndspin.trajectory, "solve_ivp", recording)
-    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol_pos=1e-15, abs_tol_vel=1e-15)
+    # tolerances this tight put the lagged scan in the restart regime
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
     delta_scan([0.0, math.pi / 25.0], coil, nd, n_flip, omega, cfg,
                n_samples=40)
+    assert len(spans) == 1 + len(_effective_flips(n_flip, omega, period,
+                                                  [math.pi / 25.0]))
     assert min(b - a for a, b in spans) >= 1e-9 * period / n_flip
 
 
 @pytest.mark.parametrize("lag", [math.pi / 45.0, math.pi / 10.0, math.pi / 5.0])
-def test_flip_segments_start_from_the_controllers_proposal(monkeypatch, lag):
-    # each flip segment of the lagged delta scan is shorter than the
-    # controller's natural step, so once the first segment has ramped the
-    # step up, every later segment starting from the carried proposal is
-    # taken in one step
+def test_lagged_scan_steps_across_flips(monkeypatch, lag):
+    # at the default tolerances R's jump at a flip is far below what could
+    # break them, so the lagged delta scan is one solver call whose steps
+    # straddle the flips
     coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
     omega, period = _coil_period(coil, nd)
     cfg = IntegratorConfig()
@@ -597,9 +667,107 @@ def test_flip_segments_start_from_the_controllers_proposal(monkeypatch, lag):
         [FlipSchedule(omega_dd=n_flip * omega, delta=d) for d in (0.0, lag)],
         coil, nd, period, cfg, t_eval, CONSTANTS, "gamma_e")
     monkeypatch.undo()
-    assert len(steps) == 2 * (n_flip - 1) + 1
-    assert steps[1:] == [1] * (len(steps) - 1)
+    assert len(steps) == 1 and steps[0] < n_flip
     for d, traj in zip((0.0, lag), rows):
         want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil, nd, n_flip * omega,
                                  d, period, cfg, t_eval)
         assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
+
+
+@pytest.mark.parametrize("source_name", ["3cm", "5mm", "uniform"])
+def test_harmonic_centre_matches_central_differences(source_name):
+    nd = NanodiamondParams.from_mass(5.6e-14)
+    if source_name == "uniform":
+        source, h = UniformGradientField(0.663), 1e-7
+    else:
+        source = _COILS[source_name][0]
+        h = 1e-4 * source.loops[0].r_c
+    K, c = harmonic_centre(source, nd)
+
+    def accel(q, spin):
+        return force(np.asarray(q, dtype=float), spin, source, nd) / nd.mass
+
+    def spin_free(q):
+        return 0.5 * (accel(q, 1) + accel(q, -1))
+
+    for j in range(3):
+        step = np.zeros(3)
+        step[j] = h
+        column = -(spin_free(step) - spin_free(-step)) / (2.0 * h)
+        assert column[j] == pytest.approx(K[j], rel=1e-7)
+        assert np.all(np.abs(np.delete(column, j)) <= 1e-7 * K[j])
+    assert K[0] == pytest.approx(4.0 * K[1], rel=1e-15) and K[1] == K[2]
+    spin_part = 0.5 * (accel((0.0, 0.0, 0.0), 1) - accel((0.0, 0.0, 0.0), -1))
+    assert spin_part[0] == pytest.approx(c[0], rel=1e-14)
+    assert c[1] == c[2] == spin_part[1] == spin_part[2] == 0.0
+
+
+def test_no_harmonic_centre_integrates_the_full_motion(monkeypatch):
+    # a single loop's centre is no equilibrium (B_x != 0), and a vanishing
+    # current gives no positive stiffness: no reference, so a lagged row
+    # restarts at every effective flip, as the unsplit integrator did
+    nd = NanodiamondParams.from_mass(5.6e-14)
+    loop = CoilAssembly(loops=(LoopSource(r_c=0.03, x_c=0.0, mmf=564.0),))
+    assert harmonic_centre(loop, nd) is None
+    assert harmonic_centre(CoilAssembly.anti_helmholtz(mmf=0.0), nd) is None
+    assert harmonic_centre(CoilAssembly.anti_helmholtz(mmf=1e-300), nd) is None
+    coil = _COILS["3cm"][0]
+    omega, period = _coil_period(coil, nd)
+    lag, n_flip = math.pi / 5.0, 10
+    t_eval = np.linspace(0.0, period, 101)
+    calls = _count_solver_calls(monkeypatch)
+    monkeypatch.setattr(ndspin.trajectory, "harmonic_centre",
+                        lambda *args: None)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
+    traj = _integrate_stack(
+        [TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))], [1],
+        [FlipSchedule(omega_dd=n_flip * omega, delta=lag)], coil, nd, period,
+        cfg, t_eval, CONSTANTS, "gamma_e")[0]
+    monkeypatch.undo()
+    assert calls[0] == 1 + len(_effective_flips(n_flip, omega, period, [lag]))
+    want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil, nd, n_flip * omega, lag,
+                             period, cfg, t_eval)
+    assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
+
+
+def test_uniform_gradient_rows_are_the_closed_form(nd_250nm, field_fig2):
+    # with UniformGradientField R = 0: every row is the harmonic reference
+    # to rounding, at the default tolerances as at tight ones
+    src = UniformGradientField(field_fig2.Bprime)
+    osc = derive_oscillator(nd_250nm, field_fig2)
+    x0p, x0m = equilibrium_positions(nd_250nm, field_fig2)
+    t_eval = np.linspace(0.0, 3.0 * osc.period, 301)
+    y0, z0 = 1e-7, -5e-8
+    starts = [TrajectoryState(0.0, q0, (0.0, 0.0, 0.0))
+              for q0 in ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, y0, z0))]
+    transverse = np.cos(0.5 * osc.omega * t_eval)
+    want = [(x0 * (1.0 - np.cos(osc.omega * t_eval)), y * transverse,
+             z * transverse) for x0, y, z in ((x0p, 0.0, 0.0),
+                                              (x0m, 0.0, 0.0), (x0p, y0, z0))]
+    for cfg in (IntegratorConfig(),
+                IntegratorConfig(rel_tol=1e-11, abs_tol_pos=1e-18,
+                                 abs_tol_vel=1e-17)):
+        rows = _integrate_stack(starts, [1, -1, 1], [None] * 3, src, nd_250nm,
+                                3.0 * osc.period, cfg, t_eval, CONSTANTS,
+                                "gamma_e")
+        for traj, w in zip(rows, want):
+            assert np.max(np.abs(traj.q - np.array(w).T)) <= 1e-14 * abs(x0p)
+
+
+def test_synchronized_delta_row_within_abs_tol_of_tight_reference():
+    # the baseline scenario's delta = 0 row (3 cm pair, 5.6e-14 kg, 200
+    # flips, default tolerances) on its own: its flips cancel, so a tight
+    # DOP853 run without flips is its reference
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    osc = derive_oscillator(nd, FieldConfig(Bprime=coil.jacobian_at(
+        (0.0, 0.0, 0.0))[0, 0]))
+    cfg = IntegratorConfig()
+    t_eval = np.linspace(0.0, osc.period, 400)
+    origin = TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    row = _integrate_stack([origin], [1],
+                           [FlipSchedule(omega_dd=200 * osc.omega)], coil, nd,
+                           osc.period, cfg, t_eval, CONSTANTS, "gamma_e")[0]
+    tight = IntegratorConfig(rel_tol=1e-13, abs_tol_pos=1e-20, abs_tol_vel=1e-20)
+    want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil, nd, None, 0.0,
+                             osc.period, tight, t_eval)
+    assert np.max(np.abs(row.q - want)) <= cfg.abs_tol_pos
