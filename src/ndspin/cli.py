@@ -151,8 +151,7 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     osc = derive_oscillator(cfg.nanodiamond, FieldConfig(Bprime=grad[0, 0]),
                             cfg.constants)
     omega_eff, period = osc.omega, osc.period
-    if harmonic_centre(cfg.coil, cfg.nanodiamond, cfg.constants,
-                       cfg.spin_moment) is None:
+    if harmonic_centre(cfg.coil, cfg.nanodiamond, cfg.constants) is None:
         raise FloatingPointError(
             "the trap stiffness at the coil centre is not a positive normal "
             "number, so there is no trap period to integrate over")
@@ -160,7 +159,7 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     records = sensitivity_scan(
         cfg.sensitivity_radius, cfg.sensitivity_theta, cfg.sensitivity_phi,
         cfg.coil, cfg.nanodiamond, schedule, period, cfg.integrator,
-        cfg.sensitivity_n_samples, cfg.constants, spin_moment=cfg.spin_moment)
+        cfg.sensitivity_n_samples, cfg.constants)
     summary = []
     for i, rec in enumerate(records):
         for spin, traj in rec["trajectories"].items():
@@ -176,8 +175,7 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
         })
     deltas = delta_scan(cfg.sensitivity_delta, cfg.coil, cfg.nanodiamond,
                         cfg.sensitivity_n_flip, omega_eff, cfg.integrator,
-                        cfg.sensitivity_n_samples, cfg.constants,
-                        spin_moment=cfg.spin_moment)
+                        cfg.sensitivity_n_samples, cfg.constants)
     write_json(_out(args, "sensitivity_summary.json"), {
         "generated_by": "ndspin sensitivity",
         "omega_rad_per_s": float(omega_eff),

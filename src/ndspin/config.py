@@ -20,18 +20,21 @@ from typing import Any, Optional
 from .core import CONSTANTS, FieldConfig, NanodiamondParams, PhysicalConstants
 from .coils import CoilAssembly
 from .protocol import ProtocolConfig, Scenario
-from .trajectory import SPIN_MOMENT_CONVENTIONS, IntegratorConfig
+from .trajectory import IntegratorConfig
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "parse_config"]
 
 SCHEMA_VERSION = 1
 
 #: Caps on the counts that size an array or a loop: samples per curve,
-#: grid points per axis (``protocol-opt`` keeps one result per cell) and
-#: spin flips per period (each one a solver restart).
+#: grid points per axis (``protocol-opt`` keeps one result per cell), spin
+#: flips per period (each one a segment of the reference) and entries of a
+#: sensitivity list (a shell scan stacks every theta-phi pair, and the
+#: delta scan's per-segment arrays grow as the square of its lags).
 MAX_SAMPLES = 10**6
 MAX_GRID = 10**3
 MAX_FLIPS = 10**4
+MAX_SCAN_VALUES = 16
 
 
 class ConfigError(ValueError):
@@ -78,13 +81,15 @@ def _integer(minimum, maximum=None):
     return read
 
 
-def _list(item, length=None):
+def _list(item, length=None, maximum=None):
     """A non-empty list read entry by entry; with ``length``, a tuple of
-    exactly that many entries."""
+    exactly that many entries; with ``maximum``, at most that many."""
     def read(v, path):
         if not isinstance(v, list) or not v or length not in (None, len(v)):
             raise ConfigError(path, f"expected a list of {length or 'one or more'} "
                                     "entries")
+        if maximum is not None and len(v) > maximum:
+            raise ConfigError(path, f"expected at most {maximum} entries")
         entries = [item(x, path) for x in v]
         return entries if length is None else tuple(entries)
     return read
@@ -107,7 +112,8 @@ def _boolean(v, path):
 _FINITE = _number()
 _POSITIVE = _number(lambda v: v > 0.0, "> 0")
 _POSITIVE_PAIR = _list(_POSITIVE, 2)
-_QUARTER_TURN = _list(_number(lambda v: 0.0 <= v <= math.pi / 2.0, "in [0, pi/2]"))
+_QUARTER_TURN = _list(_number(lambda v: 0.0 <= v <= math.pi / 2.0, "in [0, pi/2]"),
+                      maximum=MAX_SCAN_VALUES)
 
 
 def _range(v, path):
@@ -164,7 +170,6 @@ class ScenarioConfig:
                                  math.pi / 15.0, math.pi / 5.0])
     sensitivity_n_flip: int = 200
     sensitivity_n_samples: int = 400
-    spin_moment: str = "gamma_e"
 
 
 #: Sections that build one record, held in the ScenarioConfig field of the
@@ -177,7 +182,6 @@ _RECORDS = {
         "c_m_per_s": ("c", _POSITIVE),
         "G_m3_per_kg_s2": ("G", _POSITIVE),
         "gamma_e_rad_per_s_T": ("gamma_e", _POSITIVE),
-        "mu_B_J_per_T": ("mu_B", _POSITIVE),
         "g_earth_m_per_s2": ("g_earth", _POSITIVE),
         "D_zfs_rad_per_s": ("D_zfs", _POSITIVE),
     }),
@@ -208,7 +212,6 @@ _RECORDS = {
         "rel_tol": ("rel_tol", _POSITIVE),
         "abs_tol_pos_m": ("abs_tol_pos", _POSITIVE),
         "abs_tol_vel_m_per_s": ("abs_tol_vel", _POSITIVE),
-        "max_step_s": ("max_step", _POSITIVE),
     }),
 }
 
@@ -250,10 +253,9 @@ _FIELDS = {
         "theta_values_rad": ("sensitivity_theta", _QUARTER_TURN),
         "phi_values_rad": ("sensitivity_phi", _QUARTER_TURN),
         "delta_values_rad": ("sensitivity_delta", _list(_number(
-            lambda v: 0.0 <= v < math.pi, "in [0, pi)"))),
+            lambda v: 0.0 <= v < math.pi, "in [0, pi)"), maximum=MAX_SCAN_VALUES)),
         "n_flip": ("sensitivity_n_flip", _integer(1, MAX_FLIPS)),
         "n_samples": ("sensitivity_n_samples", _integer(2, MAX_SAMPLES)),
-        "spin_moment": ("spin_moment", _choice(SPIN_MOMENT_CONVENTIONS)),
     },
 }
 

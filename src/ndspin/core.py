@@ -45,12 +45,11 @@ class PhysicalConstants:
     c: float = 299792458.0               # m / s
     G: float = 6.67430e-11               # m^3 / (kg s^2)
     gamma_e: float = 1.76085963023e11    # rad / (s T), magnitude
-    mu_B: float = 9.2740100783e-24       # J / T
     g_earth: float = 9.80665             # m / s^2
     D_zfs: float = 2.0 * math.pi * 2.87e9  # rad / s
 
     def __post_init__(self) -> None:
-        for name in ("hbar", "mu0", "c", "G", "gamma_e", "mu_B", "g_earth", "D_zfs"):
+        for name in ("hbar", "mu0", "c", "G", "gamma_e", "g_earth", "D_zfs"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"constant {name} must be strictly positive")
 

@@ -6,10 +6,9 @@ The rigid-body center of mass obeys
 
 with the magnetic moment the superposition of the induced diamagnetic part
 chi V B / mu0 (chi signed negative; the trap confines toward the field
-minimum) and a permanent spin part along the free axis.  The spin-moment
-magnitude defaults to hbar gamma_e, consistent with the analytic branch
-model; a switch selects the bare Bohr-magneton convention instead.  Gravity
-is excluded: the trap is taken to compensate it.
+minimum) and a permanent spin part -s hbar gamma_e along the free axis, the
+moment of the analytic branch model.  Gravity is excluded: the trap is
+taken to compensate it.
 
 Decoupling flips are instantaneous events.  The spin sign reverses at every
 multiple of 2 pi / omega_DD and the coil current sign follows after the
@@ -26,10 +25,11 @@ q_ref (see :class:`_Reference`), and only the residual e = q - q_ref,
 driven by R, is integrated.  The residual still carries the linear term
 -K e; its error estimate sees e only, so the step is held to 1 / omega_x,
 where the stability function of RK45 is within 1.4e-6 of the unit circle.
+That is the only cap: below it the error control alone sets the step.
 
 A flip makes R jump by 2 (mu_s J(q) e_x / m - c): tiny near the centre, so
 one solver call steps across every flip.  Per scan the jump is bounded on
-the reference's (x, rho) envelope; where a step as long as the span allows
+the reference's (x, rho) envelope; where a step of min(1 / omega_x, span)
 could lose more than the tolerance to it (:func:`_crosses_flips`), the
 solver restarts at every effective flip instead, so no step straddles one.
 Without a harmonic centre (a single loop, or a stiffness that underflows)
@@ -75,16 +75,6 @@ __all__ = [
     "delta_scan",
 ]
 
-#: Spin-moment conventions: "gamma_e" reproduces the analytic equilibria
-#: (moment -s hbar gamma_e along x, from the Zeeman energy +hbar gamma_e S_x B);
-#: "mu_B" is the bare-Bohr-magneton force model +s mu_B.
-SPIN_MOMENT_CONVENTIONS = ("gamma_e", "mu_B")
-
-#: The most steps a ``max_step`` may force on one integration: a scan
-#: needs tens to hundreds of steps per period, and a smaller ``max_step``
-#: would run for hours.
-MAX_STEPS = 10**6
-
 
 @dataclass(frozen=True)
 class TrajectoryState:
@@ -104,19 +94,18 @@ class IntegratorConfig:
     """Adaptive embedded Runge-Kutta pair: Dormand-Prince 5(4) (scipy RK45).
 
     Absolute floors are split between position and velocity; periods of
-    hundreds of seconds with nanometer amplitudes need both.
+    hundreds of seconds with nanometer amplitudes need both.  The error
+    control sets the step; the only cap is the 1 / omega_x of the residual
+    integration (see the module docstring).
     """
 
     rel_tol: float = 1e-9
     abs_tol_pos: float = 1e-12
     abs_tol_vel: float = 1e-12
-    max_step: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and self.abs_tol_pos > 0.0 and self.abs_tol_vel > 0.0):
             raise ValueError("tolerances must be > 0")
-        if self.max_step is not None and not self.max_step > 0.0:
-            raise ValueError("max_step must be > 0")
 
 
 @dataclass(frozen=True)
@@ -173,16 +162,15 @@ def magnetic_moment(
     spin_sign,
     nd: NanodiamondParams,
     constants: PhysicalConstants = CONSTANTS,
-    spin_moment: str = "gamma_e",
 ) -> np.ndarray:
     """Total magnetic moment (A m^2): diamagnetic response plus the spin
-    moment, which is nonzero only along x.
+    moment -s hbar gamma_e, which is nonzero only along x.
 
     Broadcasts over rows: ``B`` of shape (3,) or (n, 3) with ``spin_sign``
     a scalar or one sign per row.
     """
     mu = _chi_coefficient(nd, constants) * np.asarray(B, dtype=float)
-    mu[..., 0] += _spin_moment(spin_sign, constants, spin_moment)
+    mu[..., 0] += _spin_moment(spin_sign, constants)
     return mu
 
 
@@ -191,17 +179,14 @@ def _chi_coefficient(nd: NanodiamondParams, constants: PhysicalConstants) -> flo
     return -nd.chi_magnitude * nd.volume / constants.mu0
 
 
-def _spin_moment(spin_sign, constants: PhysicalConstants, spin_moment: str):
-    """Spin moment along x (A m^2) for each sign of ``spin_sign``, in the
-    convention ``spin_moment``; both are checked here."""
-    if spin_moment not in SPIN_MOMENT_CONVENTIONS:
-        raise ValueError(f"spin_moment must be one of {SPIN_MOMENT_CONVENTIONS}")
+def _spin_moment(spin_sign, constants: PhysicalConstants):
+    """Spin moment along x (A m^2), -s hbar gamma_e for each sign s of
+    ``spin_sign`` (from the Zeeman energy +hbar gamma_e S_x B); the signs are
+    checked here."""
     spin_sign = np.asarray(spin_sign)
     if not (np.abs(spin_sign) == 1).all():
         raise ValueError("spin_sign must be -1 or +1")
-    if spin_moment == "gamma_e":
-        return spin_sign * (-constants.hbar * constants.gamma_e)
-    return spin_sign * constants.mu_B
+    return spin_sign * (-constants.hbar * constants.gamma_e)
 
 
 def force(
@@ -210,7 +195,6 @@ def force(
     source,
     nd: NanodiamondParams,
     constants: PhysicalConstants = CONSTANTS,
-    spin_moment: str = "gamma_e",
     field_sign=1.0,
 ) -> np.ndarray:
     """Magnetic force (mu . grad) B at position q (N).
@@ -228,8 +212,7 @@ def force(
     """
     q = np.asarray(q, dtype=float)
     rows = q.reshape(-1, 3)
-    mu_spin = _spin_moment(np.multiply(spin_sign, field_sign), constants,
-                           spin_moment)
+    mu_spin = _spin_moment(np.multiply(spin_sign, field_sign), constants)
     return _force(rows, source.btuw(rows, constants),
                   _chi_coefficient(nd, constants), mu_spin).reshape(q.shape)
 
@@ -273,7 +256,6 @@ def harmonic_centre(
     source,
     nd: NanodiamondParams,
     constants: PhysicalConstants = CONSTANTS,
-    spin_moment: str = "gamma_e",
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """(K, c), each shape (3,), of the acceleration -K q + s c near the
     origin, or None where the origin is no harmonic trap.
@@ -292,7 +274,7 @@ def harmonic_centre(
     if not (bx == 0.0 and np.all((stiffness >= np.finfo(float).tiny)
                                  & (stiffness < np.inf))):
         return None
-    mu_s = _spin_moment(1, constants, spin_moment)
+    mu_s = _spin_moment(1, constants)
     return stiffness, np.array((-2.0 * t * mu_s / nd.mass, 0.0, 0.0))
 
 
@@ -371,8 +353,7 @@ _JUMP_GRID = 9
 _JUMP_MARGIN = 2.0
 
 
-def _crosses_flips(source, nd: NanodiamondParams,
-                   constants: PhysicalConstants, spin_moment: str,
+def _crosses_flips(source, nd: NanodiamondParams, constants: PhysicalConstants,
                    c: np.ndarray, x_range: tuple, rho_max: float,
                    span: float, atol: np.ndarray) -> bool:
     """Whether one solver call may step across the flips.
@@ -391,7 +372,7 @@ def _crosses_flips(source, nd: NanodiamondParams,
         np.linspace(*x_range, _JUMP_GRID), np.linspace(0.0, rho_max, _JUMP_GRID)))
     _bx, t, u, w = source.btuw(np.stack((x, rho, np.zeros_like(x)), axis=1),
                                constants)
-    mu_s = _spin_moment(1, constants, spin_moment) / nd.mass
+    mu_s = _spin_moment(1, constants) / nd.mass
     jump = _JUMP_MARGIN * 2.0 * np.max(np.hypot(
         (-2.0 * t - w * rho * rho) * mu_s - c[0], u * rho * mu_s))
     return bool(jump * span <= atol[:, 3:].min()
@@ -409,7 +390,6 @@ def _integrate_stack(
     cfg: IntegratorConfig,
     t_eval: Optional[Sequence[float]],
     constants: PhysicalConstants,
-    spin_moment: str,
 ) -> list[Trajectory]:
     """Integrate n trajectories (one per start, initial spin and flip
     schedule), all starting at ``starts[0].t``, as one stacked (n, 6)
@@ -420,10 +400,6 @@ def _integrate_stack(
     t0 = starts[0].t
     if not t_end > t0:
         raise ValueError("t_end must exceed the initial time")
-    if cfg.max_step is not None and (t_end - t0) / cfg.max_step > MAX_STEPS:
-        raise ValueError(
-            f"max_step {cfg.max_step:g} s needs more than {MAX_STEPS:.0e} "
-            f"steps over [{t0:g}, {t_end:g}] s")
     if any(s not in (-1, 1) for s in spins):
         raise ValueError("spin_initial must be -1 or +1")
     if t_eval is None:
@@ -447,10 +423,10 @@ def _integrate_stack(
         [(-1) ** np.searchsorted(ef, mids, side="right") for ef in effective])
     # The RHS takes the acceleration from _force with both moment terms
     # divided by the mass: the spin moment at each sign, and -chi V / mu0.
-    mu_spin = _spin_moment(signs, constants, spin_moment) / nd.mass
+    mu_spin = _spin_moment(signs, constants) / nd.mass
     a_mass = _chi_coefficient(nd, constants) / nd.mass
     y0 = np.array([[*st.q, *st.v] for st in starts], dtype=float)
-    centre = harmonic_centre(source, nd, constants, spin_moment)
+    centre = harmonic_centre(source, nd, constants)
     ref = _Reference(centre, edges, signs, y0)
 
     # scipy's error norm is an RMS over the whole flattened state; dividing
@@ -466,12 +442,11 @@ def _integrate_stack(
     # The residual still carries the linear term -K e, which the error
     # estimate of a residual near zero does not see: a step over 1 / omega_x
     # would amplify it (see the module docstring).
-    max_step = min(cfg.max_step if cfg.max_step is not None else np.inf,
-                   np.inf if centre is None else 1.0 / ref.omega[0])
+    max_step = np.inf if centre is None else 1.0 / ref.omega[0]
     # One solver call steps across every flip, unless R's jumps could break
     # the tolerance: then it restarts at every effective flip.
     if n_seg == 1 or (centre is not None and _crosses_flips(
-            source, nd, constants, spin_moment, centre[1], x_range, rho_max,
+            source, nd, constants, centre[1], x_range, rho_max,
             min(max_step, t_end - t0), atol)):
         runs = [(0, n_seg - 1)]
     else:
@@ -545,7 +520,6 @@ def integrate(
     cfg: IntegratorConfig = IntegratorConfig(),
     t_eval: Optional[Sequence[float]] = None,
     constants: PhysicalConstants = CONSTANTS,
-    spin_moment: str = "gamma_e",
 ) -> Trajectory:
     """Integrate the translational dynamics from ``initial`` to ``t_end``.
 
@@ -554,7 +528,7 @@ def integrate(
     restarts at each where their jump in R could break the tolerance.
     """
     return _integrate_stack([initial], [spin_initial], [schedule], source, nd,
-                            t_end, cfg, t_eval, constants, spin_moment)[0]
+                            t_end, cfg, t_eval, constants)[0]
 
 
 def sensitivity_scan(
@@ -568,16 +542,14 @@ def sensitivity_scan(
     cfg: IntegratorConfig = IntegratorConfig(),
     n_samples: int = 400,
     constants: PhysicalConstants = CONSTANTS,
-    spin_moment: str = "gamma_e",
 ) -> list[dict]:
     """Trajectories for both spins from starts on a spherical shell.
 
     Starts are (r sin(theta) cos(phi), r sin(theta) sin(phi), r cos(theta))
     with the angles on the first octant.  Each record carries the transverse
     spin-overlap metrics (normalized by the shell radius, or absolutely for
-    r = 0) and the maximum x-channel spin separation.  ``spin_moment`` is
-    the convention of :func:`magnetic_moment`.  Every start and both spins
-    are integrated as one stack.
+    r = 0) and the maximum x-channel spin separation.  Every start and both
+    spins are integrated as one stack.
     """
     if any(not (0.0 <= a <= math.pi / 2.0 + 1e-12)
            for a in (*theta_values, *phi_values)):
@@ -598,7 +570,7 @@ def sensitivity_scan(
         [TrajectoryState(t=0.0, q=q0, v=(0.0, 0.0, 0.0))
          for q0 in starts for _ in spins],
         spins * len(starts), [schedule] * (2 * len(starts)), source, nd,
-        t_end, cfg, t_eval, constants, spin_moment)
+        t_end, cfg, t_eval, constants)
     records: list[dict] = []
     for i, ((theta, phi), q0) in enumerate(zip(angles, starts)):
         up, down = trajs[2 * i], trajs[2 * i + 1]
@@ -623,16 +595,14 @@ def delta_scan(
     cfg: IntegratorConfig = IntegratorConfig(),
     n_samples: int = 800,
     constants: PhysicalConstants = CONSTANTS,
-    dx_max: Optional[float] = None,
-    spin_moment: str = "gamma_e",
 ) -> list[dict]:
     """Deviation of the spin +1 trajectory from the synchronized one.
 
     For each phase shift delta between the spin flip and the current flip,
     integrates one full motion period from the origin and reports
-    max |x_delta(t) - x_0(t)| / dx_max against the delta = 0 reference.
-    ``spin_moment`` is the convention of :func:`magnetic_moment`.  The
-    reference and every distinct lag are integrated as one stack.
+    max |x_delta(t) - x_0(t)| / dx_max against the delta = 0 reference,
+    with dx_max = 2 max |x_0(t)|.  The reference and every distinct lag are
+    integrated as one stack.
     """
     if any(not (0.0 <= d < math.pi) for d in delta_values):
         raise ValueError("deltas must lie in [0, pi)")
@@ -645,11 +615,10 @@ def delta_scan(
     trajs = _integrate_stack(
         [start] * len(lags), [1] * len(lags),
         [FlipSchedule(omega_dd=omega_dd, delta=d) for d in lags],
-        source, nd, period, cfg, t_eval, constants, spin_moment)
+        source, nd, period, cfg, t_eval, constants)
     x = {d: tr.x for d, tr in zip(lags, trajs)}
     x_ref = x[0.0]
-    if dx_max is None:
-        dx_max = float(np.max(np.abs(x_ref)) * 2.0)
+    dx_max = float(np.max(np.abs(x_ref)) * 2.0)
     return [{"delta": float(delta),
              "deviation": float(np.max(np.abs(x[float(delta)] - x_ref)) / dx_max)}
             for delta in delta_values]
