@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -247,8 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than
+    most verbs' own work."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

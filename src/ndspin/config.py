@@ -28,13 +28,17 @@ SCHEMA_VERSION = 1
 
 #: Caps on the counts that size an array or a loop: samples per curve,
 #: grid points per axis (``protocol-opt`` keeps one result per cell), spin
-#: flips per period (each one a segment of the reference) and entries of a
-#: sensitivity list (a shell scan stacks every theta-phi pair, and the
-#: delta scan's per-segment arrays grow as the square of its lags).
+#: flips per period (each one a segment of the reference), entries of a
+#: family or sensitivity list (a table holds a block of rows per family
+#: value, a shell scan stacks every theta-phi pair, and the delta scan's
+#: per-segment arrays grow as the square of its lags) and the samples of a
+#: sensitivity stack summed over its trajectories (the scans keep about
+#: 220 bytes per trajectory and sample).
 MAX_SAMPLES = 10**6
 MAX_GRID = 10**3
 MAX_FLIPS = 10**4
 MAX_SCAN_VALUES = 16
+MAX_STACK_SAMPLES = 2 * 10**6
 
 
 class ConfigError(ValueError):
@@ -222,7 +226,7 @@ _FIELDS = {
         # Validated for existing scenario files, but no verb reads a single
         # flip multiplier: `dd` renders every n in n_values.
         "n_flip": (None, _integer(1)),
-        "n_values": ("dd_n_values", _list(_integer(1))),
+        "n_values": ("dd_n_values", _list(_integer(1), maximum=MAX_SCAN_VALUES)),
         "n_samples": ("dd_n_samples", _integer(2, MAX_SAMPLES)),
     },
     "protocol": {
@@ -232,12 +236,13 @@ _FIELDS = {
         "refine": ("refine", _boolean),
     },
     "trajectory": {
-        "B0_values_T": ("trajectory_B0_values", _list(_FINITE)),
+        "B0_values_T": ("trajectory_B0_values", _list(_FINITE, maximum=MAX_SCAN_VALUES)),
         "n_samples": ("trajectory_n_samples", _integer(2, MAX_SAMPLES)),
     },
     "ramsey": {
-        "theta_g_values_rad": ("ramsey_theta_values", _list(_number(
-            lambda v: 0.0 <= v < math.pi / 2.0, "in [0, pi/2)"))),
+        "theta_g_values_rad": ("ramsey_theta_values", _list(
+            _number(lambda v: 0.0 <= v < math.pi / 2.0, "in [0, pi/2)"),
+            maximum=MAX_SAMPLES)),
     },
     "fieldmap": {
         "z_m": ("fieldmap_z", _FINITE),
@@ -309,7 +314,21 @@ def parse_config(doc: Any) -> ScenarioConfig:
         raise ConfigError("$.fieldmap.x_max_m", "must be >= x_min_m")
     if not cfg.fieldmap_y_min <= cfg.fieldmap_y_max:
         raise ConfigError("$.fieldmap.y_max_m", "must be >= y_min_m")
+    rows = _stack_rows(cfg)
+    if rows * cfg.sensitivity_n_samples > MAX_STACK_SAMPLES:
+        raise ConfigError("$.sensitivity.n_samples",
+                          f"times the {rows} trajectories of the largest "
+                          f"sensitivity stack must be <= {MAX_STACK_SAMPLES}")
     return cfg
+
+
+def _stack_rows(cfg: ScenarioConfig) -> int:
+    """Trajectories in the larger of the two stacks ``sensitivity``
+    integrates: both spins of every shell start (one start at radius 0),
+    or the delta scan's reference and distinct lags."""
+    starts = (len(cfg.sensitivity_theta) * len(cfg.sensitivity_phi)
+              if cfg.sensitivity_radius > 0.0 else 1)
+    return max(2 * starts, 1 + len(set(cfg.sensitivity_delta) - {0.0}))
 
 
 def load_config(path: str) -> ScenarioConfig:

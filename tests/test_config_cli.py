@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from ndspin.cli import _COMMANDS, main
 from ndspin.coils import CoilAssembly
-from ndspin.config import ConfigError, ScenarioConfig, load_config, parse_config
+from ndspin.config import (MAX_SAMPLES, MAX_STACK_SAMPLES, ConfigError,
+                           ScenarioConfig, load_config, parse_config)
 from ndspin.core import CONSTANTS, FieldConfig, NanodiamondParams
 from ndspin.protocol import ProtocolConfig, casimir_polder_separation
 from ndspin.trajectory import IntegratorConfig
@@ -238,10 +239,14 @@ def test_non_finite_or_non_integer_numbers_exit_2(tmp_path, capsys, section,
     ("sensitivity", "sensitivity", "theta_values_rad", [0.5] * 17),
     ("sensitivity", "sensitivity", "phi_values_rad", [0.5] * 17),
     ("sensitivity", "sensitivity", "delta_values_rad", [0.5] * 17),
+    ("dd", "dd", "n_values", [4] * 17),
+    ("trajectory", "trajectory", "B0_values_T", [0.0] * 17),
+    ("ramsey", "ramsey", "theta_g_values_rad", [0.5] * (MAX_SAMPLES + 1)),
 ], ids=["dd_n_samples", "trajectory_n_samples", "sensitivity_n_samples",
         "sensitivity_n_flip", "fieldmap_nx", "fieldmap_ny", "grid_n_mass",
         "grid_n_gradient", "sensitivity_theta", "sensitivity_phi",
-        "sensitivity_delta"])
+        "sensitivity_delta", "dd_n_values", "trajectory_B0_values",
+        "ramsey_theta_values"])
 def test_count_over_its_cap_exits_2(tmp_path, capsys, verb, section, key,
                                     value):
     doc = copy.deepcopy(SMALL)
@@ -250,6 +255,26 @@ def test_count_over_its_cap_exits_2(tmp_path, capsys, verb, section, key,
     out = tmp_path / "out"
     assert main([verb, "--config", path, "--out", str(out)]) == 2
     assert f"$.{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sensitivity, rows", [
+    ({"theta_values_rad": [0.5] * 16, "phi_values_rad": [0.5] * 16}, 512),
+    ({"radius_m": 0.0, "theta_values_rad": [0.5] * 16,
+      "delta_values_rad": [0.1 * k for k in range(16)]}, 16),
+], ids=["shell", "lags"])
+def test_sensitivity_stack_over_its_cap_exits_2(tmp_path, capsys, sensitivity,
+                                                 rows):
+    # Parsed only: at the cap itself the scan would hold about 0.5 GB.
+    fits = MAX_STACK_SAMPLES // rows
+    doc = {**BASE, "sensitivity": {**sensitivity, "n_samples": fits}}
+    assert parse_config(doc).sensitivity_n_samples == fits
+    doc["sensitivity"]["n_samples"] = fits + 1
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sensitivity", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "$.sensitivity.n_samples" in err and f"the {rows} trajectories" in err
     assert not out.exists()
 
 
