@@ -31,14 +31,19 @@ SCHEMA_VERSION = 1
 #: flips per period (each one a segment of the reference), entries of a
 #: family or sensitivity list (a table holds a block of rows per family
 #: value, a shell scan stacks every theta-phi pair, and the delta scan's
-#: per-segment arrays grow as the square of its lags) and the samples of a
+#: per-segment arrays grow as the square of its lags), the samples of a
 #: sensitivity stack summed over its trajectories (the scans keep about
-#: 220 bytes per trajectory and sample).
+#: 220 bytes per trajectory and sample) and the rows of the family tables
+#: of ``dd`` (n_samples per spin and n_flip, the undecoupled 0 included)
+#: and ``trajectory`` (n_samples per B0 value), which the CSV writer holds
+#: in memory, about 48 bytes a float cell.  With these caps no table
+#: exceeds 10^6 rows.
 MAX_SAMPLES = 10**6
 MAX_GRID = 10**3
 MAX_FLIPS = 10**4
 MAX_SCAN_VALUES = 16
 MAX_STACK_SAMPLES = 2 * 10**6
+MAX_TABLE_ROWS = 10**6
 
 
 class ConfigError(ValueError):
@@ -319,6 +324,14 @@ def parse_config(doc: Any) -> ScenarioConfig:
         raise ConfigError("$.sensitivity.n_samples",
                           f"times the {rows} trajectories of the largest "
                           f"sensitivity stack must be <= {MAX_STACK_SAMPLES}")
+    for path, families, what, n_samples in (
+            ("$.dd.n_samples", 2 * (1 + len(cfg.dd_n_values)),
+             "spin and n_flip families", cfg.dd_n_samples),
+            ("$.trajectory.n_samples", len(cfg.trajectory_B0_values),
+             "B0 values", cfg.trajectory_n_samples)):
+        if families * n_samples > MAX_TABLE_ROWS:
+            raise ConfigError(path, f"times the {families} {what} of its table "
+                                    f"must be <= {MAX_TABLE_ROWS} rows")
     return cfg
 
 

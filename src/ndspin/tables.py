@@ -239,7 +239,11 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
     (arrays or lists); each column's format is fixed once by its dtype."""
     arrays = [np.asarray(c) for c in columns]
     is_int = [np.issubdtype(c.dtype, np.integer) for c in arrays]
-    arrays = [c if i else np.asarray(c, dtype=float) for c, i in zip(arrays, is_int)]
+    # Widening to float64 is exact; numpy flags it invalid only where it
+    # quiets a signalling NaN, which prints as nan either way.
+    with np.errstate(invalid="ignore"):
+        arrays = [c if i else np.asarray(c, dtype=float)
+                  for c, i in zip(arrays, is_int)]
     if len({len(c) for c in arrays}) > 1:
         raise ValueError("CSV columns differ in length: "
                          + ", ".join(str(len(c)) for c in arrays))

@@ -25,7 +25,10 @@ q_ref (see :class:`_Reference`), and only the residual e = q - q_ref,
 driven by R, is integrated.  The residual still carries the linear term
 -K e; its error estimate sees e only, so the step is held to 1 / omega_x,
 where the stability function of RK45 is within 1.4e-6 of the unit circle.
-That is the only cap: below it the error control alone sets the step.
+That is the only cap, and each solver run starts at it, or at the run's
+span if shorter: the residual starts at zero, where scipy's initial-step
+rule would start at 1e-6 s and take six steps to grow to the cap.  The
+error control accepts or rejects every step, the first included.
 
 A flip makes R jump by 2 (mu_s J(q) e_x / m - c): tiny near the centre, so
 one solver call steps across every flip.  Per scan the jump is bounded on
@@ -95,8 +98,9 @@ class IntegratorConfig:
 
     Absolute floors are split between position and velocity; periods of
     hundreds of seconds with nanometer amplitudes need both.  The error
-    control sets the step; the only cap is the 1 / omega_x of the residual
-    integration (see the module docstring).
+    control accepts or rejects every step; the only cap is the 1 / omega_x
+    of the residual integration, which is also the first step of each run
+    about a harmonic centre (see the module docstring).
     """
 
     rel_tol: float = 1e-9
@@ -478,8 +482,12 @@ def _integrate_stack(
                    + ref.omega2 * off)
             return np.concatenate((y[:, 3:], acc), axis=1).ravel()
 
+        # A run about a harmonic centre starts at the step its controller
+        # settles at; without one, scipy's initial-step rule picks it.
         sol = solve_ivp(rhs, (ta, tb), state, rtol=rtol, atol=atol.ravel(),
-                        max_step=max_step, dense_output=last > filled)
+                        max_step=max_step, dense_output=last > filled,
+                        first_step=(None if centre is None
+                                    else min(max_step, tb - ta)))
         if not sol.success:
             q_ref, v_ref = ref.state(sol.t[-1:], lo, hi)
             raise IntegrationError(

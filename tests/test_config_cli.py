@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from ndspin.cli import _COMMANDS, main
 from ndspin.coils import CoilAssembly
-from ndspin.config import (MAX_SAMPLES, MAX_STACK_SAMPLES, ConfigError,
-                           ScenarioConfig, load_config, parse_config)
+from ndspin.config import (MAX_SAMPLES, MAX_STACK_SAMPLES, MAX_TABLE_ROWS,
+                           ConfigError, ScenarioConfig, load_config,
+                           parse_config)
 from ndspin.core import CONSTANTS, FieldConfig, NanodiamondParams
 from ndspin.protocol import ProtocolConfig, casimir_polder_separation
 from ndspin.trajectory import IntegratorConfig
@@ -275,6 +276,25 @@ def test_sensitivity_stack_over_its_cap_exits_2(tmp_path, capsys, sensitivity,
     assert main(["sensitivity", "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "$.sensitivity.n_samples" in err and f"the {rows} trajectories" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, section, families", [
+    ("dd", {"n_values": [4, 20, 200]}, 8),
+    ("trajectory", {"B0_values_T": [0.0] * 16}, 16),
+], ids=["dd", "trajectory"])
+def test_family_table_over_its_cap_exits_2(tmp_path, capsys, verb, section,
+                                           families):
+    # Parsed only: at the cap itself the table is 10^6 rows.
+    fits = MAX_TABLE_ROWS // families
+    doc = {**BASE, verb: {**section, "n_samples": fits}}
+    assert getattr(parse_config(doc), f"{verb}_n_samples") == fits
+    doc[verb]["n_samples"] = fits + 1
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"$.{verb}.n_samples" in err and f"the {families} " in err
     assert not out.exists()
 
 

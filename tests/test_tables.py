@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -126,8 +127,10 @@ def test_every_float_matches_python_formatter(tmp_path):
     single = rng.integers(0, 2**32, len(x), dtype=np.uint32).view(np.float32)
     flags = rng.random(len(x)) < 0.5
     path = tmp_path / "exact.csv"
-    with np.errstate(invalid="ignore"):  # float32 signalling NaNs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         write_csv(str(path), ("x", "single", "flag"), (x, single, flags))
+    with np.errstate(invalid="ignore"):  # float32 signalling NaNs
         widened = single.astype(float)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,single,flag"

@@ -467,17 +467,17 @@ def test_stacked_delta_scan_matches_per_row_oracle(coil_564):
         assert abs(r["deviation"] - dev) <= 2.0 * _oracle_bound(cfg, x[0]) / dx_max
 
 
-def _count_solver_calls(monkeypatch):
-    """Replace the solver the trajectory engine calls with a counting
-    wrapper; returns the one-element call counter."""
-    calls = [0]
+def _record_solver_calls(monkeypatch):
+    """Replace the solver the trajectory engine calls with a recording
+    wrapper; returns the list that collects each call's solution."""
+    sols = []
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return solve_ivp(*args, **kwargs)
+    def recording(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
 
-    monkeypatch.setattr(ndspin.trajectory, "solve_ivp", counting)
-    return calls
+    monkeypatch.setattr(ndspin.trajectory, "solve_ivp", recording)
+    return sols
 
 
 #: A particle light enough (x0 about 2.8 um) that its motion in the 5 mm
@@ -504,27 +504,27 @@ def test_restarts_only_where_the_force_changes(monkeypatch, nd_250nm,
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-16)
     n_flip = 20
     schedule = FlipSchedule(omega_dd=n_flip * osc.omega)
-    calls = _count_solver_calls(monkeypatch)
+    calls = _record_solver_calls(monkeypatch)
     # spin and current flip together: the force never changes sign
     sensitivity_scan(2e-7, [0.0, math.pi / 3.0], [0.2], src, nd_250nm,
                      schedule, osc.period, cfg, n_samples=50)
-    assert calls[0] == 1
+    assert len(calls) == 1
     # in the uniform field R = 0 has no jump, so the lagged rows step
     # across their flips in the same single call
     lags = [math.pi / 25.0, math.pi / 5.0]
-    calls[0] = 0
+    calls.clear()
     delta_scan([0.0, *lags], src, nd_250nm, n_flip, osc.omega, cfg,
                n_samples=50)
-    assert calls[0] == 1
+    assert len(calls) == 1
     # the light particle in the 5 mm pair: R's jump could break the
     # tolerance, so a lagged row restarts at its spin and at its current
     # flips, and the synchronized reference adds nothing
     coil, nd = _COILS["5mm"][0], NanodiamondParams.from_mass(_LIGHT_MASS)
     omega, period = _coil_period(coil, nd)
-    calls[0] = 0
+    calls.clear()
     delta_scan([0.0, *lags], coil, nd, n_flip, omega, IntegratorConfig(),
                n_samples=50)
-    assert calls[0] == 1 + len(_effective_flips(n_flip, omega, period, lags))
+    assert len(calls) == 1 + len(_effective_flips(n_flip, omega, period, lags))
 
 
 def test_light_particle_restarts_and_matches_per_row_oracle(monkeypatch):
@@ -539,15 +539,15 @@ def test_light_particle_restarts_and_matches_per_row_oracle(monkeypatch):
     rows_in = [((0.0, 0.0, 0.0), 0.0), ((0.0, 0.0, 0.0), math.pi / 5.0),
                ((0.0, 3e-6, 0.0), math.pi / 5.0)]
     t_eval = np.linspace(0.0, period, 201)
-    calls = _count_solver_calls(monkeypatch)
+    calls = _record_solver_calls(monkeypatch)
     rows = _integrate_stack(
         [TrajectoryState(0.0, q0, (0.0, 0.0, 0.0)) for q0, _d in rows_in],
         [1] * 3, [FlipSchedule(omega_dd=n_flip * omega, delta=d)
                   for _q0, d in rows_in],
         coil, nd, period, cfg, t_eval, CONSTANTS)
     monkeypatch.undo()
-    assert calls[0] == 1 + len(_effective_flips(n_flip, omega, period,
-                                                [math.pi / 5.0]))
+    assert len(calls) == 1 + len(_effective_flips(n_flip, omega, period,
+                                                  [math.pi / 5.0]))
     zone = _RHO_SERIES_FACTOR * coil.loops[0].r_c
     rho = np.hypot(rows[2].y, rows[2].z)
     assert rho.min() < zone < rho.max()
@@ -599,20 +599,14 @@ def test_no_flip_within_rounding_of_the_end(monkeypatch, n_flip):
     spin_flips, field_flips = _flip_times(
         FlipSchedule(omega_dd=n_flip * omega), period)
     assert len(spin_flips) == len(field_flips) == n_flip - 1
-    spans = []
-
-    def recording(fun, t_span, *args, **kwargs):
-        spans.append(t_span)
-        return solve_ivp(fun, t_span, *args, **kwargs)
-
-    monkeypatch.setattr(ndspin.trajectory, "solve_ivp", recording)
+    calls = _record_solver_calls(monkeypatch)
     # tolerances this tight put the lagged scan in the restart regime
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
     delta_scan([0.0, math.pi / 25.0], coil, nd, n_flip, omega, cfg,
                n_samples=40)
-    assert len(spans) == 1 + len(_effective_flips(n_flip, omega, period,
+    assert len(calls) == 1 + len(_effective_flips(n_flip, omega, period,
                                                   [math.pi / 25.0]))
-    assert min(b - a for a, b in spans) >= 1e-9 * period / n_flip
+    assert min(sol.t[-1] - sol.t[0] for sol in calls) >= 1e-9 * period / n_flip
 
 
 @pytest.mark.parametrize("lag", [math.pi / 45.0, math.pi / 10.0, math.pi / 5.0])
@@ -624,14 +618,7 @@ def test_lagged_scan_steps_across_flips(monkeypatch, lag):
     omega, period = _coil_period(coil, nd)
     cfg = IntegratorConfig()
     n_flip = 50
-    steps = []
-
-    def recording(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        steps.append(len(sol.t) - 1)
-        return sol
-
-    monkeypatch.setattr(ndspin.trajectory, "solve_ivp", recording)
+    calls = _record_solver_calls(monkeypatch)
     t_eval = np.linspace(0.0, period, 201)
     origin = TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     rows = _integrate_stack(
@@ -639,7 +626,7 @@ def test_lagged_scan_steps_across_flips(monkeypatch, lag):
         [FlipSchedule(omega_dd=n_flip * omega, delta=d) for d in (0.0, lag)],
         coil, nd, period, cfg, t_eval, CONSTANTS)
     monkeypatch.undo()
-    assert len(steps) == 1 and steps[0] < n_flip
+    assert len(calls) == 1 and len(calls[0].t) - 1 < n_flip
     for d, traj in zip((0.0, lag), rows):
         want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil, nd, n_flip * omega,
                                  d, period, cfg, t_eval)
@@ -687,7 +674,7 @@ def test_no_harmonic_centre_integrates_the_full_motion(monkeypatch):
     omega, period = _coil_period(coil, nd)
     lag, n_flip = math.pi / 5.0, 10
     t_eval = np.linspace(0.0, period, 101)
-    calls = _count_solver_calls(monkeypatch)
+    calls = _record_solver_calls(monkeypatch)
     monkeypatch.setattr(ndspin.trajectory, "harmonic_centre",
                         lambda *args: None)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
@@ -696,10 +683,48 @@ def test_no_harmonic_centre_integrates_the_full_motion(monkeypatch):
         [FlipSchedule(omega_dd=n_flip * omega, delta=lag)], coil, nd, period,
         cfg, t_eval, CONSTANTS)[0]
     monkeypatch.undo()
-    assert calls[0] == 1 + len(_effective_flips(n_flip, omega, period, [lag]))
+    assert len(calls) == 1 + len(_effective_flips(n_flip, omega, period, [lag]))
+    # without a trap scale every run keeps scipy's initial-step rule
+    assert all(sol.t[1] - sol.t[0] < sol.t[-1] - sol.t[0] for sol in calls)
     want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil, nd, n_flip * omega, lag,
                              period, cfg, t_eval)
     assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
+
+
+def test_trapped_runs_start_at_the_step_cap(monkeypatch):
+    # the baseline's scans (3 cm pair, 5.6e-14 kg, 200 flips, default
+    # tolerances): the residual starts at zero, where scipy's initial-step
+    # rule would start at 1e-6 s and take six steps to grow to the cap.
+    # Each run starts at min(1 / omega_x, span) and keeps that step: one
+    # call for the derivative at the start, then 7 steps of 6 calls over the
+    # 6.28 caps of a period
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(coil, nd)
+    cap = 1.0 / math.sqrt(harmonic_centre(coil, nd)[0][0])
+    angles = [0.0, math.pi / 4.0, math.pi / 2.0]
+    calls = _record_solver_calls(monkeypatch)
+    sensitivity_scan(5e-7, angles, angles, coil, nd,
+                     FlipSchedule(omega_dd=200 * omega), period)
+    delta_scan([0.0, math.pi / 45.0, math.pi / 25.0, math.pi / 15.0,
+                math.pi / 5.0], coil, nd, 200, omega)
+    assert len(calls) == 2
+    for sol in calls:
+        assert sol.t[1] - sol.t[0] == min(cap, sol.t[-1] - sol.t[0])
+        assert sol.nfev == 43
+
+
+def test_restart_regime_delta_scan_rhs_calls(monkeypatch):
+    # criterion 10's scan restarts at every effective flip; each restart
+    # starts at its segment's length, so the scan stays below the 7003 RHS
+    # calls that carrying the controller's step across restarts once made
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    omega, _period = _coil_period(coil, nd)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
+    calls = _record_solver_calls(monkeypatch)
+    delta_scan([math.pi / 45.0, math.pi / 25.0, math.pi / 15.0, math.pi / 5.0],
+               coil, nd, 200, omega, cfg, n_samples=600)
+    assert len(calls) == 996
+    assert sum(sol.nfev for sol in calls) < 7003
 
 
 def test_uniform_gradient_rows_are_the_closed_form(nd_250nm, field_fig2):
