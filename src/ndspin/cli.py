@@ -3,6 +3,9 @@
 Every verb reads one JSON scenario config and writes deterministic CSV/JSON
 artifacts into the output directory; plots are left to external tools, so
 each figure-style command also emits a small manifest describing its axes.
+A verb computes all of its artifacts before it writes any: a value that is
+not finite, in a table or a record, is a numerical failure, and nothing is
+written.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
 """
@@ -44,6 +47,34 @@ def _out(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+def _write(args, tables: dict, records: dict) -> None:
+    """Write ``tables`` (file name -> (header, columns)) as CSV and
+    ``records`` (file name -> payload) as JSON into the output directory.
+    Every column and record is checked first: a value that is not finite
+    raises FloatingPointError before any file is written."""
+    for name, (header, columns) in tables.items():
+        for label, column in zip(header, columns):
+            if not np.isfinite(np.asarray(column, dtype=float)).all():
+                raise FloatingPointError(
+                    f"{name}: column {label} has values that are not finite")
+    for name, payload in records.items():
+        _json_text(name, payload)
+    for name, (header, columns) in tables.items():
+        write_csv(_out(args, name), header, columns)
+    for name, payload in records.items():
+        write_json(_out(args, name), payload)
+
+
+def _json_text(name: str, payload: dict) -> str:
+    """``payload`` as the JSON the artifacts hold; a value that is not
+    finite raises FloatingPointError."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise FloatingPointError(
+            f"{name}: a value is not finite") from None
+
+
 def cmd_derive(cfg: ScenarioConfig, args) -> int:
     osc = derive_oscillator(cfg.nanodiamond, cfg.field, cfg.constants)
     x0p, x0m = equilibrium_positions(cfg.nanodiamond, cfg.field, cfg.constants)
@@ -63,8 +94,8 @@ def cmd_derive(cfg: ScenarioConfig, args) -> int:
         "delta_cp_m": casimir_polder_separation(cfg.nanodiamond, cfg.constants),
         "d_min_m": min_distance(cfg.nanodiamond, cfg.field, cfg.constants),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    write_json(_out(args, "derive.json"), report)
+    print(_json_text("derive.json", report))
+    _write(args, {}, {"derive.json": report})
     return 0
 
 
@@ -76,16 +107,17 @@ def cmd_trajectory(cfg: ScenarioConfig, args) -> int:
         classical_position(times, spin, cfg.nanodiamond, replace(cfg.field, B0=b0),
                            cfg.constants) for b0 in b0s]) for spin in (1, -1))
     grid = np.meshgrid(b0s, times, indexing="ij")
-    write_csv(_out(args, "trajectory.csv"),
-              ("B0_T", "t_s", "x_plus_m", "x_minus_m"),
-              (*(g.ravel() for g in grid), x_plus, x_minus))
-    write_json(_out(args, "trajectory_manifest.json"), {
-        "generated_by": "ndspin trajectory",
-        "x_axis": "t_s",
-        "y_axis": ["x_plus_m", "x_minus_m"],
-        "family_axis": "B0_T",
-        "description": "one oscillation period of both spin branches per bias value",
-    })
+    _write(args, {"trajectory.csv": (
+        ("B0_T", "t_s", "x_plus_m", "x_minus_m"),
+        (*(g.ravel() for g in grid), x_plus, x_minus))}, {
+        "trajectory_manifest.json": {
+            "generated_by": "ndspin trajectory",
+            "x_axis": "t_s",
+            "y_axis": ["x_plus_m", "x_minus_m"],
+            "family_axis": "B0_T",
+            "description": "one oscillation period of both spin branches per "
+                           "bias value",
+        }})
     return 0
 
 
@@ -98,30 +130,32 @@ def cmd_dd(cfg: ScenarioConfig, args) -> int:
                        DDConfig(n=n) if n else None, cfg.constants)
         for n in ns for spin in (1, -1)])
     grid = np.meshgrid(ns, (1, -1), times, indexing="ij")
-    write_csv(_out(args, "dd_phase_space.csv"),
-              ("n_flip", "spin", "t_s", "x_m", "p_kg_m_per_s"),
-              (*(g.ravel() for g in grid), *xp.T))
-    write_json(_out(args, "dd_manifest.json"), {
-        "generated_by": "ndspin dd",
-        "x_axis": "x_m",
-        "y_axis": "p_kg_m_per_s",
-        "family_axis": ["n_flip", "spin"],
-        "note": "n_flip = 0 rows are the undecoupled reference",
-    })
+    _write(args, {"dd_phase_space.csv": (
+        ("n_flip", "spin", "t_s", "x_m", "p_kg_m_per_s"),
+        (*(g.ravel() for g in grid), *xp.T))}, {
+        "dd_manifest.json": {
+            "generated_by": "ndspin dd",
+            "x_axis": "x_m",
+            "y_axis": "p_kg_m_per_s",
+            "family_axis": ["n_flip", "spin"],
+            "note": "n_flip = 0 rows are the undecoupled reference",
+        }})
     return 0
 
 
 def cmd_ramsey(cfg: ScenarioConfig, args) -> int:
     thetas = cfg.ramsey_theta_values
-    write_csv(_out(args, "ramsey.csv"), ("theta_g_rad", "delta_theta_rad"),
-              (thetas, [ramsey_phase(theta, cfg.nanodiamond, cfg.field,
-                                     cfg.constants) for theta in thetas]))
-    write_json(_out(args, "ramsey_manifest.json"), {
-        "generated_by": "ndspin ramsey",
-        "x_axis": "theta_g_rad",
-        "y_axis": "delta_theta_rad",
-        "description": "branch phase difference after one period vs tilt angle",
-    })
+    _write(args, {"ramsey.csv": (
+        ("theta_g_rad", "delta_theta_rad"),
+        (thetas, [ramsey_phase(theta, cfg.nanodiamond, cfg.field,
+                               cfg.constants) for theta in thetas]))}, {
+        "ramsey_manifest.json": {
+            "generated_by": "ndspin ramsey",
+            "x_axis": "theta_g_rad",
+            "y_axis": "delta_theta_rad",
+            "description": "branch phase difference after one period vs tilt "
+                           "angle",
+        }})
     return 0
 
 
@@ -132,16 +166,17 @@ def cmd_fieldmap(cfg: ScenarioConfig, args) -> int:
     xs = np.linspace(cfg.fieldmap_x_min, cfg.fieldmap_x_max, nx)
     ys = np.linspace(cfg.fieldmap_y_min, cfg.fieldmap_y_max, ny)
     q, B = field_map(cfg.coil, cfg.fieldmap_z, xs, ys, cfg.constants)
-    write_csv(_out(args, "fieldmap.csv"),
-              ("x_m", "y_m", "z_m", "Bx_T", "By_T", "Bz_T"), (*q.T, *B.T))
     grad = field_jacobian((0.0, 0.0, 0.0), cfg.coil, constants=cfg.constants)
-    write_json(_out(args, "fieldmap_manifest.json"), {
-        "generated_by": "ndspin fieldmap",
-        "plane_z_m": cfg.fieldmap_z,
-        "grid": {"nx": nx, "ny": ny},
-        "central_gradient_T_per_m": float(grad[0, 0]),
-        "description": "field components on a z = const plane, row-major in x then y",
-    })
+    _write(args, {"fieldmap.csv": (
+        ("x_m", "y_m", "z_m", "Bx_T", "By_T", "Bz_T"), (*q.T, *B.T))}, {
+        "fieldmap_manifest.json": {
+            "generated_by": "ndspin fieldmap",
+            "plane_z_m": cfg.fieldmap_z,
+            "grid": {"nx": nx, "ny": ny},
+            "central_gradient_T_per_m": float(grad[0, 0]),
+            "description": "field components on a z = const plane, row-major "
+                           "in x then y",
+        }})
     return 0
 
 
@@ -161,12 +196,12 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
         cfg.sensitivity_radius, cfg.sensitivity_theta, cfg.sensitivity_phi,
         cfg.coil, cfg.nanodiamond, schedule, period, cfg.integrator,
         cfg.sensitivity_n_samples, cfg.constants)
-    summary = []
+    tables, summary = {}, []
     for i, rec in enumerate(records):
         for spin, traj in rec["trajectories"].items():
             name = f"sensitivity_start{i:02d}_spin{'p' if spin > 0 else 'm'}.csv"
-            write_csv(_out(args, name), TRAJECTORY_CSV_HEADER,
-                      (traj.t, *traj.q.T, *traj.v.T, traj.spin))
+            tables[name] = (TRAJECTORY_CSV_HEADER,
+                            (traj.t, *traj.q.T, *traj.v.T, traj.spin))
         summary.append({
             "theta_rad": rec["theta"], "phi_rad": rec["phi"],
             "start_m": list(rec["start"]),
@@ -177,14 +212,14 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     deltas = delta_scan(cfg.sensitivity_delta, cfg.coil, cfg.nanodiamond,
                         cfg.sensitivity_n_flip, omega_eff, cfg.integrator,
                         cfg.sensitivity_n_samples, cfg.constants)
-    write_json(_out(args, "sensitivity_summary.json"), {
+    _write(args, tables, {"sensitivity_summary.json": {
         "generated_by": "ndspin sensitivity",
         "omega_rad_per_s": float(omega_eff),
         "period_s": float(period),
         "shell_radius_m": cfg.sensitivity_radius,
         "starts": summary,
         "delta_scan": deltas,
-    })
+    }})
     return 0
 
 
@@ -194,33 +229,34 @@ def cmd_protocol_opt(cfg: ScenarioConfig, args) -> int:
         grid_shape=cfg.grid_shape, refine=cfg.refine,
         template=cfg.nanodiamond, target_delta_phi=cfg.protocol.target_delta_phi,
         constants=cfg.constants)
-    write_csv(_out(args, "protocol_surface.csv"), SURFACE_CSV_HEADER,
-              result.surface_columns())
-    write_json(_out(args, "protocol_opt.json"), {
-        "generated_by": "ndspin protocol-opt",
-        "scenario": cfg.protocol.scenario.value,
-        "m_opt_kg": result.m_opt,
-        "Bprime_opt_T_per_m": result.Bprime_opt,
-        "t_min_s": result.t_min,
-        "t_hold_s": result.result.t_hold,
-        "period_s": result.result.period,
-        "delta_phi_bd_rad": result.result.delta_phi_bd,
-        "d_min_m": result.result.d_used,
-        "on_mass_boundary": result.on_mass_boundary,
-        "on_gradient_boundary": result.on_gradient_boundary,
-    })
     summary = protocol_duration(cfg.nanodiamond, cfg.field, cfg.protocol,
                                 cfg.constants)
-    write_json(_out(args, "protocol_point.json"), {
-        "generated_by": "ndspin protocol-opt",
-        "note": "protocol timing at the configured (nanodiamond, field) point",
-        "t_total_s": summary.t_total,
-        "t_hold_s": summary.t_hold,
-        "period_s": summary.period,
-        "delta_phi_bd_rad": summary.delta_phi_bd,
-        "delta_phi_hold_rad": summary.delta_phi_hold,
-        "d_used_m": summary.d_used,
-    })
+    _write(args, {"protocol_surface.csv": (SURFACE_CSV_HEADER,
+                                           result.surface_columns())}, {
+        "protocol_opt.json": {
+            "generated_by": "ndspin protocol-opt",
+            "scenario": cfg.protocol.scenario.value,
+            "m_opt_kg": result.m_opt,
+            "Bprime_opt_T_per_m": result.Bprime_opt,
+            "t_min_s": result.t_min,
+            "t_hold_s": result.result.t_hold,
+            "period_s": result.result.period,
+            "delta_phi_bd_rad": result.result.delta_phi_bd,
+            "d_min_m": result.result.d_used,
+            "on_mass_boundary": result.on_mass_boundary,
+            "on_gradient_boundary": result.on_gradient_boundary,
+        },
+        "protocol_point.json": {
+            "generated_by": "ndspin protocol-opt",
+            "note": "protocol timing at the configured (nanodiamond, field) "
+                    "point",
+            "t_total_s": summary.t_total,
+            "t_hold_s": summary.t_hold,
+            "period_s": summary.period,
+            "delta_phi_bd_rad": summary.delta_phi_bd,
+            "delta_phi_hold_rad": summary.delta_phi_hold,
+            "d_used_m": summary.d_used,
+        }})
     return 0
 
 
@@ -259,7 +295,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        # A value that is not finite is reported once, by the verb's check
+        # of its outputs, not as numpy warnings on the way.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ellipe, ellipk
 
 from .core import CONSTANTS, PhysicalConstants
 
@@ -157,7 +156,11 @@ class UniformGradientField:
 
 def complete_elliptic_KE(k2):
     """Complete elliptic integrals (K(k^2), E(k^2)) of squared modulus
-    m = k^2 in [0, 1); broadcasts over arrays."""
+    m = k^2 in [0, 1); broadcasts over arrays.  scipy.special is imported
+    at the first call, so only field points off the near-axis zone load
+    scipy."""
+    from scipy.special import ellipe, ellipk
+
     k2 = np.asarray(k2, dtype=float)
     if not ((0.0 <= k2) & (k2 < 1.0)).all():
         raise ValueError("k2 must lie in [0, 1)")

@@ -20,7 +20,7 @@ from typing import Any, Optional
 from .core import CONSTANTS, FieldConfig, NanodiamondParams, PhysicalConstants
 from .coils import CoilAssembly
 from .protocol import ProtocolConfig, Scenario
-from .trajectory import IntegratorConfig
+from .trajectory import RTOL_FLOOR, IntegratorConfig
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "parse_config"]
 
@@ -324,6 +324,11 @@ def parse_config(doc: Any) -> ScenarioConfig:
         raise ConfigError("$.sensitivity.n_samples",
                           f"times the {rows} trajectories of the largest "
                           f"sensitivity stack must be <= {MAX_STACK_SAMPLES}")
+    if not cfg.integrator.stack_rtol(rows) >= RTOL_FLOOR:
+        raise ConfigError("$.integrator.rel_tol",
+                          f"divided by sqrt({rows}) for the {rows} trajectories "
+                          "of the largest sensitivity stack must be >= 100 "
+                          f"machine epsilons ({RTOL_FLOOR:.3g})")
     for path, families, what, n_samples in (
             ("$.dd.n_samples", 2 * (1 + len(cfg.dd_n_values)),
              "spin and n_flip families", cfg.dd_n_samples),

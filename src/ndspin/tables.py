@@ -2,29 +2,30 @@
 
 A CSV table is written from equal-length columns.  Integer columns print
 with ``%d`` and every other column, converted to float64, with ``%.17g``,
-so identical inputs produce byte-identical files.  Each distinct value is
-converted to text once: an integer per column, a float across all float
-columns of the table (a grid's x and y axes share theirs), told apart by
-its bit pattern, so ``-0.0`` and ``0.0`` (and NaN payloads) keep their own
-text.  The cells gather the text by index.
+so identical inputs produce byte-identical files.  Rows are written in
+blocks of 4096, and each distinct value is converted to text once per
+block: an integer per column, a float across all float columns of the
+block (a grid's x and y axes share theirs), told apart by its bit pattern,
+so ``-0.0`` and ``0.0`` (and NaN payloads) keep their own text.  The cells
+gather the text by index.
 
-The floats are converted in one numpy pass.  With k = floor(log10|x|),
-|x|·10^(16-k) is formed as a double-double, from Dekker's error-free
-product of |x| and a (hi, lo) table of powers of ten built once with exact
-integer arithmetic, and rounded to the 17-digit integer N; the error is
-under 1e-14 of one unit in the 17th digit.  Python's ``'%.17g' %`` formats
-only the values the pass cannot decide: a fraction within 1e-13 of one
-half (exact decimal ties among them), a scaled value below 10^16 or an N
-of 10^17 (a misjudged decade, or rounding carried into the next), a
-magnitude outside [1e-280, 1e280], and values that are not finite.  Zero and -0 are decided
-in the pass.  The digits take ``%g``'s layout: fixed notation for
--4 <= k < 17, otherwise ``d.ddde±XX``, trailing zeros stripped and a bare
-point dropped.  Each text is a 32-byte record of little-endian words:
-a head word (sign, "0.000" prefix for k < 0, leading digit) and three body
-words (the other digits, the point, the exponent), with NUL bytes where a
-layout has nothing.  Rows are assembled in blocks of 4096 as one byte
-matrix, NULs dropped, and written block by block, so a table of any length
-keeps a bounded working set beside its one record per distinct value.
+The floats of a block are converted in one numpy pass.  With k =
+floor(log10|x|), |x|·10^(16-k) is formed as a double-double, from Dekker's
+error-free product of |x| and a (hi, lo) table of powers of ten built once
+with exact integer arithmetic, and rounded to the 17-digit integer N; the
+error is under 1e-14 of one unit in the 17th digit.  Python's
+``'%.17g' %`` formats only the values the pass cannot decide: a fraction within
+1e-13 of one half (exact decimal ties among them), a scaled value below
+10^16 or an N of 10^17 (a misjudged decade, or rounding carried into the
+next), a magnitude outside [1e-280, 1e280], and values that are not
+finite.  Zero and -0 are decided in the pass.  The digits take ``%g``'s
+layout: fixed notation for -4 <= k < 17, otherwise ``d.ddde±XX``, trailing
+zeros stripped and a bare point dropped.  Each text is a 32-byte record of
+little-endian words: a head word (sign, "0.000" prefix for k < 0, leading
+digit) and three body words (the other digits, the point, the exponent),
+with NUL bytes where a layout has nothing.  Each block's rows are
+assembled as one byte matrix, NULs dropped, and written, so a table of any
+length keeps a working set of one block beside its input columns.
 """
 
 from __future__ import annotations
@@ -212,10 +213,12 @@ def _float_words(x: np.ndarray, out: np.ndarray, head: np.ndarray,
         body[slow] = [len(text) for text in texts]
 
 
-def _cell_text(arrays: list, is_int: list, n: int) -> list:
-    """Per column: the text of its distinct values as fixed-width records
-    (NUL-padded, void dtype; for floats a strided view of the bytes the
-    column's cells use) and the record of each of its n cells."""
+def _cell_text(arrays: list, is_int: list) -> list:
+    """Per column of one block of n rows: the text of its distinct values as
+    fixed-width records (NUL-padded, void dtype; for floats a strided view
+    of the bytes the column's cells use) and the record of each of its n
+    cells."""
+    n = len(arrays[0])
     if not all(is_int):
         distinct, inverse = np.unique(np.concatenate(
             [c.view(np.int64) for c, i in zip(arrays, is_int) if not i]),
@@ -248,18 +251,19 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
         raise ValueError("CSV columns differ in length: "
                          + ", ".join(str(len(c)) for c in arrays))
     n = len(arrays[0]) if arrays else 0
-    cells = _cell_text(arrays, is_int, n) if n else []
-    row = sum(text.itemsize + 1 for text, _ in cells)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, n, _BLOCK_ROWS):
-            stop = min(n, start + _BLOCK_ROWS)
-            block = np.empty((stop - start, row), np.uint8)
+            cells = _cell_text([c[start:start + _BLOCK_ROWS] for c in arrays],
+                               is_int)
+            block = np.empty((len(cells[0][1]),
+                              sum(text.itemsize + 1 for text, _ in cells)),
+                             np.uint8)
             col = 0
             for text, inv in cells:
                 width = text.itemsize
-                block[:, col:col + width].view(text.dtype)[:, 0] = text[inv[start:stop]]
+                block[:, col:col + width].view(text.dtype)[:, 0] = text[inv]
                 block[:, col + width] = ord(",")
                 col += width + 1
             block[:, -1] = ord("\n")
@@ -268,7 +272,9 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys; a value that is
+    not finite raises ValueError before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

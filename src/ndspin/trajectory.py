@@ -26,9 +26,11 @@ driven by R, is integrated.  The residual still carries the linear term
 -K e; its error estimate sees e only, so the step is held to 1 / omega_x,
 where the stability function of RK45 is within 1.4e-6 of the unit circle.
 That is the only cap, and each solver run starts at it, or at the run's
-span if shorter: the residual starts at zero, where scipy's initial-step
-rule would start at 1e-6 s and take six steps to grow to the cap.  The
-error control accepts or rejects every step, the first included.
+span if shorter: the residual starts at zero, where the initial-step rule
+would start at 1e-6 s and take six steps to grow to the cap.  The error
+control accepts or rejects every step, the first included.  The
+reference's x range must stay inside the nearest loop plane on either
+side of the centre, beyond which the pair does not confine along x.
 
 A flip makes R jump by 2 (mu_s J(q) e_x / m - c): tiny near the centre, so
 one solver call steps across every flip.  Per scan the jump is bounded on
@@ -41,15 +43,22 @@ restarts at every effective flip.
 
 The trajectories of one scan (every shell start with both spins, or the
 synchronized run with every flip lag) are integrated together as one stacked
-(n, 6) residual state with scipy's Dormand-Prince 5(4) pair (RK45), one
-array-valued kernel evaluation per right-hand side call, with the force J mu
-taken in closed form from the kernel's (B_x, t, u, w) (see
-:mod:`ndspin.coils`).  scipy's error norm is an RMS over the whole state, so
-``rtol`` and ``atol`` are divided by sqrt(n): the stack's norm is then
-sqrt(sum_i norm_i^2) >= max_i norm_i, and every trajectory is held at least
-as tightly as it would be alone.  The residual is far smaller than the
-motion, so ``rtol`` reaches each row through the absolute tolerance, times
-the largest |q| (or |v|) of its reference.
+(n, 6) residual state with the Dormand-Prince 5(4) pair (Dormand & Prince,
+J. Comput. Appl. Math. 6 (1980) 19), one array-valued kernel evaluation per
+right-hand side call, with the force J mu taken in closed form from the
+kernel's (B_x, t, u, w) (see :mod:`ndspin.coils`).  The stepper,
+:func:`solve_ivp`, repeats scipy 1.17's RK45 operation for operation, so
+its steps and samples are scipy's bit for bit, and it is fused with the
+stacked residual (:class:`_Residual`): each step takes the reference at
+its five distinct stage times in one array call, and writes each stage
+derivative into its stage array and the dense output into the samples.
+The error norm is an RMS over the whole state, so ``rtol`` and ``atol``
+are divided by sqrt(n): the stack's norm is then sqrt(sum_i norm_i^2) >=
+max_i norm_i, and every trajectory is held at least as tightly as it
+would be alone.  The residual is far smaller than the motion, so ``rtol``
+reaches each row through the absolute tolerance, times the largest |q|
+(or |v|) of its reference; the stack's ``rtol`` must not fall below
+:data:`RTOL_FLOOR`, 100 machine epsilons.
 :func:`integrate` is the n = 1 case.
 """
 
@@ -60,7 +69,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import CONSTANTS, NanodiamondParams, PhysicalConstants
 
@@ -94,13 +102,16 @@ class TrajectoryState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive embedded Runge-Kutta pair: Dormand-Prince 5(4) (scipy RK45).
+    """Adaptive embedded Runge-Kutta pair: Dormand-Prince 5(4), stepped as
+    scipy's RK45 steps it by :func:`solve_ivp`.
 
     Absolute floors are split between position and velocity; periods of
     hundreds of seconds with nanometer amplitudes need both.  The error
     control accepts or rejects every step; the only cap is the 1 / omega_x
     of the residual integration, which is also the first step of each run
-    about a harmonic centre (see the module docstring).
+    about a harmonic centre (see the module docstring).  An n-row stack
+    integrates at ``stack_rtol(n)``, which must be at least
+    :data:`RTOL_FLOOR`.
     """
 
     rel_tol: float = 1e-9
@@ -110,6 +121,12 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and self.abs_tol_pos > 0.0 and self.abs_tol_vel > 0.0):
             raise ValueError("tolerances must be > 0")
+
+    def stack_rtol(self, n: int) -> float:
+        """The relative tolerance of an n-row stack, rel_tol / sqrt(n) (see
+        the module docstring); the stepper refuses one below
+        :data:`RTOL_FLOOR`."""
+        return 1.0 / math.sqrt(n) * self.rel_tol
 
 
 @dataclass(frozen=True)
@@ -221,9 +238,11 @@ def force(
                   _chi_coefficient(nd, constants), mu_spin).reshape(q.shape)
 
 
-def _force(q: np.ndarray, btuw: np.ndarray, a: float, mu_spin) -> np.ndarray:
+def _force(q: np.ndarray, btuw: np.ndarray, a: float, mu_spin,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """J mu per row, shape (n, 3), in closed form from the kernel's
-    (B_x, t, u, w) at the rows of q, for the moment mu = a B + mu_spin e_x.
+    (B_x, t, u, w) at the rows of q, for the moment mu = a B + mu_spin e_x;
+    written into ``out`` if given.
 
     With rho^2 = y^2 + z^2 and mu_x = a B_x + mu_spin, the J and B of
     :mod:`ndspin.coils` give
@@ -238,7 +257,12 @@ def _force(q: np.ndarray, btuw: np.ndarray, a: float, mu_spin) -> np.ndarray:
     at = a * t
     w_rho2 = w * rho2
     g = u * mu_x + at * (t + w_rho2)
-    return np.array((at * u * rho2 - (2.0 * t + w_rho2) * mu_x, y * g, z * g)).T
+    if out is None:
+        out = np.empty(q.shape)
+    out[:, 0] = at * u * rho2 - (2.0 * t + w_rho2) * mu_x
+    np.multiply(y, g, out=out[:, 1])
+    np.multiply(z, g, out=out[:, 2])
+    return out
 
 
 def _flip_times(schedule: Optional[FlipSchedule], t_end: float
@@ -318,23 +342,24 @@ class _Reference:
         np.cumsum(self.wx, axis=1, out=self.wx)
         self.wyz = z0[:, 1:]
 
-    def offset(self, t: float, k: int) -> np.ndarray:
-        """z_ref - (x*_k, 0, 0) of every row at one time t on segment k,
-        shape (n, 3)."""
-        w = np.empty((len(self.wyz), 3), dtype=complex)
-        w[:, 0] = self.wx[:, k]
-        w[:, 1:] = self.wyz
-        return w * np.exp(-1j * self.omega * (t - self.edges[0]))
+    def segments(self, t: np.ndarray, hi: int) -> np.ndarray:
+        """The segment of each time t of a solver run whose last segment is
+        hi (every t at or after the run's start)."""
+        return np.minimum(np.searchsorted(self.edges, t, side="right") - 1, hi)
 
-    def state(self, t: np.ndarray, lo: int, hi: int
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """q_ref and v_ref, each shape (n, len(t), 3), at times t of a
-        solver run over segments lo..hi."""
-        k = np.clip(np.searchsorted(self.edges, t, side="right") - 1, lo, hi)
+    def offsets(self, t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """z_ref - (x*_k, 0, 0) of every row at times t on segments k,
+        shape (n, len(t), 3)."""
         w = np.empty((len(self.wyz), len(t), 3), dtype=complex)
         w[..., 0] = self.wx[:, k]
         w[..., 1:] = self.wyz[:, None]
-        off = w * np.exp(-1j * self.omega * (t - self.edges[0])[:, None])
+        return w * np.exp(-1j * self.omega * (t - self.edges[0])[:, None])
+
+    def state(self, t: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """q_ref and v_ref, each shape (n, len(t), 3), at times t of a
+        solver run whose last segment is hi."""
+        k = self.segments(t, hi)
+        off = self.offsets(t, k)
         q = off.real
         q[..., 0] += self.xstar[:, k]
         return q, self.omega * off.imag
@@ -383,6 +408,224 @@ def _crosses_flips(source, nd: NanodiamondParams, constants: PhysicalConstants,
                 and jump * span * span <= atol[:, :3].min())
 
 
+#: Dormand & Prince's RK5(4)7M pair with Shampine's quartic dense output,
+#: as scipy's RK45 holds it: stage times C, stage weights A, the fifth-order
+#: weights B, the error weights E (fifth- minus fourth-order, the FSAL stage
+#: included) and the interpolant's coefficients P.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+#: The step-size controller: safety factor, the bounds of one change and
+#: the exponent -1 / (error order + 1).
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5
+#: The smallest relative tolerance the stepper takes: 100 machine epsilons.
+RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def _rms(x: np.ndarray) -> float:
+    """RMS norm of a state-sized array, as ``np.linalg.norm(x) / sqrt(x.size)``
+    computes it."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """One solver run, with the fields of scipy's result that the engine,
+    the tests and the benchmark's tracer read: the accepted step times
+    ``t``, the states ``y``, shape (6 n, len(t)), the RHS calls ``nfev``,
+    and ``success`` with its ``message``."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+    #: scipy's dense-output object; the samples written by the stepper
+    #: take its place.
+    sol = None
+
+
+class _Residual:
+    """Right-hand side of a stack's residual e = y - y_ref, shape (n, 6),
+    on a solver run whose last segment is ``hi``: e' = (e_v, F(q) / m +
+    K off) with q = q_ref + e, so that e'' = R.
+
+    :meth:`at` takes the reference at a batch of times in one array call
+    (the initial derivative, a probe, or a step's five distinct stage
+    times); a call then writes e' at the j-th of those times into a stage
+    row, shape (n, 6).
+    """
+
+    def __init__(self, ref: _Reference, source, constants: PhysicalConstants,
+                 a_mass: float, mu_spin: np.ndarray):
+        self.ref, self.source, self.constants = ref, source, constants
+        self.a_mass, self.mu_spin = a_mass, mu_spin
+        self.hi = 0
+
+    def at(self, times: np.ndarray) -> None:
+        k = self.ref.segments(times, self.hi)
+        self.off = self.ref.offsets(times, k).real
+        self.xstar = self.ref.xstar[:, k]
+        self.mu = self.mu_spin[:, k]
+
+    def __call__(self, j: int, e: np.ndarray, out: np.ndarray) -> None:
+        if not np.isfinite(e).all():
+            raise FloatingPointError("non-finite state during integration")
+        e = e.reshape(out.shape)
+        off = self.off[:, j]
+        q = off + e[:, :3]
+        q[:, 0] += self.xstar[:, j]
+        out[:, :3] = e[:, 3:]
+        acc = _force(q, self.source.btuw(q, self.constants), self.a_mass,
+                     self.mu[:, j], out=out[:, 3:])
+        acc += self.ref.omega2 * off
+
+
+def solve_ivp(fun: _Residual, t_span: tuple, y0: np.ndarray, rtol: float,
+              atol: np.ndarray, max_step: float = np.inf,
+              first_step: Optional[float] = None,
+              t_eval: np.ndarray = np.empty(0),
+              out: Optional[np.ndarray] = None) -> _Solution:
+    """Dormand-Prince 5(4) over ``t_span`` on the stacked residual ``fun``
+    from ``y0``, shape (6 n,), stepped as scipy 1.17's RK45 steps it,
+    operation for operation: the tableau, the minimum step of ten ulps of
+    t, the controller, the RMS error norm over atol + rtol max(|y|,
+    |y_new|) and the quartic dense output, which a sample at a step's end
+    takes from the step before it.  Without ``first_step`` the first step
+    is scipy's ``select_initial_step``.  The samples ``t_eval`` (sorted,
+    inside ``t_span``) are written into ``out``, shape (n, len(t_eval), 6).
+    An rtol below :data:`RTOL_FLOOR` raises ValueError.
+    """
+    t, t_bound = map(float, t_span)
+    if not rtol >= RTOL_FLOOR:
+        raise ValueError(f"rtol = {rtol:g} is below the stepper's floor "
+                         f"100 eps = {RTOL_FLOOR:g}")
+    y = np.asarray(y0, dtype=float)
+    # The stages, one row each; row 0 holds the derivative at the step's
+    # start, row 6 the one at its end (FSAL: first same as last).
+    k = np.empty((7, y.size))
+    rows = k.reshape(7, -1, 6)
+    fun.at(np.array([t]))
+    fun(0, y, rows[0])
+    nfev = 1
+    if first_step is None:
+        h_abs = _initial_step(fun, t, y, t_bound, max_step, k[0], rtol, atol)
+        nfev += 1
+    else:
+        h_abs = first_step
+    ts, ys = [t], [y]
+    done = 0
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return _Solution(np.array(ts), np.array(ys).T, nfev, False,
+                                 "Required step size is less than spacing "
+                                 "between numbers.")
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            # The five distinct stage times; the last is also the FSAL
+            # evaluation's.
+            fun.at(t + _C[1:] * h)
+            for s in range(1, 6):
+                dy = np.dot(k[:s].T, _A[s, :s]) * h
+                fun(s - 1, y + dy, rows[s])
+            y_new = y + h * np.dot(k[:-1].T, _B)
+            fun(4, y_new, rows[6])
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(k.T, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        if done < len(t_eval) and t_eval[done] <= t_new:
+            stop = np.searchsorted(t_eval, t_new, side="right")
+            # Powers x, x^2, x^3, x^4 of the step fraction, as cumprod
+            # forms them.
+            powers = np.empty((4, stop - done))
+            powers[0] = (t_eval[done:stop] - t) / h
+            for i in range(1, 4):
+                np.multiply(powers[i - 1], powers[0], out=powers[i])
+            dense = h * np.dot(k.T.dot(_P), powers)
+            dense += y[:, None]
+            out[:, done:stop] = dense.reshape(len(out), 6, -1).transpose(0, 2, 1)
+            done = stop
+        t, y = t_new, y_new
+        k[0] = k[6]
+        ts.append(t)
+        ys.append(y)
+        if t - t_bound >= 0:
+            return _Solution(np.array(ts), np.array(ys).T, nfev, True,
+                             "The solver successfully reached the end of the "
+                             "integration interval.")
+
+
+def _initial_step(fun: _Residual, t0: float, y0: np.ndarray, t_bound: float,
+                  max_step: float, f0: np.ndarray, rtol: float,
+                  atol: np.ndarray) -> float:
+    """scipy's ``select_initial_step`` for an error of order 4 (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.4): one probe call of ``fun``
+    at t0 + h0."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = np.empty((len(f0) // 6, 6))
+    fun.at(np.array([t0 + h0]))
+    fun(0, y0 + h0 * f0, f1)
+    d2 = _rms((f1.ravel() - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length, max_step)
+
+
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def _integrate_stack(
     starts: Sequence[TrajectoryState],
@@ -400,7 +643,7 @@ def _integrate_stack(
     residual state about the harmonic reference; see the module docstring.
     A failure raises :class:`IntegrationError` with the first row's last
     state; an overflow or an invalid operation raises FloatingPointError
-    where it happens."""
+    where it happens, and so does a reference that reaches a loop plane."""
     t0 = starts[0].t
     if not t_end > t0:
         raise ValueError("t_end must exceed the initial time")
@@ -413,7 +656,10 @@ def _integrate_stack(
         raise ValueError("t_eval must lie within [initial.t, t_end]")
 
     n = len(starts)
-    flips = [_flip_times(sched, t_end) for sched in schedules]
+    # Rows that share a schedule share its flips and signs.
+    distinct = list(dict.fromkeys(schedules))
+    row_schedule = [distinct.index(sched) for sched in schedules]
+    flips = [_flip_times(sched, t_end) for sched in distinct]
     # The force follows the sign spin * current alone, so a spin flip and a
     # current flip at the same instant cancel; each row's sign changes only
     # at the times found in exactly one of its two flip lists.
@@ -424,7 +670,8 @@ def _integrate_stack(
     mids = 0.5 * (edges[:-1] + edges[1:])
     # The sign spin * current of each row (axis 0) on each segment (axis 1).
     signs = np.array(spins)[:, None] * np.array(
-        [(-1) ** np.searchsorted(ef, mids, side="right") for ef in effective])
+        [(-1) ** np.searchsorted(ef, mids, side="right") for ef in effective]
+    )[row_schedule]
     # The RHS takes the acceleration from _force with both moment terms
     # divided by the mass: the spin moment at each sign, and -chi V / mu0.
     mu_spin = _spin_moment(signs, constants) / nd.mass
@@ -433,16 +680,17 @@ def _integrate_stack(
     centre = harmonic_centre(source, nd, constants)
     ref = _Reference(centre, edges, signs, y0)
 
-    # scipy's error norm is an RMS over the whole flattened state; dividing
+    # The error norm is an RMS over the whole flattened state; dividing
     # both tolerances by sqrt(n) turns it into sqrt(sum_i norm_i^2) over the
     # rows, which bounds every row's own norm.  rtol reaches each row
     # through atol, times the largest |q| and |v| of its reference.
     pos, vel, x_range, rho_max = ref.envelope()
+    _check_confined(source, x_range)
     scale = 1.0 / math.sqrt(n)
     atol = scale * np.repeat(np.stack((cfg.abs_tol_pos + cfg.rel_tol * pos,
                                        cfg.abs_tol_vel + cfg.rel_tol * vel),
-                                      axis=1), 3, axis=1)
-    rtol = scale * cfg.rel_tol
+                                      axis=1), 3, axis=1).ravel()
+    rtol = cfg.stack_rtol(n)
     # The residual still carries the linear term -K e, which the error
     # estimate of a residual near zero does not see: a step over 1 / omega_x
     # would amplify it (see the module docstring).
@@ -451,7 +699,7 @@ def _integrate_stack(
     # the tolerance: then it restarts at every effective flip.
     if n_seg == 1 or (centre is not None and _crosses_flips(
             source, nd, constants, centre[1], x_range, rho_max,
-            min(max_step, t_end - t0), atol)):
+            min(max_step, t_end - t0), atol.reshape(n, 6))):
         runs = [(0, n_seg - 1)]
     else:
         runs = [(k, k) for k in range(n_seg)]
@@ -462,54 +710,60 @@ def _integrate_stack(
     # time before it.
     ends = np.searchsorted(t_sorted, _with_slack(edges[[hi + 1 for _lo, hi in runs]]),
                            side="right")
-    out = np.empty((n, len(t_eval), 6))
+    # The samples in time order; each run writes its residual into its own.
+    samples = np.empty((n, len(t_eval), 6))
 
-    q_ref, v_ref = ref.state(edges[:1], 0, 0)
+    q_ref, v_ref = ref.state(edges[:1], 0)
     state = (y0 - np.concatenate((q_ref[:, 0], v_ref[:, 0]), axis=1)).ravel()
+    residual = _Residual(ref, source, constants, a_mass, mu_spin)
     filled = 0
     for (lo, hi), last in zip(runs, ends):
         ta, tb = edges[lo], edges[hi + 1]
-
-        def rhs(t, y, hi=hi):
-            if not np.isfinite(y).all():
-                raise FloatingPointError("non-finite state during integration")
-            y = y.reshape(n, 6)
-            k = min(np.searchsorted(edges, t, side="right") - 1, hi)
-            off = ref.offset(t, k).real
-            q = off + y[:, :3]
-            q[:, 0] += ref.xstar[:, k]
-            acc = (_force(q, source.btuw(q, constants), a_mass, mu_spin[:, k])
-                   + ref.omega2 * off)
-            return np.concatenate((y[:, 3:], acc), axis=1).ravel()
-
+        residual.hi = hi
+        seg_t = np.clip(t_sorted[filled:last], ta, tb)
         # A run about a harmonic centre starts at the step its controller
-        # settles at; without one, scipy's initial-step rule picks it.
-        sol = solve_ivp(rhs, (ta, tb), state, rtol=rtol, atol=atol.ravel(),
-                        max_step=max_step, dense_output=last > filled,
+        # settles at; without one, the initial-step rule picks it.
+        sol = solve_ivp(residual, (ta, tb), state, rtol, atol, max_step,
                         first_step=(None if centre is None
-                                    else min(max_step, tb - ta)))
+                                    else min(max_step, tb - ta)),
+                        t_eval=seg_t, out=samples[:, filled:last])
         if not sol.success:
-            q_ref, v_ref = ref.state(sol.t[-1:], lo, hi)
+            q_ref, v_ref = ref.state(sol.t[-1:], hi)
             raise IntegrationError(
                 f"integration failed in [{ta:g}, {tb:g}] s: {sol.message}",
                 TrajectoryState(t=float(sol.t[-1]),
                                 q=tuple(q_ref[0, 0] + sol.y[:3, -1]),
                                 v=tuple(v_ref[0, 0] + sol.y[3:6, -1])))
         if last > filled:
-            seg_t = np.clip(t_sorted[filled:last], ta, tb)
-            q_ref, v_ref = ref.state(seg_t, lo, hi)
-            out[:, order[filled:last]] = (
-                sol.sol(seg_t).reshape(n, 6, -1).transpose(0, 2, 1)
-                + np.concatenate((q_ref, v_ref), axis=2))
+            q_ref, v_ref = ref.state(seg_t, hi)
+            samples[:, filled:last, :3] += q_ref
+            samples[:, filled:last, 3:] += v_ref
             filled = last
         state = sol.y[:, -1]
 
-    return [Trajectory(t=t_eval.copy(), q=out[i, :, :3].copy(),
-                       v=out[i, :, 3:].copy(),
-                       spin=spins[i] * (-1) ** np.searchsorted(
-                           _with_slack(sf), t_eval, side="left"),
-                       flip_times=sf)
-            for i, (sf, _ff) in enumerate(flips)]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    spin_patterns = [(-1) ** np.searchsorted(_with_slack(sf), t_eval, side="left")
+                     for sf, _ff in flips]
+    return [Trajectory(t=t_eval.copy(), q=samples[i, rank, :3],
+                       v=samples[i, rank, 3:],
+                       spin=spins[i] * spin_patterns[j],
+                       flip_times=flips[j][0].copy())
+            for i, j in enumerate(row_schedule)]
+
+
+def _check_confined(source, x_range: tuple) -> None:
+    """Raise FloatingPointError where the reference's x range reaches the
+    nearest loop plane on either side of the centre: beyond it the pair
+    does not confine along x.  A source without loops has no plane."""
+    planes = np.array([lp.x_c for lp in getattr(source, "loops", ())])
+    ahead, behind = planes[planes > 0.0], planes[planes < 0.0]
+    if ((ahead.size and x_range[1] >= ahead.min())
+            or (behind.size and x_range[0] <= behind.max())):
+        raise FloatingPointError(
+            f"the harmonic reference spans x in [{x_range[0]:.3g}, "
+            f"{x_range[1]:.3g}] m, past a loop plane of the source: the "
+            "trap does not hold the particle")
 
 
 def _with_slack(times: np.ndarray) -> np.ndarray:

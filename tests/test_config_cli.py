@@ -479,6 +479,63 @@ def test_sensitivity_absurd_magnitudes_exit_promptly(tmp_path, capsys,
     assert "Warning" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mass", [1e-30, 1e-22])
+def test_sensitivity_particle_the_pair_cannot_trap_exits_3(tmp_path, capsys,
+                                                          mass):
+    # the branch offset c / omega_x^2 scales as 1 / m: at these masses the
+    # harmonic reference from the origin reaches past the 3 cm pair's loop
+    # planes at +-15 mm, where the pair no longer confines along x
+    path = _write_config(tmp_path, {
+        "version": 1, "nanodiamond": {"mass_kg": mass},
+        "coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 564.0}})
+    out = tmp_path / "out"
+    with _time_limit(5.0), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sensitivity", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "loop plane" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, section", [
+    ("dd", {"dd": {"n_samples": 8, "n_values": [1, 2, 3]}}),
+    ("derive", {}),
+])
+def test_non_finite_artifact_exits_3(tmp_path, capsys, verb, section):
+    # B0 = 1e300 T is a finite setting whose phases and frequencies are not:
+    # one numerical failure line, no warning, and no file
+    path = _write_config(tmp_path, {"version": 1, "field": {"B0_T": 1e300},
+                                    **section})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([verb, "--config", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure")
+    assert "Warning" not in captured.err and not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rel_tol, sensitivity, ok", [
+    (1e-16, {}, False),
+    (5e-14, {}, False),           # 18 rows divide it below 100 eps
+    (5e-14, {"theta_values_rad": [0.5], "phi_values_rad": [0.5]}, True),
+], ids=["alone", "stack", "small_stack"])
+def test_rel_tol_below_the_stepper_floor_exits_2(tmp_path, capsys, rel_tol,
+                                                 sensitivity, ok):
+    doc = {**BASE, "integrator": {"rel_tol": rel_tol},
+           "sensitivity": sensitivity}
+    if ok:
+        assert parse_config(doc).integrator.rel_tol == rel_tol
+        return
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["derive", "--config", path, "--out", str(out)]) == 2
+    assert "$.integrator.rel_tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_derive_huge_particle_keeps_casimir_polder_finite(tmp_path):
     # V / m is taken before squaring, so neither V^2 nor m^2 overflows
     path = _write_config(tmp_path, {"version": 1,

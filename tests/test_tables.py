@@ -155,11 +155,12 @@ def test_table_longer_than_one_block_matches_row_template(tmp_path):
 
 
 #: Peak resident memory that writing a 10^6-row table of seven distinct
-#: float columns and one integer column may add: 64 bytes per cell.  The
-#: writer keeps 32 bytes of text per distinct value and an index per cell,
-#: and assembles rows in blocks; it adds about 390 MB.  One Python string
-#: per distinct value, the writer before it, added 97 MB at 10^5 rows.
-_RSS_BOUND_MB = 512
+#: float columns and one integer column may add: 4 bytes per cell.  The
+#: writer converts and assembles one block of rows at a time; it adds about
+#: 5 MB.  With 32 bytes of text per distinct value of the whole table and
+#: an index per cell it added about 390 MB, and with one Python string per
+#: distinct value 97 MB at 10^5 rows.
+_RSS_BOUND_MB = 32
 
 _RSS_SCRIPT = """
 import resource, sys

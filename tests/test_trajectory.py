@@ -468,16 +468,123 @@ def test_stacked_delta_scan_matches_per_row_oracle(coil_564):
 
 
 def _record_solver_calls(monkeypatch):
-    """Replace the solver the trajectory engine calls with a recording
-    wrapper; returns the list that collects each call's solution."""
+    """Wrap the solver the trajectory engine calls in a recording wrapper;
+    returns the list that collects each call's solution."""
     sols = []
+    stepper = ndspin.trajectory.solve_ivp
 
     def recording(*args, **kwargs):
-        sols.append(solve_ivp(*args, **kwargs))
+        sols.append(stepper(*args, **kwargs))
         return sols[-1]
 
     monkeypatch.setattr(ndspin.trajectory, "solve_ivp", recording)
     return sols
+
+
+def _compare_with_scipy_rk45(monkeypatch):
+    """Wrap the engine's stepper so that every call is repeated by scipy's
+    RK45 on the same stacked residual, with the same tolerances, step cap
+    and first step, and dense output at the same samples; returns the list
+    that collects, per call, the stepper's solution and samples and
+    scipy's."""
+    stepper = ndspin.trajectory.solve_ivp
+    pairs = []
+
+    def both(fun, t_span, y0, rtol, atol, max_step, first_step, t_eval, out):
+        ours = stepper(fun, t_span, y0, rtol, atol, max_step, first_step,
+                       t_eval, out)
+
+        def rhs(t, y):
+            fun.at(np.array([t]))
+            f = np.empty((len(y) // 6, 6))
+            fun(0, y, f)
+            return f.ravel()
+
+        theirs = solve_ivp(rhs, t_span, y0, method="RK45", rtol=rtol,
+                           atol=atol, max_step=max_step, first_step=first_step,
+                           dense_output=len(t_eval) > 0)
+        dense = (theirs.sol(t_eval).reshape(len(out), 6, -1).transpose(0, 2, 1)
+                 if len(t_eval) else out)
+        pairs.append((ours, out.copy(), theirs, dense))
+        return ours
+
+    monkeypatch.setattr(ndspin.trajectory, "solve_ivp", both)
+    return pairs
+
+
+@pytest.mark.parametrize("regime", ["default", "criterion_10", "no_centre"])
+def test_stepper_repeats_scipy_rk45(monkeypatch, regime):
+    # the stepper takes scipy's RK45 steps bit for bit: the step times, the
+    # states, the RHS calls and the dense output at the samples, on the
+    # baseline's delta scan at the default tolerances, on criterion 10's
+    # (one run per flip segment), and without a harmonic centre (the whole
+    # force integrated, the first step from the initial-step rule)
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(coil, nd)
+    lags, n_flip, cfg = [0.0, math.pi / 45.0, math.pi / 5.0], 200, None
+    if regime == "criterion_10":
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17,
+                               abs_tol_vel=1e-19)
+    elif regime == "no_centre":
+        lags, n_flip = [math.pi / 5.0], 10
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17,
+                               abs_tol_vel=1e-19)
+        monkeypatch.setattr(ndspin.trajectory, "harmonic_centre",
+                            lambda *args: None)
+    pairs = _compare_with_scipy_rk45(monkeypatch)
+    _integrate_stack(
+        [TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))] * len(lags),
+        [1] * len(lags),
+        [FlipSchedule(omega_dd=n_flip * omega, delta=d) for d in lags],
+        coil, nd, period, cfg or IntegratorConfig(),
+        np.linspace(0.0, period, 101), CONSTANTS)
+    monkeypatch.undo()
+    assert len(pairs) == (1 if regime == "default" else 1 + len(
+        _effective_flips(n_flip, omega, period, [d for d in lags if d])))
+    for ours, samples, theirs, dense in pairs:
+        assert theirs.success and ours.success
+        assert np.array_equal(ours.t, theirs.t)
+        assert np.array_equal(ours.y, theirs.y)
+        assert ours.nfev == theirs.nfev
+        assert np.array_equal(samples, dense)
+    if regime == "no_centre":
+        assert all(ours.t[1] - ours.t[0] < ours.t[-1] - ours.t[0]
+                   for ours, *_ in pairs)
+
+
+def test_stepper_rejects_rtol_below_its_floor():
+    # scipy would raise rtol to 100 eps with a warning; the stepper refuses
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(coil, nd)
+    origin = TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="floor"):
+        integrate(origin, 1, coil, nd, None, period,
+                  IntegratorConfig(rel_tol=1e-16))
+    # a stack of 4 divides rtol by 2: 3e-14 alone is above the floor, in
+    # the stack below it
+    integrate(origin, 1, coil, nd, None, period,
+              IntegratorConfig(rel_tol=3e-14), t_eval=[period])
+    with pytest.raises(ValueError, match="floor"):
+        _integrate_stack([origin] * 4, [1] * 4, [None] * 4, coil, nd, period,
+                         IntegratorConfig(rel_tol=3e-14), [period], CONSTANTS)
+
+
+def test_reference_past_a_loop_plane_raises():
+    # at 1e-22 kg the branch offset x* = c / omega_x^2 is about 56 m, far
+    # past the 3 cm pair's loop planes at +-15 mm: no trap to integrate in
+    # (2 x* from the origin at 1e-18 kg, 11 mm, stays inside them)
+    coil = _COILS["3cm"][0]
+    origin = TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    for mass, inside in ((1e-18, True), (1e-22, False)):
+        nd = NanodiamondParams.from_mass(mass)
+        stiffness, c = harmonic_centre(coil, nd)
+        assert (2.0 * abs(c[0] / stiffness[0]) < 0.015) == inside
+        period = _coil_period(coil, nd)[1]
+        if inside:
+            integrate(origin, 1, coil, nd, None, period, t_eval=[period])
+            continue
+        with pytest.raises(FloatingPointError, match="loop plane"):
+            integrate(origin, 1, coil, nd, None, period, t_eval=[period])
 
 
 #: A particle light enough (x0 about 2.8 um) that its motion in the 5 mm
