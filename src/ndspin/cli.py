@@ -37,7 +37,7 @@ from .protocol import (
 )
 from .tables import write_csv, write_json
 from .trajectory import (FlipSchedule, IntegrationError, delta_scan,
-                         harmonic_centre, sensitivity_scan)
+                         sensitivity_scan)
 
 TRAJECTORY_CSV_HEADER = ("t_s", "x_m", "y_m", "z_m", "vx_mps", "vy_mps",
                          "vz_mps", "spin")
@@ -184,13 +184,11 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     if cfg.coil is None:
         raise ConfigError("$.coil", "sensitivity requires a coil section")
     grad = field_jacobian((0.0, 0.0, 0.0), cfg.coil, constants=cfg.constants)
-    osc = derive_oscillator(cfg.nanodiamond, FieldConfig(Bprime=grad[0, 0]),
-                            cfg.constants)
+    # A reversed current negates J and traps alike: the trap frequency
+    # follows |J_xx|.
+    osc = derive_oscillator(cfg.nanodiamond,
+                            FieldConfig(Bprime=abs(grad[0, 0])), cfg.constants)
     omega_eff, period = osc.omega, osc.period
-    if harmonic_centre(cfg.coil, cfg.nanodiamond, cfg.constants) is None:
-        raise FloatingPointError(
-            "the trap stiffness at the coil centre is not a positive normal "
-            "number, so there is no trap period to integrate over")
     schedule = FlipSchedule(omega_dd=cfg.sensitivity_n_flip * omega_eff)
     records = sensitivity_scan(
         cfg.sensitivity_radius, cfg.sensitivity_theta, cfg.sensitivity_phi,

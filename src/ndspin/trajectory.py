@@ -37,9 +37,9 @@ one solver call steps across every flip.  Per scan the jump is bounded on
 the reference's (x, rho) envelope; where a step of min(1 / omega_x, span)
 could lose more than the tolerance to it (:func:`_crosses_flips`), the
 solver restarts at every effective flip instead, so no step straddles one.
-Without a harmonic centre (a single loop, or a stiffness that underflows)
-the reference is zero, the whole force is integrated and the solver
-restarts at every effective flip.
+The harmonic centre is a precondition: a source without one (a single
+loop, or a stiffness that underflows) raises FloatingPointError before any
+flip or solver call.
 
 The trajectories of one scan (every shell start with both spins, or the
 synchronized run with every flip lag) are integrated together as one stacked
@@ -109,9 +109,8 @@ class IntegratorConfig:
     hundreds of seconds with nanometer amplitudes need both.  The error
     control accepts or rejects every step; the only cap is the 1 / omega_x
     of the residual integration, which is also the first step of each run
-    about a harmonic centre (see the module docstring).  An n-row stack
-    integrates at ``stack_rtol(n)``, which must be at least
-    :data:`RTOL_FLOOR`.
+    (see the module docstring).  An n-row stack integrates at
+    ``stack_rtol(n)``, which must be at least :data:`RTOL_FLOOR`.
     """
 
     rel_tol: float = 1e-9
@@ -317,20 +316,14 @@ class _Reference:
     at each boundary tau_j, so W_k = W_0 + sum_{0<j<=k} (x*_{j-1} - x*_j)
     exp(i omega tau_j): one cumulative sum over the flips.  c lies along x,
     so only x keeps per-segment arrays, shape (n, n_seg); y and z oscillate
-    freely with their starting W.  Without a harmonic centre every array is
-    zero and q_ref = 0.
+    freely with their starting W.  ``centre`` is the (K, c) of
+    :func:`harmonic_centre`.
     """
 
     def __init__(self, centre, edges: np.ndarray, signs: np.ndarray,
                  y0: np.ndarray):
         self.edges = edges
         n, n_seg = signs.shape
-        if centre is None:
-            self.omega2 = self.omega = np.zeros(3)
-            self.xstar = np.zeros((n, n_seg))
-            self.wx = np.zeros((n, n_seg), dtype=complex)
-            self.wyz = np.zeros((n, 2), dtype=complex)
-            return
         self.omega2, c = centre
         self.omega = np.sqrt(self.omega2)
         self.xstar = signs * (c[0] / self.omega2[0])
@@ -462,9 +455,6 @@ class _Solution:
     nfev: int
     success: bool
     message: str
-    #: scipy's dense-output object; the samples written by the stepper
-    #: take its place.
-    sol = None
 
 
 class _Residual:
@@ -473,9 +463,9 @@ class _Residual:
     K off) with q = q_ref + e, so that e'' = R.
 
     :meth:`at` takes the reference at a batch of times in one array call
-    (the initial derivative, a probe, or a step's five distinct stage
-    times); a call then writes e' at the j-th of those times into a stage
-    row, shape (n, 6).
+    (the initial derivative, or a step's five distinct stage times); a
+    call then writes e' at the j-th of those times into a stage row, shape
+    (n, 6).
     """
 
     def __init__(self, ref: _Reference, source, constants: PhysicalConstants,
@@ -504,19 +494,17 @@ class _Residual:
 
 
 def solve_ivp(fun: _Residual, t_span: tuple, y0: np.ndarray, rtol: float,
-              atol: np.ndarray, max_step: float = np.inf,
-              first_step: Optional[float] = None,
-              t_eval: np.ndarray = np.empty(0),
-              out: Optional[np.ndarray] = None) -> _Solution:
+              atol: np.ndarray, max_step: float, t_eval: np.ndarray,
+              out: np.ndarray) -> _Solution:
     """Dormand-Prince 5(4) over ``t_span`` on the stacked residual ``fun``
-    from ``y0``, shape (6 n,), stepped as scipy 1.17's RK45 steps it,
-    operation for operation: the tableau, the minimum step of ten ulps of
-    t, the controller, the RMS error norm over atol + rtol max(|y|,
-    |y_new|) and the quartic dense output, which a sample at a step's end
-    takes from the step before it.  Without ``first_step`` the first step
-    is scipy's ``select_initial_step``.  The samples ``t_eval`` (sorted,
-    inside ``t_span``) are written into ``out``, shape (n, len(t_eval), 6).
-    An rtol below :data:`RTOL_FLOOR` raises ValueError.
+    from ``y0``, shape (6 n,), stepped as scipy 1.17's RK45 steps it with
+    ``first_step=min(max_step, span)``, operation for operation: the
+    tableau, the minimum step of ten ulps of t, the controller, the RMS
+    error norm over atol + rtol max(|y|, |y_new|) and the quartic dense
+    output, which a sample at a step's end takes from the step before it.
+    The samples ``t_eval`` (sorted, inside ``t_span``) are written into
+    ``out``, shape (n, len(t_eval), 6).  An rtol below :data:`RTOL_FLOOR`
+    raises ValueError.
     """
     t, t_bound = map(float, t_span)
     if not rtol >= RTOL_FLOOR:
@@ -530,11 +518,7 @@ def solve_ivp(fun: _Residual, t_span: tuple, y0: np.ndarray, rtol: float,
     fun.at(np.array([t]))
     fun(0, y, rows[0])
     nfev = 1
-    if first_step is None:
-        h_abs = _initial_step(fun, t, y, t_bound, max_step, k[0], rtol, atol)
-        nfev += 1
-    else:
-        h_abs = first_step
+    h_abs = min(max_step, t_bound - t)
     ts, ys = [t], [y]
     done = 0
     while True:
@@ -600,32 +584,6 @@ def solve_ivp(fun: _Residual, t_span: tuple, y0: np.ndarray, rtol: float,
                              "integration interval.")
 
 
-def _initial_step(fun: _Residual, t0: float, y0: np.ndarray, t_bound: float,
-                  max_step: float, f0: np.ndarray, rtol: float,
-                  atol: np.ndarray) -> float:
-    """scipy's ``select_initial_step`` for an error of order 4 (Hairer,
-    Norsett & Wanner, Solving ODEs I, sec. II.4): one probe call of ``fun``
-    at t0 + h0."""
-    interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = np.empty((len(f0) // 6, 6))
-    fun.at(np.array([t0 + h0]))
-    fun(0, y0 + h0 * f0, f1)
-    d2 = _rms((f1.ravel() - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval_length, max_step)
-
-
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def _integrate_stack(
     starts: Sequence[TrajectoryState],
@@ -641,9 +599,16 @@ def _integrate_stack(
     """Integrate n trajectories (one per start, initial spin and flip
     schedule), all starting at ``starts[0].t``, as one stacked (n, 6)
     residual state about the harmonic reference; see the module docstring.
-    A failure raises :class:`IntegrationError` with the first row's last
-    state; an overflow or an invalid operation raises FloatingPointError
-    where it happens, and so does a reference that reaches a loop plane."""
+    A source without a harmonic centre raises FloatingPointError before
+    anything else.  A failure raises :class:`IntegrationError` with the
+    first row's last state; an overflow or an invalid operation raises
+    FloatingPointError where it happens, and so does a reference that
+    reaches a loop plane."""
+    centre = harmonic_centre(source, nd, constants)
+    if centre is None:
+        raise FloatingPointError(
+            "the trap stiffness at the coil centre is not a positive normal "
+            "number, so there is no trap period to integrate over")
     t0 = starts[0].t
     if not t_end > t0:
         raise ValueError("t_end must exceed the initial time")
@@ -677,7 +642,6 @@ def _integrate_stack(
     mu_spin = _spin_moment(signs, constants) / nd.mass
     a_mass = _chi_coefficient(nd, constants) / nd.mass
     y0 = np.array([[*st.q, *st.v] for st in starts], dtype=float)
-    centre = harmonic_centre(source, nd, constants)
     ref = _Reference(centre, edges, signs, y0)
 
     # The error norm is an RMS over the whole flattened state; dividing
@@ -694,12 +658,12 @@ def _integrate_stack(
     # The residual still carries the linear term -K e, which the error
     # estimate of a residual near zero does not see: a step over 1 / omega_x
     # would amplify it (see the module docstring).
-    max_step = np.inf if centre is None else 1.0 / ref.omega[0]
+    max_step = 1.0 / ref.omega[0]
     # One solver call steps across every flip, unless R's jumps could break
     # the tolerance: then it restarts at every effective flip.
-    if n_seg == 1 or (centre is not None and _crosses_flips(
+    if n_seg == 1 or _crosses_flips(
             source, nd, constants, centre[1], x_range, rho_max,
-            min(max_step, t_end - t0), atol.reshape(n, 6))):
+            min(max_step, t_end - t0), atol.reshape(n, 6)):
         runs = [(0, n_seg - 1)]
     else:
         runs = [(k, k) for k in range(n_seg)]
@@ -721,12 +685,8 @@ def _integrate_stack(
         ta, tb = edges[lo], edges[hi + 1]
         residual.hi = hi
         seg_t = np.clip(t_sorted[filled:last], ta, tb)
-        # A run about a harmonic centre starts at the step its controller
-        # settles at; without one, the initial-step rule picks it.
         sol = solve_ivp(residual, (ta, tb), state, rtol, atol, max_step,
-                        first_step=(None if centre is None
-                                    else min(max_step, tb - ta)),
-                        t_eval=seg_t, out=samples[:, filled:last])
+                        seg_t, samples[:, filled:last])
         if not sol.success:
             q_ref, v_ref = ref.state(sol.t[-1:], hi)
             raise IntegrationError(
@@ -787,7 +747,9 @@ def integrate(
 
     Samples are produced at ``t_eval`` (default: 1000 uniform times).  The
     solver steps across the effective flips (see the module docstring), or
-    restarts at each where their jump in R could break the tolerance.
+    restarts at each where their jump in R could break the tolerance.  The
+    source must have a harmonic centre (:func:`harmonic_centre`); one
+    without raises FloatingPointError before any solver call.
     """
     return _integrate_stack([initial], [spin_initial], [schedule], source, nd,
                             t_end, cfg, t_eval, constants)[0]

@@ -433,6 +433,24 @@ def test_cmd_sensitivity_coil_without_current_exits_2(tmp_path, capsys):
     assert "Bprime must be > 0" in capsys.readouterr().err
 
 
+def test_cmd_sensitivity_reversed_current_is_the_same_trap(tmp_path):
+    # J_xx < 0 on a reversed pair: the trap frequency follows |J_xx|, and
+    # the delta scan, which compares spin +1 rows, sees the same deviations
+    summaries = {}
+    for mmf in (564.0, -564.0):
+        path = _write_config(tmp_path, {
+            "version": 1, "nanodiamond": {"mass_kg": 5.6e-14},
+            "coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": mmf},
+            "sensitivity": {"theta_values_rad": [0.5], "phi_values_rad": [0.5],
+                            "delta_values_rad": [0.0, 0.6], "n_samples": 50}})
+        out = tmp_path / f"out{mmf:+g}"
+        assert main(["sensitivity", "--config", path, "--out", str(out)]) == 0
+        summaries[mmf] = json.loads(
+            (out / "sensitivity_summary.json").read_text())
+    for key in ("omega_rad_per_s", "period_s", "delta_scan"):
+        assert summaries[-564.0][key] == summaries[564.0][key]
+
+
 def test_cmd_protocol_opt_full_cycle(tmp_path):
     doc = {**BASE,
            "protocol": {"scenario": "full-cycle",
@@ -461,22 +479,27 @@ def _time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("section", [
-    # the central gradient is 1e-303 T/m: its stiffness underflows to zero
-    {"coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 1e-300}},
+@pytest.mark.parametrize("section, codes, text", [
+    # the central gradient is 1e-303 T/m: its stiffness underflows to zero,
+    # and the trajectory engine refuses a source with no harmonic centre
+    ({"coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 1e-300}},
+     (3,), "numerical failure: the trap stiffness at the coil centre is not "
+           "a positive normal number"),
     # the spin force drives the particle 1e279 m out: the field overflows
-    {"nanodiamond": {"mass_kg": 1e-300},
-     "coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 564.0}},
-])
+    ({"nanodiamond": {"mass_kg": 1e-300},
+      "coil": {"radius_m": 0.03, "separation_m": 0.03, "mmf_At": 564.0}},
+     (2, 3), ""),
+], ids=["section0", "section1"])
 def test_sensitivity_absurd_magnitudes_exit_promptly(tmp_path, capsys,
-                                                     section):
+                                                     section, codes, text):
     path = _write_config(tmp_path, {"version": 1, **section})
     out = tmp_path / "out"
     with _time_limit(5.0), warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["sensitivity", "--config", path, "--out", str(out)])
-    assert code in (2, 3)
-    assert "Warning" not in capsys.readouterr().err
+    assert code in codes
+    err = capsys.readouterr().err
+    assert text in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("mass", [1e-30, 1e-22])

@@ -484,15 +484,14 @@ def _record_solver_calls(monkeypatch):
 def _compare_with_scipy_rk45(monkeypatch):
     """Wrap the engine's stepper so that every call is repeated by scipy's
     RK45 on the same stacked residual, with the same tolerances, step cap
-    and first step, and dense output at the same samples; returns the list
-    that collects, per call, the stepper's solution and samples and
-    scipy's."""
+    and first step, min(max_step, span), and dense output at the same
+    samples; returns the list that collects, per call, the stepper's
+    solution and samples and scipy's."""
     stepper = ndspin.trajectory.solve_ivp
     pairs = []
 
-    def both(fun, t_span, y0, rtol, atol, max_step, first_step, t_eval, out):
-        ours = stepper(fun, t_span, y0, rtol, atol, max_step, first_step,
-                       t_eval, out)
+    def both(fun, t_span, y0, rtol, atol, max_step, t_eval, out):
+        ours = stepper(fun, t_span, y0, rtol, atol, max_step, t_eval, out)
 
         def rhs(t, y):
             fun.at(np.array([t]))
@@ -501,7 +500,8 @@ def _compare_with_scipy_rk45(monkeypatch):
             return f.ravel()
 
         theirs = solve_ivp(rhs, t_span, y0, method="RK45", rtol=rtol,
-                           atol=atol, max_step=max_step, first_step=first_step,
+                           atol=atol, max_step=max_step,
+                           first_step=min(max_step, t_span[1] - t_span[0]),
                            dense_output=len(t_eval) > 0)
         dense = (theirs.sol(t_eval).reshape(len(out), 6, -1).transpose(0, 2, 1)
                  if len(t_eval) else out)
@@ -512,25 +512,18 @@ def _compare_with_scipy_rk45(monkeypatch):
     return pairs
 
 
-@pytest.mark.parametrize("regime", ["default", "criterion_10", "no_centre"])
+@pytest.mark.parametrize("regime", ["default", "criterion_10"])
 def test_stepper_repeats_scipy_rk45(monkeypatch, regime):
     # the stepper takes scipy's RK45 steps bit for bit: the step times, the
     # states, the RHS calls and the dense output at the samples, on the
-    # baseline's delta scan at the default tolerances, on criterion 10's
-    # (one run per flip segment), and without a harmonic centre (the whole
-    # force integrated, the first step from the initial-step rule)
+    # baseline's delta scan at the default tolerances and on criterion 10's
+    # (one run per flip segment)
     coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
     omega, period = _coil_period(coil, nd)
     lags, n_flip, cfg = [0.0, math.pi / 45.0, math.pi / 5.0], 200, None
     if regime == "criterion_10":
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17,
                                abs_tol_vel=1e-19)
-    elif regime == "no_centre":
-        lags, n_flip = [math.pi / 5.0], 10
-        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17,
-                               abs_tol_vel=1e-19)
-        monkeypatch.setattr(ndspin.trajectory, "harmonic_centre",
-                            lambda *args: None)
     pairs = _compare_with_scipy_rk45(monkeypatch)
     _integrate_stack(
         [TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))] * len(lags),
@@ -547,9 +540,6 @@ def test_stepper_repeats_scipy_rk45(monkeypatch, regime):
         assert np.array_equal(ours.y, theirs.y)
         assert ours.nfev == theirs.nfev
         assert np.array_equal(samples, dense)
-    if regime == "no_centre":
-        assert all(ours.t[1] - ours.t[0] < ours.t[-1] - ours.t[0]
-                   for ours, *_ in pairs)
 
 
 def test_stepper_rejects_rtol_below_its_floor():
@@ -768,34 +758,28 @@ def test_harmonic_centre_matches_central_differences(source_name):
     assert c[1] == c[2] == spin_part[1] == spin_part[2] == 0.0
 
 
-def test_no_harmonic_centre_integrates_the_full_motion(monkeypatch):
+def test_no_harmonic_centre_is_refused_before_any_solver_call(monkeypatch):
     # a single loop's centre is no equilibrium (B_x != 0), and a vanishing
-    # current gives no positive stiffness: no reference, so a lagged row
-    # restarts at every effective flip, as the unsplit integrator did
+    # current gives no positive stiffness: the engine integrates only about
+    # a harmonic centre, so every entry point refuses such a source first
     nd = NanodiamondParams.from_mass(5.6e-14)
     loop = CoilAssembly(loops=(LoopSource(r_c=0.03, x_c=0.0, mmf=564.0),))
     assert harmonic_centre(loop, nd) is None
     assert harmonic_centre(CoilAssembly.anti_helmholtz(mmf=0.0), nd) is None
     assert harmonic_centre(CoilAssembly.anti_helmholtz(mmf=1e-300), nd) is None
-    coil = _COILS["3cm"][0]
-    omega, period = _coil_period(coil, nd)
-    lag, n_flip = math.pi / 5.0, 10
-    t_eval = np.linspace(0.0, period, 101)
+    omega, period = _coil_period(_COILS["3cm"][0], nd)
+    schedule = FlipSchedule(omega_dd=10 * omega, delta=math.pi / 5.0)
+    origin = TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     calls = _record_solver_calls(monkeypatch)
-    monkeypatch.setattr(ndspin.trajectory, "harmonic_centre",
-                        lambda *args: None)
-    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
-    traj = _integrate_stack(
-        [TrajectoryState(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))], [1],
-        [FlipSchedule(omega_dd=n_flip * omega, delta=lag)], coil, nd, period,
-        cfg, t_eval, CONSTANTS)[0]
-    monkeypatch.undo()
-    assert len(calls) == 1 + len(_effective_flips(n_flip, omega, period, [lag]))
-    # without a trap scale every run keeps scipy's initial-step rule
-    assert all(sol.t[1] - sol.t[0] < sol.t[-1] - sol.t[0] for sol in calls)
-    want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil, nd, n_flip * omega, lag,
-                             period, cfg, t_eval)
-    assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
+    for run in (
+            lambda: integrate(origin, 1, loop, nd, schedule, period),
+            lambda: sensitivity_scan(5e-7, [0.0], [0.0], loop, nd, schedule,
+                                     period, n_samples=50),
+            lambda: delta_scan([0.0, math.pi / 5.0], loop, nd, 10, omega)):
+        with pytest.raises(FloatingPointError,
+                           match="trap stiffness at the coil centre"):
+            run()
+    assert calls == []
 
 
 def test_trapped_runs_start_at_the_step_cap(monkeypatch):
