@@ -47,22 +47,24 @@ def _out(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _write(args, tables: dict, records: dict) -> None:
+def _write(args, tables: dict, records: dict) -> dict:
     """Write ``tables`` (file name -> (header, columns)) as CSV and
-    ``records`` (file name -> payload) as JSON into the output directory.
-    Every column and record is checked first: a value that is not finite
-    raises FloatingPointError before any file is written."""
+    ``records`` (file name -> payload) as JSON into the output directory,
+    and return each record's JSON text by file name.  Every column and
+    record is checked first: a value that is not finite raises
+    FloatingPointError before any file is written."""
     for name, (header, columns) in tables.items():
         for label, column in zip(header, columns):
             if not np.isfinite(np.asarray(column, dtype=float)).all():
                 raise FloatingPointError(
                     f"{name}: column {label} has values that are not finite")
-    for name, payload in records.items():
-        _json_text(name, payload)
+    texts = {name: _json_text(name, payload)
+             for name, payload in records.items()}
     for name, (header, columns) in tables.items():
         write_csv(_out(args, name), header, columns)
-    for name, payload in records.items():
-        write_json(_out(args, name), payload)
+    for name, text in texts.items():
+        write_json(_out(args, name), text)
+    return texts
 
 
 def _json_text(name: str, payload: dict) -> str:
@@ -94,8 +96,7 @@ def cmd_derive(cfg: ScenarioConfig, args) -> int:
         "delta_cp_m": casimir_polder_separation(cfg.nanodiamond, cfg.constants),
         "d_min_m": min_distance(cfg.nanodiamond, cfg.field, cfg.constants),
     }
-    print(_json_text("derive.json", report))
-    _write(args, {}, {"derive.json": report})
+    print(_write(args, {}, {"derive.json": report})["derive.json"])
     return 0
 
 
@@ -184,6 +185,9 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     if cfg.coil is None:
         raise ConfigError("$.coil", "sensitivity requires a coil section")
     grad = field_jacobian((0.0, 0.0, 0.0), cfg.coil, constants=cfg.constants)
+    if grad[0, 0] == 0.0:
+        raise ConfigError("$.coil.mmf_At", "the coil's central gradient is "
+                          "zero, so there is no trap to integrate in")
     # A reversed current negates J and traps alike: the trap frequency
     # follows |J_xx|.
     osc = derive_oscillator(cfg.nanodiamond,

@@ -34,10 +34,14 @@ k-th axial derivatives b_k of the on-axis field:
 B_x = b0 - rho^2 b2/4, t = -b1/2 + rho^2 b3/16, u = -b2/2, w = b3/8.
 
 The kernel is array-valued: one pass evaluates every loop at a batch of
-points, each point taking the series or the closed form by a mask.  A field
-source is anything that exposes the summed four numbers as ``btuw``;
+points into one (4, n_loops, n) array, summed over the loops once, each
+point taking the series or the closed form by a mask.  The loop constants
+that do not depend on the point (b_amp = mu0 F r_c^2 / 2, 3 r_c^2, the
+series-zone radius) are computed once per assembly.  A field source is
+anything that exposes the summed four numbers as ``btuw``;
 :func:`field_and_jacobian` builds B and J from them for every source, and
-the trajectory force is taken from them directly, without forming J.
+the trajectory force is taken from them directly, without forming J, with
+the rho^2 that the kernel pass took from the force's caller.
 
 Fields are treated as exactly static (no retardation), valid for coil sizes
 far below the driving wavelength.
@@ -48,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +79,12 @@ __all__ = [
 _RHO_SERIES_FACTOR = 5e-4
 #: Rejection radius around the wire circle, as a fraction of the loop radius.
 _WIRE_EPS_FACTOR = 1e-9
+#: Batches of up to this many points take the loop constants tiled to their
+#: size, cached per assembly: numpy's ufuncs run faster on small arrays when
+#: no operand broadcasts.  A trajectory stack has at most 2 x 16 x 16 rows
+#: (both spins of every shell start).  Larger batches broadcast the
+#: (n_loops, 1) columns.
+_TILED_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -114,14 +124,22 @@ class CoilAssembly:
                           LoopSource(r_c=r_c, x_c=-0.5 * d_c, mmf=-mmf)))
 
     @cached_property
-    def _params(self) -> np.ndarray:
-        return _loop_params(self.loops)
+    def _params(self) -> dict:
+        """The kernel's loop constants (:func:`_loop_params`), by mu0 and
+        the number of points they are tiled to."""
+        return {}
 
-    def btuw(self, q: np.ndarray,
-             constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+    def btuw(self, q: np.ndarray, constants: PhysicalConstants = CONSTANTS,
+             rho2: Optional[np.ndarray] = None) -> np.ndarray:
         """(B_x, t, u, w), shape (4, n), summed over the loops at the rows
-        of q, shape (n, 3), from one pass of the loop kernel."""
-        return _btuw(np.asarray(q, dtype=float), self._params, constants.mu0)
+        of q, shape (n, 3), from one pass of the loop kernel.  ``rho2``,
+        the rows' y^2 + z^2, is formed here unless the caller has it."""
+        q = np.asarray(q, dtype=float)
+        key = (constants.mu0, len(q) if len(q) <= _TILED_POINTS else 1)
+        params = self._params.get(key)
+        if params is None:
+            params = self._params[key] = _loop_params(self.loops, *key)
+        return _btuw(q, _rho2(q) if rho2 is None else rho2, params)
 
     def field_at(self, p: Sequence[float],
                  constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
@@ -144,10 +162,10 @@ class UniformGradientField:
             raise ValueError("Bprime must be > 0")
         self.Bprime = Bprime
 
-    def btuw(self, q: np.ndarray,
-             constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+    def btuw(self, q: np.ndarray, constants: PhysicalConstants = CONSTANTS,
+             rho2: Optional[np.ndarray] = None) -> np.ndarray:
         """(B_x, t, u, w) = (B' x, -B'/2, 0, 0), shape (4, n), at the rows
-        of q, shape (n, 3)."""
+        of q, shape (n, 3); ``rho2`` is not needed."""
         q = np.asarray(q, dtype=float)
         n = len(q)
         return np.array((self.Bprime * q[:, 0], np.full(n, -0.5 * self.Bprime),
@@ -167,23 +185,34 @@ def complete_elliptic_KE(k2):
     return ellipk(k2), ellipe(k2)
 
 
-def _series_btuw(s, rho2, rc2, b_amp):
-    """(B_x, t, u, w) from the near-axis series.  With q = r_c^2 + s^2 and
-    b_amp = mu0 F r_c^2 / 2: b0 = b_amp / q^{3/2}, -b1/2 = s h with
-    h = 1.5 b0 / q, u = -b2/2 = (r_c^2 - 4 s^2) h / q and
+#: The series' numeric factors as 0-d arrays, which numpy's ufuncs take
+#: without converting a Python float at every call.
+_HALF, _THREE_HALVES, _FOUR, _MINUS_FIVE_QUARTERS = map(
+    np.array, (0.5, 1.5, 4.0, -1.25))
+
+
+def _series_btuw(s, rho2, rc2, three_rc2, b_amp, out):
+    """(B_x, t, u, w) from the near-axis series, written into ``out``,
+    shape (4,) + s.shape.  With q = r_c^2 + s^2 and b_amp = mu0 F r_c^2 / 2:
+    b0 = b_amp / q^{3/2}, -b1/2 = s h with h = 1.5 b0 / q,
+    u = -b2/2 = (r_c^2 - 4 s^2) h / q and
     w = b3/8 = -1.25 s (4 s^2 - 3 r_c^2) h / q^2."""
-    iq = 1.0 / (rc2 + s * s)
+    s2 = s * s
+    iq = np.reciprocal(rc2 + s2)
     b0 = b_amp * iq * np.sqrt(iq)
-    h = 1.5 * b0 * iq
+    h = _THREE_HALVES * b0 * iq
     hq = h * iq
-    s4 = 4.0 * s * s
-    u = (rc2 - s4) * hq
-    w = -1.25 * s * (s4 - 3.0 * rc2) * hq * iq
-    half_rho2 = 0.5 * rho2
-    return (b0 + half_rho2 * u, s * h + half_rho2 * w, u, w)
+    s4 = _FOUR * s2
+    u = np.multiply(rc2 - s4, hq, out=out[2])
+    w = np.multiply(_MINUS_FIVE_QUARTERS * s * (s4 - three_rc2) * hq, iq,
+                    out=out[3])
+    # Tiled to the shape of s once, so that no product below broadcasts.
+    half_rho2 = np.multiply(_HALF, rho2, out=np.empty(s.shape))
+    np.add(b0, half_rho2 * u, out=out[0])
+    np.add(s * h, half_rho2 * w, out=out[1])
 
 
-def _elliptic_btuw(s, rho2, rc, mmf, mu0):
+def _elliptic_btuw(s, rho2, rc, mu0_mmf):
     """(B_x, t, u, w) from the elliptic closed form; see the module
     docstring."""
     rho = np.sqrt(rho2)
@@ -195,7 +224,7 @@ def _elliptic_btuw(s, rho2, rc, mmf, mu0):
     if np.any(a2 <= (_WIRE_EPS_FACTOR * rc) ** 2):
         raise ValueError("field evaluation on (or too close to) the wire circle")
     K, E = complete_elliptic_KE(1.0 - a2 / b2)
-    c = mu0 * mmf / (2.0 * math.pi * a2 * np.sqrt(b2))
+    c = mu0_mmf / (2.0 * math.pi * a2 * np.sqrt(b2))
     ab = a2 * b2
     sum2 = rc2 + r2
     t = c * s * (sum2 * E - a2 * K) / rho2
@@ -206,38 +235,50 @@ def _elliptic_btuw(s, rho2, rc, mmf, mu0):
     return (c * ((rc2 - r2) * E + a2 * K), t, u, (-g - 2.0 * t) / rho2)
 
 
-def _loop_params(loops: Sequence[LoopSource]) -> np.ndarray:
-    """Per-loop (x_c, r_c, mmf, r_c^2, mmf r_c^2 / 2, squared series-zone
-    radius), shape (6, n_loops, 1), for :func:`_btuw`."""
-    return np.array([
-        (lp.x_c, lp.r_c, lp.mmf, lp.r_c ** 2, 0.5 * lp.mmf * lp.r_c ** 2,
-         (_RHO_SERIES_FACTOR * lp.r_c) ** 2) for lp in loops]).T[:, :, None]
+def _loop_params(loops: Sequence[LoopSource], mu0: float, n: int) -> tuple:
+    """The point-independent constants of :func:`_btuw`: per loop, each
+    shape (n_loops, n), x_c, r_c, r_c^2, 3 r_c^2, b_amp = mu0 mmf r_c^2 / 2,
+    mu0 mmf and the squared series-zone radius, tiled over n points; last,
+    the smallest of those radii, a float."""
+    cols = np.array([
+        (lp.x_c, lp.r_c, lp.r_c ** 2, 3.0 * lp.r_c ** 2,
+         mu0 * (0.5 * lp.mmf * lp.r_c ** 2), mu0 * lp.mmf,
+         (_RHO_SERIES_FACTOR * lp.r_c) ** 2) for lp in loops]).T
+    return (*np.repeat(cols[:, :, None], n, axis=2), float(cols[-1].min()))
 
 
-def _btuw(q: np.ndarray, loop_params: np.ndarray, mu0: float) -> np.ndarray:
+def _rho2(q: np.ndarray) -> np.ndarray:
+    """rho^2 = y^2 + z^2 of the rows of q, shape (n, 3)."""
+    qq = q * q
+    return qq[:, 1] + qq[:, 2]
+
+
+def _btuw(q: np.ndarray, rho2: np.ndarray, loop_params: tuple) -> np.ndarray:
     """(B_x, t, u, w) summed over the loops of ``loop_params`` (from
-    :func:`_loop_params`) at the rows of q, shape (n, 3); returns shape
-    (4, n).
+    :func:`_loop_params`) at the rows of q, shape (n, 3), whose rho^2 is
+    ``rho2``, shape (n,); returns shape (4, n).
 
-    Every loop and point is evaluated in one pass over (loop, point) arrays.
+    Every loop and point is evaluated in one pass over (loop, point) arrays
+    into one (4, n_loops, n) array, summed over the loops at the end.
     Points within _RHO_SERIES_FACTOR r_c of a loop's axis take the series,
     the rest the elliptic closed form.
     """
-    x_c, rc, mmf, rc2, half_mmf_rc2, zone2 = loop_params
-    b_amp = mu0 * half_mmf_rc2
+    x_c, rc, rc2, three_rc2, b_amp, mu0_mmf, zone2, zone2_min = loop_params
     s = q[:, 0] - x_c
-    rho2 = q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2]
-    series = rho2 < zone2
-    if series.all():
-        return np.array(_series_btuw(s, rho2, rc2, b_amp)).sum(axis=1)
     out = np.empty((4,) + s.shape)
+    if not rho2.size or np.maximum.reduce(rho2) < zone2_min:
+        _series_btuw(s, rho2, rc2, three_rc2, b_amp, out)
+        return np.add.reduce(out, axis=1)
+    series = rho2 < zone2
     if series.any():
-        out[:, series] = _series_btuw(
-            *(np.broadcast_to(a, s.shape)[series] for a in (s, rho2, rc2, b_amp)))
+        part = np.empty((4, np.count_nonzero(series)))
+        _series_btuw(*(np.broadcast_to(a, s.shape)[series]
+                       for a in (s, rho2, rc2, three_rc2, b_amp)), part)
+        out[:, series] = part
     ell = ~series
     out[:, ell] = _elliptic_btuw(
-        *(np.broadcast_to(a, s.shape)[ell] for a in (s, rho2, rc, mmf)), mu0)
-    return out.sum(axis=1)
+        *(np.broadcast_to(a, s.shape)[ell] for a in (s, rho2, rc, mu0_mmf)))
+    return np.add.reduce(out, axis=1)
 
 
 #: J per row is (t, u y, u z, w y^2, w z^2, w y z) times this basis; its

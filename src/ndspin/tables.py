@@ -31,7 +31,6 @@ length keeps a working set of one block beside its input columns.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from typing import Sequence
 
@@ -271,10 +270,8 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
             fh.write(flat[flat != 0])
 
 
-def write_json(path: str, payload: dict) -> None:
-    """Write ``payload`` as indented JSON with sorted keys; a value that is
-    not finite raises ValueError before the file is opened."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+def write_json(path: str, text: str) -> None:
+    """Write one JSON document, ``text``, and a newline."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")

@@ -49,9 +49,12 @@ right-hand side call, with the force J mu taken in closed form from the
 kernel's (B_x, t, u, w) (see :mod:`ndspin.coils`).  The stepper,
 :func:`solve_ivp`, repeats scipy 1.17's RK45 operation for operation, so
 its steps and samples are scipy's bit for bit, and it is fused with the
-stacked residual (:class:`_Residual`): each step takes the reference at
-its five distinct stage times in one array call, and writes each stage
-derivative into its stage array and the dense output into the samples.
+stacked residual (:class:`_Residual`): each step computes its stage bases
+once, in one array call over its five distinct stage times (every row's
+reference offset, its K off, x* and spin moment); each right-hand side
+call then makes one kernel pass whose rho^2 the force shares and writes
+its stage derivative into its stage array, and the dense output goes into
+the samples.
 The error norm is an RMS over the whole state, so ``rtol`` and ``atol``
 are divided by sqrt(n): the stack's norm is then sqrt(sum_i norm_i^2) >=
 max_i norm_i, and every trajectory is held at least as tightly as it
@@ -70,6 +73,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .coils import _rho2
 from .core import CONSTANTS, NanodiamondParams, PhysicalConstants
 
 __all__ = [
@@ -232,35 +236,33 @@ def force(
     """
     q = np.asarray(q, dtype=float)
     rows = q.reshape(-1, 3)
+    rho2 = _rho2(rows)
     mu_spin = _spin_moment(np.multiply(spin_sign, field_sign), constants)
-    return _force(rows, source.btuw(rows, constants),
+    return _force(rows, rho2, source.btuw(rows, constants, rho2),
                   _chi_coefficient(nd, constants), mu_spin).reshape(q.shape)
 
 
-def _force(q: np.ndarray, btuw: np.ndarray, a: float, mu_spin,
-           out: Optional[np.ndarray] = None) -> np.ndarray:
+def _force(q: np.ndarray, rho2: np.ndarray, btuw: np.ndarray, a: float,
+           mu_spin, out: Optional[np.ndarray] = None) -> np.ndarray:
     """J mu per row, shape (n, 3), in closed form from the kernel's
-    (B_x, t, u, w) at the rows of q, for the moment mu = a B + mu_spin e_x;
-    written into ``out`` if given.
+    (B_x, t, u, w) at the rows of q, whose y^2 + z^2 is ``rho2``, for the
+    moment mu = a B + mu_spin e_x; written into ``out`` if given.
 
-    With rho^2 = y^2 + z^2 and mu_x = a B_x + mu_spin, the J and B of
-    :mod:`ndspin.coils` give
+    With mu_x = a B_x + mu_spin, the J and B of :mod:`ndspin.coils` give
     F = (-(2t + w rho^2) mu_x + a t u rho^2, y G, z G) with
     G = u mu_x + a t (t + w rho^2).  The force is linear in (a, mu_spin),
     so scaling both by 1/m gives the acceleration.
     """
-    bx, t, u, w = btuw
-    y, z = q[:, 1], q[:, 2]
-    rho2 = y * y + z * z
+    bx, t, u, w = btuw[0], btuw[1], btuw[2], btuw[3]
     mu_x = a * bx + mu_spin
     at = a * t
     w_rho2 = w * rho2
     g = u * mu_x + at * (t + w_rho2)
     if out is None:
         out = np.empty(q.shape)
-    out[:, 0] = at * u * rho2 - (2.0 * t + w_rho2) * mu_x
-    np.multiply(y, g, out=out[:, 1])
-    np.multiply(z, g, out=out[:, 2])
+    # t + t is 2t, without converting a Python float.
+    np.subtract(at * u * rho2, (t + t + w_rho2) * mu_x, out=out[:, 0])
+    np.multiply(q[:, 1:], g[:, None], out=out[:, 1:])
     return out
 
 
@@ -338,21 +340,22 @@ class _Reference:
     def segments(self, t: np.ndarray, hi: int) -> np.ndarray:
         """The segment of each time t of a solver run whose last segment is
         hi (every t at or after the run's start)."""
-        return np.minimum(np.searchsorted(self.edges, t, side="right") - 1, hi)
+        return np.minimum(self.edges.searchsorted(t, side="right") - 1, hi)
 
     def offsets(self, t: np.ndarray, k: np.ndarray) -> np.ndarray:
         """z_ref - (x*_k, 0, 0) of every row at times t on segments k,
-        shape (n, len(t), 3)."""
-        w = np.empty((len(self.wyz), len(t), 3), dtype=complex)
-        w[..., 0] = self.wx[:, k]
-        w[..., 1:] = self.wyz[:, None]
-        return w * np.exp(-1j * self.omega * (t - self.edges[0])[:, None])
+        shape (len(t), n, 3)."""
+        w = np.empty((len(t), len(self.wyz), 3), dtype=complex)
+        w[..., 0] = self.wx[:, k].T
+        w[..., 1:] = self.wyz
+        w *= np.exp(-1j * self.omega * (t - self.edges[0])[:, None])[:, None]
+        return w
 
     def state(self, t: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """q_ref and v_ref, each shape (n, len(t), 3), at times t of a
         solver run whose last segment is hi."""
         k = self.segments(t, hi)
-        off = self.offsets(t, k)
+        off = self.offsets(t, k).transpose(1, 0, 2)
         q = off.real
         q[..., 0] += self.xstar[:, k]
         return q, self.omega * off.imag
@@ -463,34 +466,42 @@ class _Residual:
     K off) with q = q_ref + e, so that e'' = R.
 
     :meth:`at` takes the reference at a batch of times in one array call
-    (the initial derivative, or a step's five distinct stage times); a
-    call then writes e' at the j-th of those times into a stage row, shape
-    (n, 6).
+    (the initial derivative, or a step's five distinct stage times) and
+    keeps each time's reference offset, its K off, x* and spin moment, one
+    row per time.  A call then writes e' at the j-th of those times into a
+    stage row, shape (n, 6), from one kernel pass that shares rho^2 with
+    the force.
     """
 
     def __init__(self, ref: _Reference, source, constants: PhysicalConstants,
                  a_mass: float, mu_spin: np.ndarray):
-        self.ref, self.source, self.constants = ref, source, constants
-        self.a_mass, self.mu_spin = a_mass, mu_spin
+        self.ref, self.btuw, self.constants = ref, source.btuw, constants
+        # A 0-d array, which numpy's ufuncs take without converting a
+        # Python float at every call.
+        self.a_mass = np.array(a_mass)
+        # x* and the spin moment per segment (axis 0) and row (axis 1).
+        self.seg_xstar, self.seg_mu = ref.xstar.T.copy(), mu_spin.T.copy()
         self.hi = 0
 
     def at(self, times: np.ndarray) -> None:
         k = self.ref.segments(times, self.hi)
         self.off = self.ref.offsets(times, k).real
-        self.xstar = self.ref.xstar[:, k]
-        self.mu = self.mu_spin[:, k]
+        self.k_off = self.ref.omega2 * self.off
+        self.xstar, self.mu = self.seg_xstar[k], self.seg_mu[k]
 
     def __call__(self, j: int, e: np.ndarray, out: np.ndarray) -> None:
         if not np.isfinite(e).all():
             raise FloatingPointError("non-finite state during integration")
         e = e.reshape(out.shape)
-        off = self.off[:, j]
-        q = off + e[:, :3]
-        q[:, 0] += self.xstar[:, j]
+        # (off + e) + x*, in this order: a base off + x* formed once per
+        # step would round differently.
+        q = self.off[j] + e[:, :3]
+        q[:, 0] += self.xstar[j]
         out[:, :3] = e[:, 3:]
-        acc = _force(q, self.source.btuw(q, self.constants), self.a_mass,
-                     self.mu[:, j], out=out[:, 3:])
-        acc += self.ref.omega2 * off
+        rho2 = _rho2(q)
+        acc = _force(q, rho2, self.btuw(q, self.constants, rho2), self.a_mass,
+                     self.mu[j], out=out[:, 3:])
+        acc += self.k_off[j]
 
 
 def solve_ivp(fun: _Residual, t_span: tuple, y0: np.ndarray, rtol: float,

@@ -424,13 +424,14 @@ def test_cmd_sensitivity_small(tmp_path):
 
 
 def test_cmd_sensitivity_coil_without_current_exits_2(tmp_path, capsys):
-    # zero central gradient: rejected as a field, before any division by it
+    # zero central gradient: rejected at the coil's current, before any
+    # division by it
     path = _write_config(tmp_path, {**BASE, "coil": {"mmf_At": 0.0}})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["sensitivity", "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
-    assert "Bprime must be > 0" in capsys.readouterr().err
+    assert "config error: $.coil.mmf_At: " in capsys.readouterr().err
 
 
 def test_cmd_sensitivity_reversed_current_is_the_same_trap(tmp_path):

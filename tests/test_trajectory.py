@@ -26,8 +26,9 @@ from ndspin import (
     sensitivity_scan,
 )
 import ndspin.trajectory
-from ndspin.coils import LoopSource, _RHO_SERIES_FACTOR
-from ndspin.trajectory import _flip_times, _integrate_stack
+from ndspin.coils import LoopSource, _RHO_SERIES_FACTOR, _elliptic_btuw
+from ndspin.trajectory import (_Reference, _Residual, _chi_coefficient,
+                               _flip_times, _integrate_stack, _spin_moment)
 
 
 def _solve_ivp_oracle(q0, spin, source, nd, omega_dd, delta, t_end, cfg,
@@ -858,3 +859,117 @@ def test_synchronized_delta_row_within_abs_tol_of_tight_reference():
     want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil, nd, None, 0.0,
                              osc.period, tight, t_eval)
     assert np.max(np.abs(row.q - want)) <= cfg.abs_tol_pos
+
+
+def _btuw_by_loop(source, q):
+    """Test-only reference for (B_x, t, u, w) at one point q, in Python
+    floats, loop by loop and summed in loop order, each number formed by
+    the same operations in the same order as the kernel: the near-axis
+    series of the module docstring inside the zone, the elliptic closed
+    form (one point at a time) outside it."""
+    if isinstance(source, UniformGradientField):
+        return (source.Bprime * q[0], -0.5 * source.Bprime, 0.0, 0.0)
+    x, y, z = q
+    rho2 = y * y + z * z
+    total = None
+    for lp in source.loops:
+        s = x - lp.x_c
+        rc2 = lp.r_c ** 2
+        if rho2 < (_RHO_SERIES_FACTOR * lp.r_c) ** 2:
+            iq = 1.0 / (rc2 + s * s)
+            b_amp = CONSTANTS.mu0 * (0.5 * lp.mmf * lp.r_c ** 2)
+            b0 = b_amp * iq * math.sqrt(iq)
+            h = 1.5 * b0 * iq
+            hq = h * iq
+            s4 = 4.0 * s * s
+            u = (rc2 - s4) * hq
+            w = -1.25 * s * (s4 - 3.0 * rc2) * hq * iq
+            half_rho2 = 0.5 * rho2
+            loop = (b0 + half_rho2 * u, s * h + half_rho2 * w, u, w)
+        else:
+            loop = tuple(float(v[0]) for v in _elliptic_btuw(
+                np.array([s]), np.array([rho2]), lp.r_c,
+                CONSTANTS.mu0 * lp.mmf))
+        total = loop if total is None else tuple(
+            a + b for a, b in zip(total, loop))
+    return total
+
+
+def _rhs_by_row(source, a, mu_spin, omega2, off, xstar, e):
+    """Test-only reference for the residual's e' at one row, in Python
+    floats: q = (off + e_q) + x* e_x, the force J mu from (B_x, t, u, w)
+    as ``_force`` forms it, plus K off."""
+    q = [o + d for o, d in zip(off, e[:3])]
+    q[0] += xstar
+    bx, t, u, w = _btuw_by_loop(source, q)
+    rho2 = q[1] * q[1] + q[2] * q[2]
+    mu_x = a * bx + mu_spin
+    at = a * t
+    w_rho2 = w * rho2
+    g = u * mu_x + at * (t + w_rho2)
+    f = (at * u * rho2 - (2.0 * t + w_rho2) * mu_x, q[1] * g, q[2] * g)
+    return [*e[3:], *(fc + k * o for fc, k, o in zip(f, omega2, off))]
+
+
+#: Stacks of starts (x, rho) for the residual's bit-for-bit check: every
+#: row in the series zone, every row outside it, and rows on both sides of
+#: its edge (1.5e-5 m on the 3 cm pair).
+_RHS_STACKS = {
+    "3cm-series": ("3cm", [(0.0, 5e-7), (2e-7, 3e-7), (-4e-7, 0.0),
+                           (1e-6, 1e-6)]),
+    "5mm-elliptic": ("5mm", [(0.0, 5e-6), (1e-6, 8e-6), (-2e-6, 3e-5),
+                             (1e-3, 1e-3)]),
+    "3cm-edge": ("3cm", [(1e-7, 1.4e-5), (-1e-7, 1.6e-5), (0.0, 5e-7),
+                         (3e-7, 1.49e-5), (4e-3, 3e-3)]),
+    "uniform": ("uniform", [(0.0, 5e-7), (3e-7, 2e-7)]),
+}
+
+
+@pytest.mark.parametrize("stack", sorted(_RHS_STACKS))
+def test_residual_rhs_is_the_force_bit_for_bit(stack, rng):
+    # the stacked residual's fused pass (stage rows from at(), rho^2 shared
+    # by kernel and force) must repeat the force and K off, operation for
+    # operation, at every stage time and row
+    source_name, starts = _RHS_STACKS[stack]
+    source = (UniformGradientField(0.663) if source_name == "uniform"
+              else _COILS[source_name][0])
+    nd = NanodiamondParams.from_mass(5.6e-14)
+    centre = harmonic_centre(source, nd)
+    period = 2.0 * math.pi / math.sqrt(centre[0][0])
+    phi = rng.uniform(0.0, 2.0 * math.pi, len(starts))
+    y0 = np.array([[x, r * math.cos(p), r * math.sin(p), 0.0, 0.0, 0.0]
+                   for (x, r), p in zip(starts, phi)])
+    edges = np.array([0.0, 0.3 * period, period])
+    signs = rng.choice([-1, 1], (len(starts), 2))
+    ref = _Reference(centre, edges, signs, y0)
+    a = _chi_coefficient(nd, CONSTANTS) / nd.mass
+    mu_spin = _spin_moment(signs, CONSTANTS) / nd.mass
+    residual = _Residual(ref, source, CONSTANTS, a, mu_spin)
+    residual.hi = 1
+    # near 0 and the x period, where y and z (at half the x frequency)
+    # stay near their starts, so |rho| does
+    times = np.array([0.005, 0.01, 0.02, 0.98, 0.99]) * period
+    residual.at(times)
+    k = ref.segments(times, 1)
+    zones = [] if source_name == "uniform" else [
+        _RHO_SERIES_FACTOR * lp.r_c for lp in source.loops]
+    for j in np.repeat(np.arange(len(times)), 3):
+        off = ref.offsets(times[j:j + 1], k[j:j + 1]).real[0]
+        e = rng.normal(size=(len(starts), 6)) * np.repeat([1e-9, 1e-12], 3)
+        got = np.empty((len(starts), 6))
+        residual(j, e.ravel(), got)
+        want = [_rhs_by_row(source, a, mu_spin[i, k[j]], centre[0], off[i],
+                            ref.xstar[i, k[j]], e[i])
+                for i in range(len(starts))]
+        assert np.array_equal(got, np.array(want)), (stack, j)
+        # the kernel's own four numbers, which the force rounds away in
+        # part, match loop by loop as well
+        q = off + e[:, :3]
+        q[:, 0] += ref.xstar[:, k[j]]
+        assert np.array_equal(source.btuw(q), np.array(
+            [_btuw_by_loop(source, row) for row in q]).T), (stack, j)
+        rho = np.hypot(q[:, 1], q[:, 2])
+        for zone in zones:
+            inside = rho < zone
+            assert {"series": inside.all(), "elliptic": not inside.any(),
+                    "edge": 0 < inside.sum() < len(rho)}[stack.split("-")[1]]
