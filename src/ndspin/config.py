@@ -35,9 +35,9 @@ SCHEMA_VERSION = 1
 #: sensitivity stack summed over its trajectories (the scans keep about
 #: 220 bytes per trajectory and sample) and the rows of the family tables
 #: of ``dd`` (n_samples per spin and n_flip, the undecoupled 0 included)
-#: and ``trajectory`` (n_samples per B0 value), which the CSV writer holds
-#: in memory, about 48 bytes a float cell.  With these caps no table
-#: exceeds 10^6 rows.
+#: and ``trajectory`` (n_samples per B0 value), whose columns the verb
+#: holds in memory; the CSV writer adds one block of 4096 rows, about 5 MB
+#: of peak RSS for 10^6 rows.  With these caps no table exceeds 10^6 rows.
 MAX_SAMPLES = 10**6
 MAX_GRID = 10**3
 MAX_FLIPS = 10**4

@@ -26,12 +26,25 @@ digit) and three body words (the other digits, the point, the exponent),
 with NUL bytes where a layout has nothing.  Each block's rows are
 assembled as one byte matrix, NULs dropped, and written, so a table of any
 length keeps a working set of one block beside its input columns.
+
+Both writers rewrite a file in place: an existing artifact is opened
+without ``O_TRUNC``, written from its start and cut at the bytes written,
+so it holds exactly the new bytes and keeps its inode and hard links.  On
+an ext4 root mounted with ``discard`` (2-CPU Xeon), rewriting a 450 kB file
+took a median of 0.42-0.58 ms with ``O_TRUNC`` and 0.021-0.025 ms in
+place, a 3 kB file 0.075-0.091 and 0.004 ms (300 rewrites each).  An error
+mid-write leaves the bytes written before it, as ``O_TRUNC`` did; a process
+killed mid-write may leave the old file's tail after them, so re-run the
+verb.  A path that is not a regular file (``/dev/null``, a FIFO) is
+written and never cut.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import stat
 from typing import Sequence
 
 import numpy as np
@@ -250,8 +263,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
         raise ValueError("CSV columns differ in length: "
                          + ", ".join(str(len(c)) for c in arrays))
     n = len(arrays[0]) if arrays else 0
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as fh:
+    with _rewrite(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, n, _BLOCK_ROWS):
             cells = _cell_text([c[start:start + _BLOCK_ROWS] for c in arrays],
@@ -271,7 +283,28 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
 
 
 def write_json(path: str, text: str) -> None:
-    """Write one JSON document, ``text``, and a newline."""
+    """Write one JSON document, ``text``, and a newline, UTF-8 encoded."""
+    with _rewrite(path) as fh:
+        fh.write((text + "\n").encode())
+
+
+@contextlib.contextmanager
+def _rewrite(path: str):
+    """A binary file object that writes ``path`` from its start, creating
+    the file (mode 0o666 less the umask) and its directory if need be.  An
+    existing file is not truncated on opening; on the way out, whether the
+    body returned or raised, a regular file is cut at the bytes written, so
+    it holds exactly those, as after an ``O_TRUNC`` open.  Another kind of
+    file (``/dev/null``, a FIFO) is written and never cut."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:
+                # Cut at what reached the file, even if the flush failed.
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))

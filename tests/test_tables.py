@@ -1,8 +1,12 @@
 """The column CSV writer against the row-template writer it replaced and
-against Python's ``'%.17g' %`` cell by cell."""
+against Python's ``'%.17g' %`` cell by cell; both writers rewriting an
+existing file in place."""
 
+import hashlib
+import json
 import math
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -190,3 +194,93 @@ def test_million_row_table_memory_is_bounded(tmp_path):
     assert rise_mb < _RSS_BOUND_MB
     with open(tmp_path / "big.csv", "rb") as fh:
         assert sum(1 for _ in fh) == 10**6 + 1
+
+
+#: A CSV of a few kB and a short JSON document, each written by its writer.
+_ARTIFACTS = {
+    "csv": lambda path: write_csv(str(path), ["x", "n"],
+                                  [np.linspace(0.0, 1.0, 300), np.arange(300)]),
+    "json": lambda path: tables.write_json(
+        str(path), json.dumps({"a": [1.5, -0.25], "b": "text"}, indent=2)),
+}
+
+
+def _digest(path):
+    data = path.read_bytes()
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+@pytest.fixture
+def fresh(tmp_path):
+    """sha256 and size of each artifact written into a fresh file."""
+    digests = {}
+    for kind, write in _ARTIFACTS.items():
+        write(tmp_path / f"fresh.{kind}")
+        digests[kind] = _digest(tmp_path / f"fresh.{kind}")
+    return digests
+
+
+@pytest.mark.parametrize("kind", sorted(_ARTIFACTS))
+@pytest.mark.parametrize("scale", [3.0, 0.5], ids=["over_longer", "over_shorter"])
+def test_rewrite_over_existing_file_matches_fresh_write(tmp_path, fresh, kind,
+                                                        scale):
+    path = tmp_path / f"old.{kind}"
+    path.write_bytes(b"#" * int(scale * fresh[kind][1]))
+    _ARTIFACTS[kind](path)
+    assert _digest(path) == fresh[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(_ARTIFACTS))
+def test_rewrite_keeps_hard_link_and_inode(tmp_path, fresh, kind):
+    path, other = tmp_path / f"art.{kind}", tmp_path / f"other.{kind}"
+    path.write_bytes(b"#" * (3 * fresh[kind][1]))
+    os.link(path, other)
+    inode = path.stat().st_ino
+    _ARTIFACTS[kind](path)
+    assert path.stat().st_ino == other.stat().st_ino == inode
+    assert _digest(other) == fresh[kind]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("kind", sorted(_ARTIFACTS))
+def test_rewrite_through_symlink_to_device(tmp_path, kind):
+    # a character device is written, never cut
+    path = tmp_path / f"null.{kind}"
+    path.symlink_to("/dev/null")
+    _ARTIFACTS[kind](path)
+    assert path.is_symlink() and os.readlink(path) == "/dev/null"
+
+
+@pytest.mark.parametrize("kind", sorted(_ARTIFACTS))
+def test_new_file_mode_follows_umask(tmp_path, fresh, kind):
+    path = tmp_path / "sub" / f"new.{kind}"
+    old = os.umask(0o027)
+    try:
+        _ARTIFACTS[kind](path)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+    assert _digest(path) == fresh[kind]
+
+
+def test_error_in_second_block_leaves_header_and_first_block(tmp_path,
+                                                             monkeypatch):
+    n = tables._BLOCK_ROWS + 10
+    columns = [np.linspace(0.0, 1.0, n), np.arange(n)]
+    head = tmp_path / "head.csv"
+    write_csv(str(head), ["x", "n"], [c[:tables._BLOCK_ROWS] for c in columns])
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"#" * (3 * _digest(head)[1]))
+    cell_text, calls = tables._cell_text, []
+
+    def fails_on_second_block(arrays, is_int):
+        calls.append(len(arrays[0]))
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        return cell_text(arrays, is_int)
+
+    monkeypatch.setattr(tables, "_cell_text", fails_on_second_block)
+    with pytest.raises(RuntimeError, match="second block"):
+        write_csv(str(path), ["x", "n"], columns)
+    assert calls == [tables._BLOCK_ROWS, 10]
+    assert _digest(path) == _digest(head)

@@ -9,7 +9,6 @@ from ndspin import (
     CoilAssembly,
     FieldConfig,
     FlipSchedule,
-    IntegrationError,
     IntegratorConfig,
     NanodiamondParams,
     TrajectoryState,
@@ -330,13 +329,33 @@ def test_input_validation(nd_250nm, field_fig2):
 
 def test_nan_field_raises(nd_250nm):
     class BrokenSource:
-        def btuw(self, q, constants=None):
+        def btuw(self, q, constants=None, rho2=None):
             return np.full((4, len(q)), math.nan)
 
     start = TrajectoryState(0.0, (1e-7, 0.0, 0.0), (0.0, 0.0, 0.0))
-    # the NaN force reaches the state and the non-finite-state check
-    with pytest.raises((IntegrationError, FloatingPointError)):
+    # NaN at the origin too, so the stiffness refusal fires before any
+    # solver call
+    with pytest.raises(FloatingPointError, match="trap stiffness"):
         integrate(start, 1, BrokenSource(), nd_250nm, None, 1.0)
+
+
+def test_nan_field_off_the_origin_reaches_the_state_check():
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+
+    class NanOffOrigin:
+        """The 3 cm pair at the origin, so the trap is found; NaN elsewhere."""
+
+        def btuw(self, q, constants=CONSTANTS, rho2=None):
+            out = coil.btuw(q, constants, rho2)
+            out[:, np.any(q != 0.0, axis=1)] = math.nan
+            return out
+
+    start = TrajectoryState(0.0, (1e-7, 0.0, 0.0), (0.0, 0.0, 0.0))
+    _, period = _coil_period(coil, nd)
+    # the NaN force reaches the residual and its non-finite-state check
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite state during integration$"):
+        integrate(start, 1, NanOffOrigin(), nd, None, period)
 
 
 def test_sensitivity_scan_degenerate_origin(nd_250nm, field_fig2):
