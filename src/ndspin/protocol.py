@@ -137,7 +137,7 @@ def delta_phi_rate(
     cancellation-free form of 1/(d-s) + 1/(d+s) - 2/d.  Broadcasts over
     arrays of d, s and m_nd.
     """
-    if not np.all((0.0 <= s) & (s < d)):
+    if not np.logical_and(0.0 <= s, s < d).all():
         raise ValueError("separation must satisfy 0 <= s < d "
                          "(branches may not cross the partner particle)")
     return (constants.G * m_nd**2 / constants.hbar) * (
@@ -159,7 +159,8 @@ def delta_phi_bd(
         (G m^2/hbar)(2 pi/omega) [1/sqrt(d(d-dx)) + 1/sqrt(d(d+dx)) - 2/d].
     """
     cfg = ProtocolConfig(scenario=Scenario.FULL_CYCLE, distance=d)
-    return float(_timing(nd.mass, fld.Bprime, nd, cfg, constants).delta_phi_bd)
+    return float(_timing(nd.mass, fld.Bprime, nd, cfg, constants,
+                         casimir_polder_separation(nd, constants)).delta_phi_bd)
 
 
 def _sweep_bracket(dx, d):
@@ -168,23 +169,25 @@ def _sweep_bracket(dx, d):
     B = sqrt(1+e) and C = sqrt(1-e^2), which has no cancellation even where
     dx << d.  Broadcasts over arrays."""
     e = dx / d
-    a, b, c = np.sqrt(1.0 - e), np.sqrt(1.0 + e), np.sqrt(1.0 - e * e)
-    return e * e * (4.0 - 2.0 / (1.0 + c)) / (c * (a + b + 2.0 * c)) / d
+    e2 = e * e
+    a, b, c = np.sqrt(1.0 - e), np.sqrt(1.0 + e), np.sqrt(1.0 - e2)
+    return e2 * (4.0 - 2.0 / (1.0 + c)) / (c * (a + b + 2.0 * c)) / d
 
 
 def _timing(m, bprime, nd: NanodiamondParams, cfg: ProtocolConfig,
-            constants: PhysicalConstants) -> ProtocolResult:
+            constants: PhysicalConstants, delta_cp: float) -> ProtocolResult:
     """Protocol timing for particles of mass ``m`` and the material of ``nd``
     at gradient ``bprime``, broadcast over arrays of both; the fields of the
     returned record have the broadcast shape (``delta_cp`` is a scalar,
     ``delta_phi_bd`` too in HOLD_ONLY).  ``cfg.distance`` is used as given:
-    the caller checks it against d_min.
+    the caller checks it against d_min.  ``delta_cp`` is
+    :func:`casimir_polder_separation` of ``nd``, which the caller computes
+    once for the material.
     """
     chi_v = nd.chi_magnitude * m / nd.density
     # derive_oscillator's period and max_separation's dx_max, on arrays
     period = 2.0 * math.pi / (bprime * np.sqrt(chi_v / (constants.mu0 * m)))
     dx = 4.0 * constants.hbar * constants.gamma_e * constants.mu0 / (chi_v * bprime)
-    delta_cp = casimir_polder_separation(nd, constants)
     d = dx + delta_cp if cfg.distance is None else cfg.distance
     hold_rate = delta_phi_rate(d, dx, m, constants)
     if cfg.scenario is Scenario.FULL_CYCLE:
@@ -221,7 +224,8 @@ def protocol_duration(
                 f"distance {cfg.distance:.6e} m below d_min {d_min:.6e} m: "
                 "Casimir-Polder interaction exceeds a tenth of gravity",
                 stacklevel=2)
-    res = _timing(nd.mass, fld.Bprime, nd, cfg, constants)
+    res = _timing(nd.mass, fld.Bprime, nd, cfg, constants,
+                  casimir_polder_separation(nd, constants))
     return ProtocolResult(*(float(getattr(res, f.name))
                             for f in fields(ProtocolResult)))
 
@@ -277,8 +281,18 @@ _REL_TOL = 1e-3  # relative resolution at which the zoom ends
 
 
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
-    """n log-spaced points from lo to hi, with both ends exact."""
-    axis = np.logspace(math.log10(lo), math.log10(hi), n)
+    """n log-spaced points from lo to hi, with both ends exact.
+
+    Equal to ``np.logspace(log10(lo), log10(hi), n)`` with its ends set to
+    lo and hi: the same arithmetic, 10**(start + k step) with the last
+    exponent set to log10(hi), formed in place without its wrappers.
+    """
+    start, stop = math.log10(lo), math.log10(hi)
+    axis = np.arange(n, dtype=float)
+    axis *= (stop - start) / (n - 1)
+    axis += start
+    axis[-1] = stop
+    np.power(10.0, axis, out=axis)
     axis[0], axis[-1] = lo, hi
     return axis
 
@@ -297,14 +311,19 @@ def optimize_tmin(
 
     One zoom loop whose first grid is the ``grid_shape`` scan of the ranges.
     Each grid is one array evaluation on log-spaced axes that end exactly
-    on its box's ends; its best cell is the last within ``_TIE_REL`` of its
-    minimum in row-major (m, B') order, and the next box is that cell's
-    neighbours, on a ``_ZOOM``-point grid.  ``refine=False`` stops after
-    the scan; otherwise the loop stops once the box spans at most a quarter
-    of ``_REL_TOL`` on both axes, and the last best point, evaluated by
+    on its box's ends (:func:`_axis`, equal to ``np.logspace`` with the ends
+    set); Delta_CP, which depends only on the material, is computed once.
+    One min and one max of a grid's protocol times decide that it is finite
+    (a NaN propagates through both) and give the tie threshold: its best
+    cell is the last within ``_TIE_REL`` of its minimum in row-major
+    (m, B') order, and the next box is that cell's neighbours, on a
+    ``_ZOOM``-point grid.  ``refine=False`` stops after the scan; otherwise
+    the loop stops once the box spans at most a quarter of ``_REL_TOL`` on
+    both axes, and the last best point, evaluated by
     :func:`protocol_duration`, replaces the scan's if it is no slower.  A
-    minimizer in an axis's end cell is flagged, not treated as a failure;
-    a non-finite protocol time on any grid raises ``ArithmeticError``.
+    minimizer in an axis's end cell is flagged, not treated as a failure.
+    A grid with a protocol time that is not finite, or one so light that
+    d_min = dx_max + Delta_CP rounds onto dx_max, raises ``ArithmeticError``.
     """
     if template is None:
         template = NanodiamondParams()
@@ -316,6 +335,7 @@ def optimize_tmin(
     if not (n_m >= 2 and n_b >= 2):
         raise ValueError("grid_shape needs at least 2 points per axis")
     cfg = ProtocolConfig(target_delta_phi=target_delta_phi, scenario=scenario)
+    delta_cp = casimir_polder_separation(template, constants)
 
     # A box spans at most its grid and the neighbours of a 17-point grid's
     # cell 1/8 of it, so even the widest float range (632 decades) shrinks
@@ -327,17 +347,23 @@ def optimize_tmin(
     with np.errstate(all="ignore"):
         while True:
             m_axis, b_axis = _axis(m_lo, m_hi, n_m), _axis(b_lo, b_hi, n_b)
-            cells = _timing(m_axis[:, None], b_axis[None, :], template,
-                            cfg, constants)
-            t_total = cells.t_total
-            if not np.all(np.isfinite(t_total)):
+            try:
+                cells = _timing(m_axis[:, None], b_axis[None, :], template,
+                                cfg, constants, delta_cp)
+            except ValueError as exc:
+                # the distance is Auto, so only rounding puts dx_max on d
                 raise ArithmeticError(
-                    f"protocol time is not finite for m in [{m_lo:.6e}, "
-                    f"{m_hi:.6e}] kg, B' in [{b_lo:.6e}, {b_hi:.6e}] T/m")
+                    "d_min = dx_max + Delta_CP rounds onto dx_max for "
+                    + _box_text(m_lo, m_hi, b_lo, b_hi)) from exc
+            t_total = cells.t_total
+            t_lo, t_hi = float(t_total.min()), float(t_total.max())
+            if not (-math.inf < t_lo and t_hi < math.inf):
+                raise ArithmeticError("protocol time is not finite for "
+                                      + _box_text(m_lo, m_hi, b_lo, b_hi))
             # the last cell within rounding of the minimum: where the sweep
             # alone meets the target, t_total is one period at every mass,
             # and the largest mass leaves the most room to raise B'
-            near = np.flatnonzero(t_total <= t_total.min() * (1.0 + _TIE_REL))
+            near = np.flatnonzero(t_total <= t_lo * (1.0 + _TIE_REL))
             i, j = divmod(int(near[-1]), n_b)
             if scan is None:
                 scan = m_axis, b_axis, cells, i, j
@@ -349,12 +375,13 @@ def optimize_tmin(
             n_m = n_b = _ZOOM
 
     m_values, b_values, cells, i_s, j_s = scan
-    grid = ProtocolResult(*(np.broadcast_to(getattr(cells, f.name),
-                                            (m_values.size, b_values.size))
-                            for f in fields(ProtocolResult)))
+    names = [f.name for f in fields(ProtocolResult)]
+    grid = ProtocolResult(*(_grid_field(getattr(cells, name),
+                                        (m_values.size, b_values.size))
+                            for name in names))
     m_best, b_best = float(m_values[i_s]), float(b_values[j_s])
-    res_best = ProtocolResult(*(float(getattr(grid, f.name)[i_s, j_s])
-                                for f in fields(ProtocolResult)))
+    res_best = ProtocolResult(*(float(getattr(grid, name)[i_s, j_s])
+                                for name in names))
     if refine:
         m_ref, b_ref = float(m_axis[i]), float(b_axis[j])
         nd = NanodiamondParams.from_mass(m_ref, density=template.density,
@@ -373,10 +400,22 @@ def optimize_tmin(
         m_values=m_values, b_values=b_values, grid=grid)
 
 
+def _box_text(m_lo, m_hi, b_lo, b_hi) -> str:
+    return (f"m in [{m_lo:.6e}, {m_hi:.6e}] kg, "
+            f"B' in [{b_lo:.6e}, {b_hi:.6e}] T/m")
+
+
+def _grid_field(value, shape: tuple[int, int]) -> np.ndarray:
+    """A read-only (n_m, n_b) array of one field of the scan: a view of a
+    grid-shaped array, a broadcast of a scalar."""
+    if getattr(value, "shape", None) != shape:
+        return np.broadcast_to(value, shape)
+    view = value.view()
+    view.flags.writeable = False
+    return view
+
+
 # --- final two-qubit state and entanglement measure -------------------------
-
-_BASIS = ("|-1,-1>", "|-1,+1>", "|+1,-1>", "|+1,+1>")
-
 
 @dataclass(frozen=True)
 class TwoQubitState:

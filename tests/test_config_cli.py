@@ -339,6 +339,26 @@ def test_protocol_time_overflow_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m_lo", [1e-200, 1e-32, 5e-324])
+def test_protocol_light_mass_range_exits_3(tmp_path, capsys, m_lo):
+    # below about 1e-32 kg, dx_max outgrows Delta_CP by 2^53 and
+    # d_min = dx_max + Delta_CP rounds onto dx_max: one numerical failure
+    # line that names the ranges, no warning, and no file
+    doc = {"version": 1, "protocol": {"mass_range_kg": [m_lo, 1e-12],
+                                      "grid_shape": [4, 4]}}
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["protocol-opt", "--config", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure: d_min")
+    assert f"m in [{m_lo:.6e}, 1.000000e-12] kg" in captured.err
+    assert "B' in [1.000000e-01, 1.000000e+01] T/m" in captured.err
+    assert not captured.out and not out.exists()
+
+
 def test_cmd_ramsey(tmp_path):
     doc = {**BASE, "ramsey": {"theta_g_values_rad": [0.0, 0.3, 0.6]}}
     path = _write_config(tmp_path, doc)

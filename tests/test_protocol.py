@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -415,7 +416,7 @@ def test_refinement_work_count(monkeypatch):
     monkeypatch.setattr(protocol, "_timing", counted)
     optimize_tmin(Scenario.FULL_CYCLE, (1e-17, 1e-12), (0.1, 10.0),
                   grid_shape=(16, 16))
-    assert len(calls) <= 6
+    assert len(calls) == 6
 
 
 def test_zoom_ends_within_eight_passes_on_any_float_range(monkeypatch):
@@ -448,6 +449,128 @@ def test_optimizer_rejects_a_non_finite_grid():
                                                   match="not finite"):
         optimize_tmin(Scenario.HOLD_ONLY, (1e200, 1e300), (0.1, 10.0),
                       grid_shape=(4, 4))
+
+
+@pytest.mark.parametrize("m_lo", [1e-200, 1e-32, 5e-324])
+def test_optimizer_rejects_a_light_mass_range(m_lo):
+    # dx_max grows as 1/m: below about 1e-32 kg it outgrows Delta_CP by
+    # 2^53, d_min = dx_max + Delta_CP rounds onto dx_max, and the rate's
+    # separation check would refuse the Auto distance as a config error
+    with pytest.raises(ArithmeticError, match="rounds onto dx_max for m in "
+                       + re.escape(f"[{m_lo:.6e}, 1.000000e-12] kg")):
+        optimize_tmin(Scenario.HOLD_ONLY, (m_lo, 1e-12), (0.1, 10.0),
+                      grid_shape=(4, 4))
+
+
+@pytest.mark.parametrize("n", [2, 16, 17, 60])
+@pytest.mark.parametrize("lo, hi", [
+    (1e-17, 1e-12), (0.1, 10.0), (5e-324, 1.7e308),
+    # adjacent doubles: a tiny step, and one whose logs are equal
+    (1.0, math.nextafter(1.0, 2.0)), (5e-324, 1e-323),
+    (1e300, math.nextafter(1e300, math.inf)),
+])
+def test_axis_equals_logspace_with_its_ends_set(lo, hi, n):
+    want = np.logspace(math.log10(lo), math.log10(hi), n)
+    want[0], want[-1] = lo, hi
+    got = protocol._axis(lo, hi, n)
+    assert got.dtype == want.dtype and got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+
+
+def _reference_optimize(scenario, mass_range, bprime_range, grid_shape,
+                        refine, template, target):
+    """The zoom loop as first written, with ``np.logspace`` axes, an
+    ``np.isfinite`` check, the ``flatnonzero`` tie rule and a grid made by
+    ``np.broadcast_to``; returns the fields of its OptimizeResult."""
+    cfg = ProtocolConfig(target_delta_phi=target, scenario=scenario)
+    names = [f.name for f in dataclasses.fields(ProtocolResult)]
+    n_m, n_b = grid_shape
+    box_end = (1.0 + protocol._REL_TOL) ** 0.25
+    (m_lo, m_hi), (b_lo, b_hi) = mass_range, bprime_range
+    scan = None
+    with np.errstate(all="ignore"):
+        while True:
+            m_axis = np.logspace(math.log10(m_lo), math.log10(m_hi), n_m)
+            b_axis = np.logspace(math.log10(b_lo), math.log10(b_hi), n_b)
+            m_axis[0], m_axis[-1] = m_lo, m_hi
+            b_axis[0], b_axis[-1] = b_lo, b_hi
+            cells = protocol._timing(m_axis[:, None], b_axis[None, :],
+                                     template, cfg, CONSTANTS,
+                                     casimir_polder_separation(template))
+            t_total = cells.t_total
+            assert np.all(np.isfinite(t_total))
+            near = np.flatnonzero(
+                t_total <= t_total.min() * (1.0 + protocol._TIE_REL))
+            i, j = divmod(int(near[-1]), n_b)
+            if scan is None:
+                scan = m_axis, b_axis, cells, i, j
+            m_lo, m_hi = m_axis[max(i - 1, 0)], m_axis[min(i + 1, n_m - 1)]
+            b_lo, b_hi = b_axis[max(j - 1, 0)], b_axis[min(j + 1, n_b - 1)]
+            if not refine or (m_hi <= m_lo * box_end
+                              and b_hi <= b_lo * box_end):
+                break
+            n_m = n_b = protocol._ZOOM
+    m_values, b_values, cells, i_s, j_s = scan
+    grid = ProtocolResult(*(np.broadcast_to(getattr(cells, name),
+                                            (m_values.size, b_values.size))
+                            for name in names))
+    m_best, b_best = float(m_values[i_s]), float(b_values[j_s])
+    res_best = ProtocolResult(*(float(getattr(grid, name)[i_s, j_s])
+                                for name in names))
+    if refine:
+        m_ref, b_ref = float(m_axis[i]), float(b_axis[j])
+        nd = NanodiamondParams.from_mass(m_ref, density=template.density,
+                                         chi_magnitude=template.chi_magnitude,
+                                         epsilon=template.epsilon)
+        cand = protocol_duration(nd, FieldConfig(B0=0.0, Bprime=b_ref), cfg)
+        if cand.t_total <= res_best.t_total:
+            m_best, b_best, res_best = m_ref, b_ref, cand
+    return dict(m_opt=m_best, Bprime_opt=b_best, t_min=res_best.t_total,
+                result=res_best,
+                on_mass_boundary=not m_values[1] < m_best < m_values[-2],
+                on_gradient_boundary=not b_values[1] < b_best < b_values[-2],
+                m_values=m_values, b_values=b_values, grid=grid)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenario=st.sampled_from(list(Scenario)),
+       mass=st.tuples(st.floats(-17.0, -13.0), st.floats(0.5, 3.0)),
+       gradient=st.tuples(st.floats(-1.5, 1.0), st.floats(0.3, 2.0)),
+       shape=st.tuples(st.integers(2, 30), st.integers(2, 30)),
+       target=st.floats(1e-3, 1.0),
+       material=st.tuples(st.floats(3000.0, 4000.0), st.floats(1.5e-5, 2.5e-5),
+                          st.floats(3.0, 8.0)))
+def test_zoom_matches_reference_loop_bit_for_bit(scenario, mass, gradient,
+                                                 shape, target, material):
+    m_range = (10 ** mass[0], 10 ** (mass[0] + mass[1]))
+    b_range = (10 ** gradient[0], 10 ** (gradient[0] + gradient[1]))
+    density, chi, eps = material
+    template = NanodiamondParams(density=density, chi_magnitude=chi,
+                                 epsilon=eps)
+    for refine in (True, False):
+        res = optimize_tmin(scenario, m_range, b_range, grid_shape=shape,
+                            refine=refine, template=template,
+                            target_delta_phi=target)
+        want = _reference_optimize(scenario, m_range, b_range, shape, refine,
+                                   template, target)
+        for name in ("m_opt", "Bprime_opt", "t_min"):
+            assert _bits(getattr(res, name)) == _bits(want[name]), name
+        assert type(res.result.t_total) is float
+        assert _bits(dataclasses.astuple(res.result)) == _bits(
+            dataclasses.astuple(want["result"]))
+        assert res.on_mass_boundary is want["on_mass_boundary"]
+        assert res.on_gradient_boundary is want["on_gradient_boundary"]
+        assert res.m_values.tobytes() == want["m_values"].tobytes()
+        assert res.b_values.tobytes() == want["b_values"].tobytes()
+        for f in dataclasses.fields(ProtocolResult):
+            got, ref = getattr(res.grid, f.name), getattr(want["grid"], f.name)
+            assert got.shape == ref.shape == shape, f.name
+            assert got.tobytes() == ref.tobytes(), f.name
+            assert not got.flags.writeable, f.name
 
 
 @pytest.mark.parametrize("shape", [(1, 16), (16, 1), (0, 16), (-3, 16)])
