@@ -121,8 +121,19 @@ def min_distance(
     fld: FieldConfig,
     constants: PhysicalConstants = CONSTANTS,
 ) -> float:
-    """Minimum center-to-center distance d_min = dx_max + Delta_CP."""
-    return max_separation(nd, fld, constants) + casimir_polder_separation(nd, constants)
+    """Minimum center-to-center distance d_min = dx_max + Delta_CP.
+
+    For a particle so light that dx_max outgrows Delta_CP by 2^53 the sum
+    rounds onto dx_max, and the branches would reach the partner: that
+    raises ``ArithmeticError``.
+    """
+    dx = max_separation(nd, fld, constants)
+    d_min = dx + casimir_polder_separation(nd, constants)
+    if d_min == dx:
+        raise ArithmeticError(
+            f"d_min = dx_max + Delta_CP rounds onto dx_max = {dx:.6e} m "
+            f"for m = {nd.mass:.6e} kg, B' = {fld.Bprime:.6e} T/m")
+    return d_min
 
 
 def delta_phi_rate(
@@ -211,19 +222,20 @@ def protocol_duration(
     The hold stretches until the phase target is met; if the sweep phase
     already overshoots the target (FULL_CYCLE only), the hold collapses to
     zero and the total stays at one full period, since the interferometer
-    still has to close.
+    still has to close.  A particle whose d_min rounds onto dx_max raises
+    ``ArithmeticError`` (:func:`min_distance`), with a manual distance too,
+    since no distance can be checked against it.
     """
-    if cfg.distance is not None:
-        d_min = min_distance(nd, fld, constants)
-        if cfg.distance < d_min:
-            if not cfg.allow_close:
-                raise ValueError(
-                    f"distance {cfg.distance:.6e} m is below d_min {d_min:.6e} m; "
-                    "set allow_close to override")
-            warnings.warn(
-                f"distance {cfg.distance:.6e} m below d_min {d_min:.6e} m: "
-                "Casimir-Polder interaction exceeds a tenth of gravity",
-                stacklevel=2)
+    d_min = min_distance(nd, fld, constants)
+    if cfg.distance is not None and cfg.distance < d_min:
+        if not cfg.allow_close:
+            raise ValueError(
+                f"distance {cfg.distance:.6e} m is below d_min {d_min:.6e} m; "
+                "set allow_close to override")
+        warnings.warn(
+            f"distance {cfg.distance:.6e} m below d_min {d_min:.6e} m: "
+            "Casimir-Polder interaction exceeds a tenth of gravity",
+            stacklevel=2)
     res = _timing(nd.mass, fld.Bprime, nd, cfg, constants,
                   casimir_polder_separation(nd, constants))
     return ProtocolResult(*(float(getattr(res, f.name))

@@ -22,19 +22,23 @@ split): K and c come in closed form from the kernel's (B_x, t, u, w) at the
 origin (:func:`harmonic_centre`), and R is O((q / r_c)^2) of the force.
 With s piecewise constant the harmonic part has a closed form, the reference
 q_ref (see :class:`_Reference`), and only the residual e = q - q_ref,
-driven by R, is integrated.  The residual still carries the linear term
--K e; its error estimate sees e only, so the step is held to 1 / omega_x,
-where the stability function of RK45 is within 1.4e-6 of the unit circle.
-That is the only cap, and each solver run starts at it, or at the run's
-span if shorter: the residual starts at zero, where the initial-step rule
-would start at 1e-6 s and take six steps to grow to the cap.  The error
+driven by R, is integrated.  The residual obeys e'' = -K e + R; its
+harmonic part is solved exactly too (variation of constants): per axis e
+is carried as the amplitudes (a, b) of e = a cos(omega tau) + (b / omega)
+sin(omega tau), in the reference's rotating frame, and only R moves them
+(:class:`_Residual`).  With no -K e left in the stepped equation, RK45's
+stability along the imaginary axis sets no cap; the step is held to half
+an x oscillation, pi / omega_x, for the quartic dense output between the
+step ends.  Each solver run starts at that cap, or at the run's span if
+shorter: the residual starts at zero, where the initial-step rule would
+start at 1e-6 s and take several steps to grow to the cap.  The error
 control accepts or rejects every step, the first included.  The
 reference's x range must stay inside the nearest loop plane on either
 side of the centre, beyond which the pair does not confine along x.
 
 A flip makes R jump by 2 (mu_s J(q) e_x / m - c): tiny near the centre, so
 one solver call steps across every flip.  Per scan the jump is bounded on
-the reference's (x, rho) envelope; where a step of min(1 / omega_x, span)
+the reference's (x, rho) envelope; where a step of min(pi / omega_x, span)
 could lose more than the tolerance to it (:func:`_crosses_flips`), the
 solver restarts at every effective flip instead, so no step straddles one.
 The harmonic centre is a precondition: a source without one (a single
@@ -51,14 +55,16 @@ kernel's (B_x, t, u, w) (see :mod:`ndspin.coils`).  The stepper,
 its steps and samples are scipy's bit for bit, and it is fused with the
 stacked residual (:class:`_Residual`): each step computes its stage bases
 once, in one array call over its five distinct stage times (every row's
-reference offset, its K off, x* and spin moment); each right-hand side
-call then makes one kernel pass whose rho^2 the force shares and writes
-its stage derivative into its stage array, and the dense output goes into
-the samples.
+reference offset, the phasor's cos and sin per axis, x* and the spin
+moment); each right-hand side call then makes one kernel pass whose rho^2
+the force shares and writes its stage derivative into its stage array,
+and the dense output goes into the samples, which one pass through the
+phasor then maps back to states.
 The error norm is an RMS over the whole state, so ``rtol`` and ``atol``
 are divided by sqrt(n): the stack's norm is then sqrt(sum_i norm_i^2) >=
 max_i norm_i, and every trajectory is held at least as tightly as it
-would be alone.  The residual is far smaller than the motion, so ``rtol``
+would be alone.  The position tolerances hold a and the velocity
+tolerances b.  The residual is far smaller than the motion, so ``rtol``
 reaches each row through the absolute tolerance, times the largest |q|
 (or |v|) of its reference; the stack's ``rtol`` must not fall below
 :data:`RTOL_FLOOR`, 100 machine epsilons.
@@ -111,9 +117,10 @@ class IntegratorConfig:
 
     Absolute floors are split between position and velocity; periods of
     hundreds of seconds with nanometer amplitudes need both.  The error
-    control accepts or rejects every step; the only cap is the 1 / omega_x
-    of the residual integration, which is also the first step of each run
-    (see the module docstring).  An n-row stack integrates at
+    control accepts or rejects every step; the only cap is half an x
+    oscillation, pi / omega_x, which serves the dense output, not the
+    stability of the residual integration, and is also the first step of
+    each run (see the module docstring).  An n-row stack integrates at
     ``stack_rtol(n)``, which must be at least :data:`RTOL_FLOOR`.
     """
 
@@ -342,20 +349,38 @@ class _Reference:
         hi (every t at or after the run's start)."""
         return np.minimum(self.edges.searchsorted(t, side="right") - 1, hi)
 
-    def offsets(self, t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """z_ref - (x*_k, 0, 0) of every row at times t on segments k,
-        shape (len(t), n, 3)."""
+    def phasor(self, t: np.ndarray) -> np.ndarray:
+        """exp(-i omega tau) per time (axis 0) and axis (axis 1), with
+        tau = t - edges[0]: cos(omega tau) - i sin(omega tau)."""
+        return np.exp(-1j * self.omega * (t - self.edges[0])[:, None])
+
+    def offsets(self, t: np.ndarray, k: np.ndarray, phasor: np.ndarray,
+                ab: Optional[np.ndarray] = None) -> np.ndarray:
+        """z - (x*_k, 0, 0) of every row at times t on segments k, shape
+        (len(t), n, 3), with ``phasor`` the :meth:`phasor` of t: z_ref's,
+        plus the residual's where its harmonic amplitudes ``ab``, shape
+        (len(t), n, 6), are given.  Per axis the residual (a, b) adds
+        a + i b / omega to z's amplitude (see :class:`_Residual`), so the
+        one phasor turns both into states."""
         w = np.empty((len(t), len(self.wyz), 3), dtype=complex)
         w[..., 0] = self.wx[:, k].T
         w[..., 1:] = self.wyz
-        w *= np.exp(-1j * self.omega * (t - self.edges[0])[:, None])[:, None]
+        if ab is not None:
+            w.real += ab[..., :3]
+            w.imag += ab[..., 3:] / self.omega
+        w *= phasor[:, None]
         return w
 
-    def state(self, t: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """q_ref and v_ref, each shape (n, len(t), 3), at times t of a
-        solver run whose last segment is hi."""
+    def state(self, t: np.ndarray, hi: int, ab: Optional[np.ndarray] = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """q and v, each shape (n, len(t), 3), at times t of a solver run
+        whose last segment is hi: q_ref and v_ref, or the states of the
+        rows whose residual amplitudes ``ab``, shape (n, len(t), 6), are
+        given."""
         k = self.segments(t, hi)
-        off = self.offsets(t, k).transpose(1, 0, 2)
+        if ab is not None:
+            ab = ab.transpose(1, 0, 2)
+        off = self.offsets(t, k, self.phasor(t), ab).transpose(1, 0, 2)
         q = off.real
         q[..., 0] += self.xstar[:, k]
         return q, self.omega * off.imag
@@ -380,18 +405,20 @@ _JUMP_MARGIN = 2.0
 
 def _crosses_flips(source, nd: NanodiamondParams, constants: PhysicalConstants,
                    c: np.ndarray, x_range: tuple, rho_max: float,
-                   span: float, atol: np.ndarray) -> bool:
+                   span: float, omega: np.ndarray, atol: np.ndarray) -> bool:
     """Whether one solver call may step across the flips.
 
     At a flip R jumps by 2 |mu_s J(q) e_x / m - c|, a function of (x, rho)
     alone, since J e_x = (-2t - w rho^2, u y, u z).  Its largest value on a
     _JUMP_GRID-square grid over the reference's envelope (x in ``x_range``,
     rho <= ``rho_max``; one kernel pass), times _JUMP_MARGIN, is the bound
-    D.  A step of length h that straddles flips can lose at most D h of
-    velocity and D h^2 of position to them (twice the jump's integral over
-    the step, for the exact flow and for the stepper's stages); the solver
-    crosses flips if that stays within every absolute tolerance for
-    h = ``span``, the longest step allowed.
+    D.  The residual's amplitudes move as b' = cos(omega tau) R and
+    a' = -(sin(omega tau) / omega) R (see :class:`_Residual`), so a step of
+    length h that straddles flips can lose at most D h of b and D h / omega
+    of a to them, with the smallest of the axes' ``omega`` (twice the
+    jump's integral over the step, for the exact flow and for the
+    stepper's stages); the solver crosses flips if that stays within every
+    absolute tolerance for h = ``span``, the longest step allowed.
     """
     x, rho = (g.ravel() for g in np.meshgrid(
         np.linspace(*x_range, _JUMP_GRID), np.linspace(0.0, rho_max, _JUMP_GRID)))
@@ -401,7 +428,7 @@ def _crosses_flips(source, nd: NanodiamondParams, constants: PhysicalConstants,
     jump = _JUMP_MARGIN * 2.0 * np.max(np.hypot(
         (-2.0 * t - w * rho * rho) * mu_s - c[0], u * rho * mu_s))
     return bool(jump * span <= atol[:, 3:].min()
-                and jump * span * span <= atol[:, :3].min())
+                and jump * span / omega.min() <= atol[:, :3].min())
 
 
 #: Dormand & Prince's RK5(4)7M pair with Shampine's quartic dense output,
@@ -462,15 +489,24 @@ class _Solution:
 
 class _Residual:
     """Right-hand side of a stack's residual e = y - y_ref, shape (n, 6),
-    on a solver run whose last segment is ``hi``: e' = (e_v, F(q) / m +
-    K off) with q = q_ref + e, so that e'' = R.
+    carried as its harmonic amplitudes (a, b) per axis, on a solver run
+    whose last segment is ``hi``.
+
+    e'' = -K e + R, and the harmonic part is solved exactly (variation of
+    constants): e = a cos(omega tau) + (b / omega) sin(omega tau) and
+    e_v = -a omega sin(omega tau) + b cos(omega tau), with tau = t -
+    edges[0] and the reference's omega per axis, so that (a, b) = (e, e_v)
+    at tau = 0 and only R drives them: a' = -(sin(omega tau) / omega) R,
+    b' = cos(omega tau) R.  R = F(q) / m + K (off + e) with q = q_ref + e,
+    where off = q_ref - x* e_x is the reference offset.
 
     :meth:`at` takes the reference at a batch of times in one array call
     (the initial derivative, or a step's five distinct stage times) and
-    keeps each time's reference offset, its K off, x* and spin moment, one
-    row per time.  A call then writes e' at the j-th of those times into a
-    stage row, shape (n, 6), from one kernel pass that shares rho^2 with
-    the force.
+    keeps each time's reference offset, its cos(omega tau) and
+    -sin(omega tau) / omega (both from the phasor that forms the offset),
+    x* and spin moment, one row per time.  A call then writes (a', b') at
+    the j-th of those times into a stage row, shape (n, 6), from one
+    kernel pass that shares rho^2 with the force.
     """
 
     def __init__(self, ref: _Reference, source, constants: PhysicalConstants,
@@ -485,23 +521,30 @@ class _Residual:
 
     def at(self, times: np.ndarray) -> None:
         k = self.ref.segments(times, self.hi)
-        self.off = self.ref.offsets(times, k).real
-        self.k_off = self.ref.omega2 * self.off
+        phasor = self.ref.phasor(times)
+        self.off = self.ref.offsets(times, k, phasor).real
+        self.cos = phasor.real
+        # -sin / omega, since the phasor's imaginary part is -sin.
+        self.sin_w = phasor.imag / self.ref.omega
         self.xstar, self.mu = self.seg_xstar[k], self.seg_mu[k]
 
-    def __call__(self, j: int, e: np.ndarray, out: np.ndarray) -> None:
-        if not np.isfinite(e).all():
+    def __call__(self, j: int, ab: np.ndarray, out: np.ndarray) -> None:
+        if not np.isfinite(ab).all():
             raise FloatingPointError("non-finite state during integration")
-        e = e.reshape(out.shape)
+        ab = ab.reshape(out.shape)
+        cos, sin_w = self.cos[j], self.sin_w[j]
         # (off + e) + x*, in this order: a base off + x* formed once per
-        # step would round differently.
-        q = self.off[j] + e[:, :3]
+        # step would round differently.  K (off + e) is taken before x* is
+        # added.
+        q = self.off[j] + (ab[:, :3] * cos - ab[:, 3:] * sin_w)
+        k_q = self.ref.omega2 * q
         q[:, 0] += self.xstar[j]
-        out[:, :3] = e[:, 3:]
         rho2 = _rho2(q)
-        acc = _force(q, rho2, self.btuw(q, self.constants, rho2), self.a_mass,
-                     self.mu[j], out=out[:, 3:])
-        acc += self.k_off[j]
+        r = _force(q, rho2, self.btuw(q, self.constants, rho2), self.a_mass,
+                   self.mu[j], out=out[:, 3:])
+        r += k_q
+        np.multiply(r, sin_w, out=out[:, :3])
+        r *= cos
 
 
 def solve_ivp(fun: _Residual, t_span: tuple, y0: np.ndarray, rtol: float,
@@ -666,15 +709,15 @@ def _integrate_stack(
                                        cfg.abs_tol_vel + cfg.rel_tol * vel),
                                       axis=1), 3, axis=1).ravel()
     rtol = cfg.stack_rtol(n)
-    # The residual still carries the linear term -K e, which the error
-    # estimate of a residual near zero does not see: a step over 1 / omega_x
-    # would amplify it (see the module docstring).
-    max_step = 1.0 / ref.omega[0]
+    # The harmonic amplitudes leave no linear term for a step to amplify;
+    # the cap of half an x oscillation serves the quartic dense output
+    # (see the module docstring).
+    max_step = math.pi / ref.omega[0]
     # One solver call steps across every flip, unless R's jumps could break
     # the tolerance: then it restarts at every effective flip.
     if n_seg == 1 or _crosses_flips(
             source, nd, constants, centre[1], x_range, rho_max,
-            min(max_step, t_end - t0), atol.reshape(n, 6)):
+            min(max_step, t_end - t0), ref.omega, atol.reshape(n, 6)):
         runs = [(0, n_seg - 1)]
     else:
         runs = [(k, k) for k in range(n_seg)]
@@ -685,7 +728,8 @@ def _integrate_stack(
     # time before it.
     ends = np.searchsorted(t_sorted, _with_slack(edges[[hi + 1 for _lo, hi in runs]]),
                            side="right")
-    # The samples in time order; each run writes its residual into its own.
+    # The samples in time order; each run writes its residual amplitudes
+    # into its own, which become states at the end of the run.
     samples = np.empty((n, len(t_eval), 6))
 
     q_ref, v_ref = ref.state(edges[:1], 0)
@@ -699,16 +743,14 @@ def _integrate_stack(
         sol = solve_ivp(residual, (ta, tb), state, rtol, atol, max_step,
                         seg_t, samples[:, filled:last])
         if not sol.success:
-            q_ref, v_ref = ref.state(sol.t[-1:], hi)
+            q, v = ref.state(sol.t[-1:], hi, sol.y[:, -1].reshape(n, 1, 6))
             raise IntegrationError(
                 f"integration failed in [{ta:g}, {tb:g}] s: {sol.message}",
-                TrajectoryState(t=float(sol.t[-1]),
-                                q=tuple(q_ref[0, 0] + sol.y[:3, -1]),
-                                v=tuple(v_ref[0, 0] + sol.y[3:6, -1])))
+                TrajectoryState(t=float(sol.t[-1]), q=tuple(q[0, 0]),
+                                v=tuple(v[0, 0])))
         if last > filled:
-            q_ref, v_ref = ref.state(seg_t, hi)
-            samples[:, filled:last, :3] += q_ref
-            samples[:, filled:last, 3:] += v_ref
+            run = samples[:, filled:last]
+            run[..., :3], run[..., 3:] = ref.state(seg_t, hi, run)
             filled = last
         state = sol.y[:, -1]
 

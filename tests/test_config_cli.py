@@ -359,6 +359,26 @@ def test_protocol_light_mass_range_exits_3(tmp_path, capsys, m_lo):
     assert not captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["derive", "protocol-opt"])
+def test_light_particle_min_distance_exits_3(tmp_path, capsys, verb):
+    # at 1e-40 kg d_min = dx_max + Delta_CP rounds onto dx_max: derive
+    # would report d_min equal to dx_max, and protocol-opt's point summary
+    # would refuse the Auto distance as a config error; both are one
+    # numerical failure line, with no warning and no file
+    doc = {"version": 1, "nanodiamond": {"mass_kg": 1e-40},
+           "protocol": {"grid_shape": [4, 4]}}
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([verb, "--config", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "numerical failure: d_min = dx_max + Delta_CP rounds onto dx_max = "
+        "1.506178e+17 m for m = 1.000000e-40 kg, B' = 1.000000e+03 T/m\n")
+    assert not captured.out and not out.exists()
+
+
 def test_cmd_ramsey(tmp_path):
     doc = {**BASE, "ramsey": {"theta_g_values_rad": [0.0, 0.3, 0.6]}}
     path = _write_config(tmp_path, doc)

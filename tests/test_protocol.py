@@ -462,6 +462,27 @@ def test_optimizer_rejects_a_light_mass_range(m_lo):
                       grid_shape=(4, 4))
 
 
+def test_light_particle_has_no_min_distance(field_yellow):
+    # at 1e-40 kg dx_max is about 2e24 Delta_CP, so d_min rounds onto it:
+    # min_distance refuses, and protocol_duration with it, whether the
+    # distance is Auto or given (nothing can be checked against d_min)
+    nd = NanodiamondParams.from_mass(1e-40)
+    dx = max_separation(nd, field_yellow)
+    assert dx + casimir_polder_separation(nd) == dx
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"rounds onto dx_max = {dx:.6e} m for m = 1.000000e-40 kg")):
+        min_distance(nd, field_yellow)
+    for distance in (None, 2.0 * dx):
+        with pytest.raises(ArithmeticError, match="rounds onto dx_max"):
+            protocol_duration(nd, field_yellow,
+                              ProtocolConfig(distance=distance))
+    # ten times heavier, dx_max is about 2e15 Delta_CP < 2^53: d_min
+    # still exceeds dx_max
+    light = NanodiamondParams.from_mass(1e-31)
+    assert min_distance(light, field_yellow) > max_separation(light,
+                                                              field_yellow)
+
+
 @pytest.mark.parametrize("n", [2, 16, 17, 60])
 @pytest.mark.parametrize("lo, hi", [
     (1e-17, 1e-12), (0.1, 10.0), (5e-324, 1.7e308),

@@ -9,6 +9,7 @@ from ndspin import (
     CoilAssembly,
     FieldConfig,
     FlipSchedule,
+    IntegrationError,
     IntegratorConfig,
     NanodiamondParams,
     TrajectoryState,
@@ -26,8 +27,10 @@ from ndspin import (
 )
 import ndspin.trajectory
 from ndspin.coils import LoopSource, _RHO_SERIES_FACTOR, _elliptic_btuw
-from ndspin.trajectory import (_Reference, _Residual, _chi_coefficient,
-                               _flip_times, _integrate_stack, _spin_moment)
+from ndspin.trajectory import (_JUMP_GRID, _JUMP_MARGIN, _Reference,
+                               _Residual, _Solution, _chi_coefficient,
+                               _crosses_flips, _flip_times,
+                               _integrate_stack, _spin_moment)
 
 
 def _solve_ivp_oracle(q0, spin, source, nd, omega_dd, delta, t_end, cfg,
@@ -457,6 +460,35 @@ def test_stacked_shell_scan_matches_per_row_oracle(coil_name):
             assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
 
 
+@pytest.mark.parametrize("coil_name", ["3cm", "5mm"])
+def test_samples_inside_steps_match_per_row_oracle(monkeypatch, coil_name):
+    # the shell stack of the test above, sampled only strictly inside the
+    # solver's steps (half a sample spacing off the step ends at 0, P/2
+    # and P), where every position comes from the quartic dense output of
+    # the residual's amplitudes, mapped back through the phasor
+    coil, r = _COILS[coil_name]
+    nd = NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(coil, nd)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
+    schedule = FlipSchedule(omega_dd=10.0 * omega)
+    t_eval = (np.arange(100) + 0.5) * (period / 100.0)
+    starts = [(r * math.sin(t) * math.cos(0.3), r * math.sin(t) * math.sin(0.3),
+               r * math.cos(t)) for t in (0.0, math.pi / 4.0, math.pi / 2.0)]
+    calls = _record_solver_calls(monkeypatch)
+    rows = _integrate_stack(
+        [TrajectoryState(0.0, q0, (0.0, 0.0, 0.0)) for q0 in starts
+         for _ in (1, -1)], [1, -1] * 3, [schedule] * 6, coil, nd, period,
+        cfg, t_eval, CONSTANTS)
+    monkeypatch.undo()
+    steps = np.concatenate([sol.t for sol in calls])
+    assert len(steps) > 2 and not np.isin(t_eval, steps).any()
+    for (q0, spin), traj in zip([(q0, spin) for q0 in starts
+                                 for spin in (1, -1)], rows):
+        want = _solve_ivp_oracle(q0, spin, coil, nd, schedule.omega_dd, 0.0,
+                                 period, cfg, t_eval)
+        assert np.max(np.abs(traj.q - want)) <= _oracle_bound(cfg, want)
+
+
 def test_stacked_delta_scan_matches_per_row_oracle(coil_564):
     nd = NanodiamondParams.from_mass(5.6e-14)
     omega, period = _coil_period(coil_564, nd)
@@ -562,6 +594,48 @@ def test_stepper_repeats_scipy_rk45(monkeypatch, regime):
         assert np.array_equal(samples, dense)
 
 
+def test_failed_run_reports_the_state_not_the_amplitudes(monkeypatch):
+    # a run that fails part-way reports the first row's last state: the
+    # residual amplitudes (a, b) mapped back to (e, e_v) at that time, plus
+    # the reference.  The light particle off axis in the 5 mm pair has a
+    # residual far above the oracle bound, so adding (a, b) to the
+    # reference as if it were (e, e_v) would miss it.
+    coil, nd = _COILS["5mm"][0], NanodiamondParams.from_mass(_LIGHT_MASS)
+    omega, period = _coil_period(coil, nd)
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol_pos=1e-17, abs_tol_vel=1e-19)
+    start = TrajectoryState(0.0, (0.0, 3e-6, 1e-6), (0.0, 0.0, 0.0))
+    t_fail = 0.37 * period
+    stepper = ndspin.trajectory.solve_ivp
+    failed = []
+
+    def failing(fun, t_span, y0, rtol, atol, max_step, t_eval, out):
+        sol = stepper(fun, (t_span[0], t_fail), y0, rtol, atol, max_step,
+                      t_eval[t_eval <= t_fail], out)
+        failed.append(sol)
+        return _Solution(sol.t, sol.y, sol.nfev, False, "stopped")
+
+    monkeypatch.setattr(ndspin.trajectory, "solve_ivp", failing)
+    with pytest.raises(IntegrationError, match="stopped") as info:
+        integrate(start, 1, coil, nd, None, period, cfg)
+    monkeypatch.undo()
+    last = info.value.last_state
+    assert last.t == failed[0].t[-1] == t_fail
+    want = integrate(start, 1, coil, nd, None, period, cfg,
+                     t_eval=[t_fail])
+    q_bound = _oracle_bound(cfg, want.q)
+    v_bound = 10.0 * (cfg.abs_tol_vel + cfg.rel_tol * np.max(np.abs(want.v)))
+    assert np.max(np.abs(np.array(last.q) - want.q[0])) <= q_bound
+    assert np.max(np.abs(np.array(last.v) - want.v[0])) <= v_bound
+    # the amplitudes themselves, read as a residual, are far off
+    y0 = np.array([[*start.q, *start.v]])
+    ref = _Reference(harmonic_centre(coil, nd), np.array([0.0, period]),
+                     np.array([[1]]), y0)
+    q_ref, v_ref = ref.state(np.array([t_fail]), 0)
+    ab = failed[0].y[:, -1]
+    assert np.max(np.abs(q_ref[0, 0] + ab[:3] - want.q[0])) > 100.0 * q_bound
+    assert np.max(np.abs(v_ref[0, 0] + ab[3:] - want.v[0])) > 100.0 * v_bound
+
+
 def test_stepper_rejects_rtol_below_its_floor():
     # scipy would raise rtol to 100 eps with a warning; the stepper refuses
     coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
@@ -642,6 +716,38 @@ def test_restarts_only_where_the_force_changes(monkeypatch, nd_250nm,
     delta_scan([0.0, *lags], coil, nd, n_flip, omega, IntegratorConfig(),
                n_samples=50)
     assert len(calls) == 1 + len(_effective_flips(n_flip, omega, period, lags))
+
+
+@pytest.mark.parametrize("h_over_cap", [0.3, 1.0])
+def test_crossing_bound_is_the_amplitudes_jump(h_over_cap):
+    # a flip moves R by dR = (F(q, +1) - F(q, -1)) / m - 2 c; D is its
+    # largest size on the envelope grid, times the margin.  Over a step of
+    # H up to the pi / omega_x cap the amplitudes lose at most D H of b and
+    # D H / omega_y of a (omega_y = omega_x / 2, the slower axis): the scan
+    # crosses its flips at tolerances just above both and restarts just
+    # below either
+    coil, nd = _COILS["5mm"][0], NanodiamondParams.from_mass(_LIGHT_MASS)
+    stiffness, c = harmonic_centre(coil, nd)
+    omega = np.sqrt(stiffness)
+    x_range, rho_max = (-2e-6, 5e-6), 3e-6
+    x, rho = (g.ravel() for g in np.meshgrid(
+        np.linspace(*x_range, _JUMP_GRID), np.linspace(0.0, rho_max, _JUMP_GRID)))
+    q = np.stack((x, rho, np.zeros_like(x)), axis=1)
+    jump = (force(q, 1, coil, nd) - force(q, -1, coil, nd)) / nd.mass
+    jump[:, 0] -= 2.0 * c[0]
+    D = _JUMP_MARGIN * np.max(np.hypot(jump[:, 0], jump[:, 1]))
+    H = h_over_cap * math.pi / omega[0]
+    pos, vel = D * H / omega[1], D * H
+    assert omega[1] == pytest.approx(0.5 * omega[0], rel=1e-15)
+
+    def crosses(f_pos, f_vel):
+        atol = np.repeat([[pos * f_pos, vel * f_vel]], 3, axis=1)
+        return _crosses_flips(coil, nd, CONSTANTS, c, x_range, rho_max, H,
+                              omega, np.repeat(atol, 2, axis=0))
+
+    assert crosses(1.0 + 1e-9, 1.0 + 1e-9)
+    assert not crosses(1.0 - 1e-9, 1.0 + 1e-9)
+    assert not crosses(1.0 + 1e-9, 1.0 - 1e-9)
 
 
 def test_light_particle_restarts_and_matches_per_row_oracle(monkeypatch):
@@ -806,12 +912,13 @@ def test_trapped_runs_start_at_the_step_cap(monkeypatch):
     # the baseline's scans (3 cm pair, 5.6e-14 kg, 200 flips, default
     # tolerances): the residual starts at zero, where scipy's initial-step
     # rule would start at 1e-6 s and take six steps to grow to the cap.
-    # Each run starts at min(1 / omega_x, span) and keeps that step: one
-    # call for the derivative at the start, then 7 steps of 6 calls over the
-    # 6.28 caps of a period
+    # Each run starts at min(pi / omega_x, span) and keeps that step: one
+    # call for the derivative at the start, then 3 steps of 6 calls, since
+    # the period is a few ulps over two caps and the last step covers them
     coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
     omega, period = _coil_period(coil, nd)
-    cap = 1.0 / math.sqrt(harmonic_centre(coil, nd)[0][0])
+    cap = math.pi / math.sqrt(harmonic_centre(coil, nd)[0][0])
+    assert 0.0 < period - 2.0 * cap <= 8.0 * np.spacing(period)
     angles = [0.0, math.pi / 4.0, math.pi / 2.0]
     calls = _record_solver_calls(monkeypatch)
     sensitivity_scan(5e-7, angles, angles, coil, nd,
@@ -821,7 +928,8 @@ def test_trapped_runs_start_at_the_step_cap(monkeypatch):
     assert len(calls) == 2
     for sol in calls:
         assert sol.t[1] - sol.t[0] == min(cap, sol.t[-1] - sol.t[0])
-        assert sol.nfev == 43
+        assert len(sol.t) == 4 and sol.t[2] == 2.0 * cap
+        assert sol.nfev == 19
 
 
 def test_restart_regime_delta_scan_rhs_calls(monkeypatch):
@@ -914,11 +1022,15 @@ def _btuw_by_loop(source, q):
     return total
 
 
-def _rhs_by_row(source, a, mu_spin, omega2, off, xstar, e):
-    """Test-only reference for the residual's e' at one row, in Python
-    floats: q = (off + e_q) + x* e_x, the force J mu from (B_x, t, u, w)
-    as ``_force`` forms it, plus K off."""
-    q = [o + d for o, d in zip(off, e[:3])]
+def _rhs_by_row(source, a, mu_spin, omega2, off, xstar, ab, cos, sin_w):
+    """Test-only reference for the residual's stage row (a', b') at one
+    row, in Python floats: per axis e = a cos - b sin_w, with sin_w =
+    -sin(omega tau) / omega; q = (off + e) + x* e_x; R = J mu + K (off + e),
+    with J mu from (B_x, t, u, w) as ``_force`` forms it; and the row
+    (sin_w R, cos R)."""
+    e = [ak * c - bk * s for ak, bk, c, s in zip(ab[:3], ab[3:], cos, sin_w)]
+    q = [o + d for o, d in zip(off, e)]
+    k_q = [k * qc for k, qc in zip(omega2, q)]
     q[0] += xstar
     bx, t, u, w = _btuw_by_loop(source, q)
     rho2 = q[1] * q[1] + q[2] * q[2]
@@ -927,7 +1039,9 @@ def _rhs_by_row(source, a, mu_spin, omega2, off, xstar, e):
     w_rho2 = w * rho2
     g = u * mu_x + at * (t + w_rho2)
     f = (at * u * rho2 - (2.0 * t + w_rho2) * mu_x, q[1] * g, q[2] * g)
-    return [*e[3:], *(fc + k * o for fc, k, o in zip(f, omega2, off))]
+    r = [fc + kc for fc, kc in zip(f, k_q)]
+    return [*(rc * s for rc, s in zip(r, sin_w)),
+            *(rc * c for rc, c in zip(r, cos))]
 
 
 #: Stacks of starts (x, rho) for the residual's bit-for-bit check: every
@@ -947,8 +1061,9 @@ _RHS_STACKS = {
 @pytest.mark.parametrize("stack", sorted(_RHS_STACKS))
 def test_residual_rhs_is_the_force_bit_for_bit(stack, rng):
     # the stacked residual's fused pass (stage rows from at(), rho^2 shared
-    # by kernel and force) must repeat the force and K off, operation for
-    # operation, at every stage time and row
+    # by kernel and force) must repeat e from the amplitudes, the force,
+    # K (off + e) and the rotation into (a', b'), operation for operation,
+    # at every stage time and row
     source_name, starts = _RHS_STACKS[stack]
     source = (UniformGradientField(0.663) if source_name == "uniform"
               else _COILS[source_name][0])
@@ -972,18 +1087,26 @@ def test_residual_rhs_is_the_force_bit_for_bit(stack, rng):
     k = ref.segments(times, 1)
     zones = [] if source_name == "uniform" else [
         _RHO_SERIES_FACTOR * lp.r_c for lp in source.loops]
+    omega = np.sqrt(centre[0])
     for j in np.repeat(np.arange(len(times)), 3):
-        off = ref.offsets(times[j:j + 1], k[j:j + 1]).real[0]
-        e = rng.normal(size=(len(starts), 6)) * np.repeat([1e-9, 1e-12], 3)
+        phasor = ref.phasor(times[j:j + 1])
+        # the phasor is exp(-i omega tau) per axis, to rounding
+        tau = times[j] - edges[0]
+        assert np.allclose(phasor[0], [complex(math.cos(w * tau),
+                                               -math.sin(w * tau))
+                                       for w in omega], rtol=0.0, atol=1e-15)
+        off = ref.offsets(times[j:j + 1], k[j:j + 1], phasor).real[0]
+        cos, sin_w = phasor[0].real, phasor[0].imag / omega
+        ab = rng.normal(size=(len(starts), 6)) * np.repeat([1e-9, 1e-12], 3)
         got = np.empty((len(starts), 6))
-        residual(j, e.ravel(), got)
+        residual(j, ab.ravel(), got)
         want = [_rhs_by_row(source, a, mu_spin[i, k[j]], centre[0], off[i],
-                            ref.xstar[i, k[j]], e[i])
+                            ref.xstar[i, k[j]], ab[i], cos, sin_w)
                 for i in range(len(starts))]
         assert np.array_equal(got, np.array(want)), (stack, j)
         # the kernel's own four numbers, which the force rounds away in
         # part, match loop by loop as well
-        q = off + e[:, :3]
+        q = off + (ab[:, :3] * cos - ab[:, 3:] * sin_w)
         q[:, 0] += ref.xstar[:, k[j]]
         assert np.array_equal(source.btuw(q), np.array(
             [_btuw_by_loop(source, row) for row in q]).T), (stack, j)
