@@ -43,10 +43,6 @@ TRAJECTORY_CSV_HEADER = ("t_s", "x_m", "y_m", "z_m", "vx_mps", "vy_mps",
                          "vz_mps", "spin")
 
 
-def _out(args, name: str) -> str:
-    return os.path.join(args.out, name)
-
-
 def _write(args, tables: dict, records: dict) -> dict:
     """Write ``tables`` (file name -> (header, columns)) as CSV and
     ``records`` (file name -> payload) as JSON into the output directory,
@@ -61,9 +57,9 @@ def _write(args, tables: dict, records: dict) -> dict:
     texts = {name: _json_text(name, payload)
              for name, payload in records.items()}
     for name, (header, columns) in tables.items():
-        write_csv(_out(args, name), header, columns)
+        write_csv(os.path.join(args.out, name), header, columns)
     for name, text in texts.items():
-        write_json(_out(args, name), text)
+        write_json(os.path.join(args.out, name), text)
     return texts
 
 
@@ -188,6 +184,8 @@ def cmd_sensitivity(cfg: ScenarioConfig, args) -> int:
     if grad[0, 0] == 0.0:
         raise ConfigError("$.coil.mmf_At", "the coil's central gradient is "
                           "zero, so there is no trap to integrate in")
+    if not np.isfinite(grad[0, 0]):
+        raise FloatingPointError("the coil's central gradient is not finite")
     # A reversed current negates J and traps alike: the trap frequency
     # follows |J_xx|.
     osc = derive_oscillator(cfg.nanodiamond,
@@ -273,7 +271,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than
+    most verbs' own work."""
     parser = argparse.ArgumentParser(
         prog="ndspin",
         description="nanodiamond spin-interferometer simulation toolkit")
@@ -286,13 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs more than
-    most verbs' own work."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -301,9 +295,6 @@ def main(argv=None) -> int:
         # of its outputs, not as numpy warnings on the way.
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (IntegrationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -75,7 +75,7 @@ class NanodiamondParams:
     Parameters
     ----------
     diameter : float
-        Sphere diameter in m (> 0).
+        Sphere diameter in m (> 0), whose volume must not round to 0.
     density : float
         Mass density in kg/m^3.
     chi_magnitude : float
@@ -92,6 +92,8 @@ class NanodiamondParams:
     def __post_init__(self) -> None:
         if not self.diameter > 0.0:
             raise ValueError("diameter must be > 0")
+        if not self.volume > 0.0:
+            raise ValueError("nanodiamond volume must be > 0")
         if not self.density > 0.0:
             raise ValueError("density must be > 0")
         if not self.chi_magnitude > 0.0:
@@ -193,8 +195,6 @@ def derive_oscillator(
     """
     m = nd.mass
     V = nd.volume
-    if not V > 0.0:
-        raise ValueError("nanodiamond volume must be > 0")
     omega = fld.Bprime * math.sqrt(nd.chi_magnitude * V / (constants.mu0 * m))
     x_zpf = math.sqrt(constants.hbar / (2.0 * m * omega))
     p_zpf = math.sqrt(constants.hbar * m * omega / 2.0)

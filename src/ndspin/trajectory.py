@@ -653,6 +653,9 @@ def _integrate_stack(
     """Integrate n trajectories (one per start, initial spin and flip
     schedule), all starting at ``starts[0].t``, as one stacked (n, 6)
     residual state about the harmonic reference; see the module docstring.
+    ``t_eval`` must be sorted and inside [starts[0].t, t_end] (ValueError
+    otherwise); each trajectory's q and v are views of one stacked
+    (n, len(t_eval), 6) sample array.
     A source without a harmonic centre raises FloatingPointError before
     anything else.  A failure raises :class:`IntegrationError` with the
     first row's last state; an overflow or an invalid operation raises
@@ -671,8 +674,10 @@ def _integrate_stack(
     if t_eval is None:
         t_eval = np.linspace(t0, t_end, 1000)
     t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < t0) or np.any(t_eval > t_end):
-        raise ValueError("t_eval must lie within [initial.t, t_end]")
+    if (np.any(t_eval < t0) or np.any(t_eval > t_end)
+            or np.any(t_eval[1:] < t_eval[:-1])):
+        raise ValueError("t_eval must be sorted and lie within "
+                         "[initial.t, t_end]")
 
     n = len(starts)
     # Rows that share a schedule share its flips and signs.
@@ -722,14 +727,12 @@ def _integrate_stack(
     else:
         runs = [(k, k) for k in range(n_seg)]
 
-    order = np.argsort(t_eval, kind="stable")
-    t_sorted = t_eval[order]
     # A sample within rounding of a restart or a spin flip belongs to the
     # time before it.
-    ends = np.searchsorted(t_sorted, _with_slack(edges[[hi + 1 for _lo, hi in runs]]),
+    ends = np.searchsorted(t_eval, _with_slack(edges[[hi + 1 for _lo, hi in runs]]),
                            side="right")
-    # The samples in time order; each run writes its residual amplitudes
-    # into its own, which become states at the end of the run.
+    # Each run writes its residual amplitudes into its own samples, which
+    # become states at the end of the run.
     samples = np.empty((n, len(t_eval), 6))
 
     q_ref, v_ref = ref.state(edges[:1], 0)
@@ -739,7 +742,7 @@ def _integrate_stack(
     for (lo, hi), last in zip(runs, ends):
         ta, tb = edges[lo], edges[hi + 1]
         residual.hi = hi
-        seg_t = np.clip(t_sorted[filled:last], ta, tb)
+        seg_t = np.clip(t_eval[filled:last], ta, tb)
         sol = solve_ivp(residual, (ta, tb), state, rtol, atol, max_step,
                         seg_t, samples[:, filled:last])
         if not sol.success:
@@ -754,12 +757,10 @@ def _integrate_stack(
             filled = last
         state = sol.y[:, -1]
 
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
     spin_patterns = [(-1) ** np.searchsorted(_with_slack(sf), t_eval, side="left")
                      for sf, _ff in flips]
-    return [Trajectory(t=t_eval.copy(), q=samples[i, rank, :3],
-                       v=samples[i, rank, 3:],
+    return [Trajectory(t=t_eval.copy(), q=samples[i, :, :3],
+                       v=samples[i, :, 3:],
                        spin=spins[i] * spin_patterns[j],
                        flip_times=flips[j][0].copy())
             for i, j in enumerate(row_schedule)]
@@ -798,7 +799,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate the translational dynamics from ``initial`` to ``t_end``.
 
-    Samples are produced at ``t_eval`` (default: 1000 uniform times).  The
+    Samples are produced at ``t_eval`` (default: 1000 uniform times), which
+    must be sorted: a decreasing ``t_eval`` raises ValueError.  The
     solver steps across the effective flips (see the module docstring), or
     restarts at each where their jump in R could break the tolerance.  The
     source must have a harmonic centre (:func:`harmonic_centre`); one

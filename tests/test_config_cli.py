@@ -71,6 +71,17 @@ def test_readme_example_scenario_parses():
     assert cfg.coil is not None and cfg.field.B0 > 0.0
 
 
+def test_readme_library_quick_tour_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick tour.*?```python\n(.*?)```", readme,
+                      re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert round(float(lines[0]), 1) == 282.8
+    assert lines[2] == "(60, 60)"
+
+
 def test_unknown_keys_rejected_with_path():
     doc = dict(BASE)
     doc["field"] = {"Bprime_T_per_m": 1.0, "Bprime_mT": 5}
@@ -562,14 +573,18 @@ def test_sensitivity_particle_the_pair_cannot_trap_exits_3(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("verb, section", [
-    ("dd", {"dd": {"n_samples": 8, "n_values": [1, 2, 3]}}),
-    ("derive", {}),
+    ("dd", {"field": {"B0_T": 1e300},
+            "dd": {"n_samples": 8, "n_values": [1, 2, 3]}}),
+    ("derive", {"field": {"B0_T": 1e300}}),
+    ("fieldmap", {"coil": {"mmf_At": 1e308}}),
+    ("sensitivity", {"coil": {"mmf_At": 1e308}}),
 ])
 def test_non_finite_artifact_exits_3(tmp_path, capsys, verb, section):
-    # B0 = 1e300 T is a finite setting whose phases and frequencies are not:
+    # B0 = 1e300 T is a finite setting whose phases and frequencies are not;
+    # at 1e308 At the default pair's field overflows, and J_xx(0) is NaN
+    # (the near-axis series multiplies an exact 0 by an overflowed factor):
     # one numerical failure line, no warning, and no file
-    path = _write_config(tmp_path, {"version": 1, "field": {"B0_T": 1e300},
-                                    **section})
+    path = _write_config(tmp_path, {"version": 1, **section})
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -579,6 +594,20 @@ def test_non_finite_artifact_exits_3(tmp_path, capsys, verb, section):
     assert captured.err.startswith("numerical failure")
     assert "Warning" not in captured.err and not captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", sorted(_COMMANDS))
+def test_diameter_whose_volume_rounds_to_zero_exits_2(tmp_path, capsys, verb):
+    # (pi / 6) 1e-360 m^3 rounds to 0: every verb refuses the particle at
+    # $.nanodiamond before it computes anything
+    path = _write_config(tmp_path, {
+        "version": 1, "nanodiamond": {"diameter_m": 1e-120}, "coil": {}})
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: $.nanodiamond: nanodiamond volume "
+                            "must be > 0\n")
+    assert not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("rel_tol, sensitivity, ok", [

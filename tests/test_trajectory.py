@@ -330,6 +330,20 @@ def test_input_validation(nd_250nm, field_fig2):
         IntegratorConfig(rel_tol=0.0)
 
 
+def test_integrate_rejects_decreasing_t_eval(nd_250nm, field_fig2):
+    src = UniformGradientField(field_fig2.Bprime)
+    start = TrajectoryState(0.0, (1e-9, 0.0, 0.0), (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="sorted"):
+        integrate(start, 1, src, nd_250nm, None, 1.0, t_eval=[0.5, 0.25])
+    # sorted samples, a repeated time among them, come back in their order
+    # as views of the stack's one sample array
+    t_eval = [0.0, 0.25, 0.25, 1.0]
+    traj = integrate(start, 1, src, nd_250nm, None, 1.0, t_eval=t_eval)
+    assert traj.t.tolist() == t_eval
+    assert traj.q[1].tolist() == traj.q[2].tolist()
+    assert traj.q.base is not None and traj.q.base is traj.v.base
+
+
 def test_nan_field_raises(nd_250nm):
     class BrokenSource:
         def btuw(self, q, constants=None, rho2=None):
