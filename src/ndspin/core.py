@@ -77,7 +77,8 @@ class NanodiamondParams:
     diameter : float
         Sphere diameter in m (> 0), whose volume must not round to 0.
     density : float
-        Mass density in kg/m^3.
+        Mass density in kg/m^3 (> 0), whose product with the volume must
+        not round to 0.
     chi_magnitude : float
         Magnitude of the (diamagnetic) volume susceptibility, dimensionless.
     epsilon : float
@@ -96,6 +97,8 @@ class NanodiamondParams:
             raise ValueError("nanodiamond volume must be > 0")
         if not self.density > 0.0:
             raise ValueError("density must be > 0")
+        if not self.mass > 0.0:
+            raise ValueError("nanodiamond mass must be > 0")
         if not self.chi_magnitude > 0.0:
             raise ValueError("chi_magnitude must be > 0")
         if not self.epsilon > 1.0:

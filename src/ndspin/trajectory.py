@@ -29,16 +29,19 @@ sin(omega tau), in the reference's rotating frame, and only R moves them
 (:class:`_Residual`).  With no -K e left in the stepped equation, RK45's
 stability along the imaginary axis sets no cap; the step is held to half
 an x oscillation, pi / omega_x, for the quartic dense output between the
-step ends.  Each solver run starts at that cap, or at the run's span if
-shorter: the residual starts at zero, where the initial-step rule would
-start at 1e-6 s and take several steps to grow to the cap.  The error
-control accepts or rejects every step, the first included.  The
-reference's x range must stay inside the nearest loop plane on either
-side of the centre, beyond which the pair does not confine along x.
+step ends.  Each solver run splits its span into the fewest equal steps
+under that cap (a span over k caps by rounding alone takes k), the last
+landing on the run's end, so no step a few ulps long follows; it starts
+at that step, since the residual starts at zero, where the initial-step
+rule would start at 1e-6 s and take several steps to grow to the cap.
+The error control accepts or rejects every step, the first included.
+The reference's x range must stay inside the nearest loop plane on
+either side of the centre, beyond which the pair does not confine along
+x.
 
 A flip makes R jump by 2 (mu_s J(q) e_x / m - c): tiny near the centre, so
 one solver call steps across every flip.  Per scan the jump is bounded on
-the reference's (x, rho) envelope; where a step of min(pi / omega_x, span)
+the reference's (x, rho) envelope; where the equal step of that one call
 could lose more than the tolerance to it (:func:`_crosses_flips`), the
 solver restarts at every effective flip instead, so no step straddles one.
 The harmonic centre is a precondition: a source without one (a single
@@ -119,8 +122,9 @@ class IntegratorConfig:
     hundreds of seconds with nanometer amplitudes need both.  The error
     control accepts or rejects every step; the only cap is half an x
     oscillation, pi / omega_x, which serves the dense output, not the
-    stability of the residual integration, and is also the first step of
-    each run (see the module docstring).  An n-row stack integrates at
+    stability of the residual integration.  Each run splits its span into
+    the fewest equal steps under the cap and starts at that step (see the
+    module docstring).  An n-row stack integrates at
     ``stack_rtol(n)``, which must be at least :data:`RTOL_FLOOR`.
     """
 
@@ -418,7 +422,8 @@ def _crosses_flips(source, nd: NanodiamondParams, constants: PhysicalConstants,
     of a to them, with the smallest of the axes' ``omega`` (twice the
     jump's integral over the step, for the exact flow and for the
     stepper's stages); the solver crosses flips if that stays within every
-    absolute tolerance for h = ``span``, the longest step allowed.
+    absolute tolerance for h = ``span``, the equal step of the one call
+    that would cross them (:func:`_even_step`).
     """
     x, rho = (g.ravel() for g in np.meshgrid(
         np.linspace(*x_range, _JUMP_GRID), np.linspace(0.0, rho_max, _JUMP_GRID)))
@@ -638,6 +643,32 @@ def solve_ivp(fun: _Residual, t_span: tuple, y0: np.ndarray, rtol: float,
                              "integration interval.")
 
 
+#: A run's span over k step caps by less than this relative amount, which
+#: rounding alone makes, counts as k steps, not k + 1.
+_STEP_SLACK = 1e-12
+
+
+def _even_step(ta: float, tb: float, cap: float) -> float:
+    """The ``max_step`` that splits the run [ta, tb] into n = ceil(span /
+    cap) equal steps (see _STEP_SLACK), raised by ulps until the stepper's
+    own sums ta + h + ... + h reach tb at the n-th step, which it then clips
+    onto tb: no step of a few ulps follows.  A one-step run returns its
+    span, :func:`solve_ivp`'s first step."""
+    span = tb - ta
+    n = math.ceil(span / cap * (1.0 - _STEP_SLACK))
+    if n <= 1:
+        return span
+    h = span / n
+    bump = math.ulp(abs(ta) + abs(tb))
+    while True:
+        t = ta
+        for _ in range(n):
+            t += h
+        if t >= tb:
+            return h
+        h += bump
+
+
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def _integrate_stack(
     starts: Sequence[TrajectoryState],
@@ -716,13 +747,14 @@ def _integrate_stack(
     rtol = cfg.stack_rtol(n)
     # The harmonic amplitudes leave no linear term for a step to amplify;
     # the cap of half an x oscillation serves the quartic dense output
-    # (see the module docstring).
-    max_step = math.pi / ref.omega[0]
+    # (see the module docstring).  Each run takes equal steps under it.
+    cap = math.pi / ref.omega[0]
     # One solver call steps across every flip, unless R's jumps could break
-    # the tolerance: then it restarts at every effective flip.
+    # the tolerance at that call's step: then it restarts at every
+    # effective flip.
     if n_seg == 1 or _crosses_flips(
             source, nd, constants, centre[1], x_range, rho_max,
-            min(max_step, t_end - t0), ref.omega, atol.reshape(n, 6)):
+            _even_step(t0, t_end, cap), ref.omega, atol.reshape(n, 6)):
         runs = [(0, n_seg - 1)]
     else:
         runs = [(k, k) for k in range(n_seg)]
@@ -743,8 +775,8 @@ def _integrate_stack(
         ta, tb = edges[lo], edges[hi + 1]
         residual.hi = hi
         seg_t = np.clip(t_eval[filled:last], ta, tb)
-        sol = solve_ivp(residual, (ta, tb), state, rtol, atol, max_step,
-                        seg_t, samples[:, filled:last])
+        sol = solve_ivp(residual, (ta, tb), state, rtol, atol,
+                        _even_step(ta, tb, cap), seg_t, samples[:, filled:last])
         if not sol.success:
             q, v = ref.state(sol.t[-1:], hi, sol.y[:, -1].reshape(n, 1, 6))
             raise IntegrationError(

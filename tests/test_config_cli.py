@@ -610,6 +610,23 @@ def test_diameter_whose_volume_rounds_to_zero_exits_2(tmp_path, capsys, verb):
     assert not captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("verb", sorted(_COMMANDS))
+def test_mass_that_rounds_to_zero_exits_2(tmp_path, capsys, verb):
+    # the volume (pi / 6) 1e-30 m^3 is fine, but times 1e-300 kg/m^3 the
+    # mass underflows to 0, by which the trap divides: every verb refuses
+    # the particle at $.nanodiamond before it computes anything
+    path = _write_config(tmp_path, {
+        "version": 1,
+        "nanodiamond": {"diameter_m": 1e-10, "density_kg_per_m3": 1e-300},
+        "coil": {}})
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: $.nanodiamond: nanodiamond mass "
+                            "must be > 0\n")
+    assert not captured.out and not out.exists()
+
+
 @pytest.mark.parametrize("rel_tol, sensitivity, ok", [
     (1e-16, {}, False),
     (5e-14, {}, False),           # 18 rows divide it below 100 eps

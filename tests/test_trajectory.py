@@ -926,9 +926,9 @@ def test_trapped_runs_start_at_the_step_cap(monkeypatch):
     # the baseline's scans (3 cm pair, 5.6e-14 kg, 200 flips, default
     # tolerances): the residual starts at zero, where scipy's initial-step
     # rule would start at 1e-6 s and take six steps to grow to the cap.
-    # Each run starts at min(pi / omega_x, span) and keeps that step: one
-    # call for the derivative at the start, then 3 steps of 6 calls, since
-    # the period is a few ulps over two caps and the last step covers them
+    # The period is a few ulps over two caps pi / omega_x, so each run takes
+    # two equal steps, the first from its start, the second landing on the
+    # period: one call for the derivative at the start, then 2 steps of 6
     coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
     omega, period = _coil_period(coil, nd)
     cap = math.pi / math.sqrt(harmonic_centre(coil, nd)[0][0])
@@ -941,9 +941,35 @@ def test_trapped_runs_start_at_the_step_cap(monkeypatch):
                 math.pi / 5.0], coil, nd, 200, omega)
     assert len(calls) == 2
     for sol in calls:
-        assert sol.t[1] - sol.t[0] == min(cap, sol.t[-1] - sol.t[0])
-        assert len(sol.t) == 4 and sol.t[2] == 2.0 * cap
-        assert sol.nfev == 19
+        steps = np.diff(sol.t)
+        assert len(sol.t) == 3 and sol.t[0] == 0.0 and sol.t[-1] == period
+        assert steps[0] == steps[1] <= cap * (1.0 + 1e-12)
+        assert sol.nfev == 13
+
+
+@pytest.mark.parametrize("periods", [1.0, 1.5, 2.0, 3.0, 5.0, 7.5])
+@pytest.mark.parametrize("t0", [0.0, 0.37, 1234.5])
+def test_runs_land_on_their_end(monkeypatch, t0, periods):
+    # a run from t0 splits its span into ceil(span / cap) equal steps (a
+    # span over k caps by rounding alone counts as k) whose last lands on
+    # its end: t0 + h + ... + h rounds at every sum, and at 1234.5 s a step
+    # of span / n alone falls short of the end, leaving a step of a few ulps
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(coil, nd)
+    cap = math.pi / math.sqrt(harmonic_centre(coil, nd)[0][0])
+    t_end = t0 + periods * period
+    calls = _record_solver_calls(monkeypatch)
+    integrate(TrajectoryState(t0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), 1, coil,
+              nd, FlipSchedule(omega_dd=200 * omega, delta=math.pi / 5.0),
+              t_end)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    sol = calls[0]
+    n = math.ceil((t_end - t0) / cap * (1.0 - 1e-12))
+    steps = np.diff(sol.t)
+    assert sol.t[0] == t0 and sol.t[-1] == t_end and len(steps) == n
+    assert cap / 2.0 <= steps.min() and steps.max() <= cap * (1.0 + 1e-12)
+    assert sol.nfev == 1 + 6 * n
 
 
 def test_restart_regime_delta_scan_rhs_calls(monkeypatch):
