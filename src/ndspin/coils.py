@@ -37,7 +37,9 @@ The kernel is array-valued: one pass evaluates every loop at a batch of
 points into one (4, n_loops, n) array, summed over the loops once, each
 point taking the series or the closed form by a mask.  The loop constants
 that do not depend on the point (b_amp = mu0 F r_c^2 / 2, 3 r_c^2, the
-series-zone radius) are computed once per assembly.  A field source is
+series-zone radius) are computed once per assembly, and so are the four
+numbers at the origin, where the trajectory engine takes the harmonic
+centre of every stack it integrates.  A field source is
 anything that exposes the summed four numbers as ``btuw``;
 :func:`field_and_jacobian` builds B and J from them for every source, and
 the trajectory force is taken from them directly, without forming J, with
@@ -129,17 +131,30 @@ class CoilAssembly:
         the number of points they are tiled to."""
         return {}
 
+    @cached_property
+    def _origin(self) -> dict:
+        """The kernel's (B_x, t, u, w) at the origin, shape (4, 1), by mu0."""
+        return {}
+
     def btuw(self, q: np.ndarray, constants: PhysicalConstants = CONSTANTS,
              rho2: Optional[np.ndarray] = None) -> np.ndarray:
         """(B_x, t, u, w), shape (4, n), summed over the loops at the rows
         of q, shape (n, 3), from one pass of the loop kernel.  ``rho2``,
-        the rows' y^2 + z^2, is formed here unless the caller has it."""
+        the rows' y^2 + z^2, is formed here unless the caller has it.  A
+        batch of the origin alone takes a copy of the numbers that the first
+        such pass made."""
         q = np.asarray(q, dtype=float)
+        origin = len(q) == 1 and not q.any()
+        if origin and constants.mu0 in self._origin:
+            return self._origin[constants.mu0].copy()
         key = (constants.mu0, len(q) if len(q) <= _TILED_POINTS else 1)
         params = self._params.get(key)
         if params is None:
             params = self._params[key] = _loop_params(self.loops, *key)
-        return _btuw(q, _rho2(q) if rho2 is None else rho2, params)
+        out = _btuw(q, _rho2(q) if rho2 is None else rho2, params)
+        if origin:
+            self._origin[constants.mu0] = out.copy()
+        return out
 
     def field_at(self, p: Sequence[float],
                  constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
@@ -199,17 +214,17 @@ def _series_btuw(s, rho2, rc2, three_rc2, b_amp, out):
     w = b3/8 = -1.25 s (4 s^2 - 3 r_c^2) h / q^2."""
     s2 = s * s
     iq = np.reciprocal(rc2 + s2)
-    b0 = b_amp * iq * np.sqrt(iq)
+    b0 = np.multiply(b_amp * iq, np.sqrt(iq), out=out[0])
     h = _THREE_HALVES * b0 * iq
+    np.multiply(s, h, out=out[1])
     hq = h * iq
     s4 = _FOUR * s2
-    u = np.multiply(rc2 - s4, hq, out=out[2])
-    w = np.multiply(_MINUS_FIVE_QUARTERS * s * (s4 - three_rc2) * hq, iq,
-                    out=out[3])
-    # Tiled to the shape of s once, so that no product below broadcasts.
+    np.multiply(rc2 - s4, hq, out=out[2])
+    np.multiply(_MINUS_FIVE_QUARTERS * s * (s4 - three_rc2) * hq, iq,
+                out=out[3])
+    # Tiled to the shape of s once; (B_x, t) = (b0, s h) + rho^2 / 2 (u, w).
     half_rho2 = np.multiply(_HALF, rho2, out=np.empty(s.shape))
-    np.add(b0, half_rho2 * u, out=out[0])
-    np.add(s * h, half_rho2 * w, out=out[1])
+    out[:2] += half_rho2 * out[2:]
 
 
 def _elliptic_btuw(s, rho2, rc, mu0_mmf):

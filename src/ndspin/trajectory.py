@@ -148,15 +148,16 @@ class FlipSchedule:
     """Decoupling drive for the trajectory model.
 
     Spin flips at multiples of 2 pi / omega_dd; the coil current flips at the
-    same times shifted by delta / omega_dd (delta in [0, pi)).
+    same times shifted by delta / omega_dd (delta in [0, pi)).  omega_dd
+    must be finite and positive.
     """
 
     omega_dd: float
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.omega_dd > 0.0:
-            raise ValueError("omega_dd must be > 0")
+        if not 0.0 < self.omega_dd < math.inf:
+            raise ValueError("omega_dd must be finite and > 0")
         if not (0.0 <= self.delta < math.pi):
             raise ValueError("delta must lie in [0, pi)")
 
@@ -277,19 +278,73 @@ def _force(q: np.ndarray, rho2: np.ndarray, btuw: np.ndarray, a: float,
     return out
 
 
+#: The flip times of no flips, shared read-only.
+_NO_FLIPS = np.empty(0)
+_NO_FLIPS.flags.writeable = False
+
+
 def _flip_times(schedule: Optional[FlipSchedule], t_end: float
                 ) -> tuple[np.ndarray, np.ndarray]:
     """(spin flip times, field flip times) inside (0, t_end).  A flip within
     rounding of t_end (see :func:`_with_slack`) is dropped: it would only
-    start a segment a few ulps long."""
+    start a segment a few ulps long.  Without a lag the field flips are the
+    spin flips, the same array."""
     if schedule is None:
-        return np.empty(0), np.empty(0)
+        return _NO_FLIPS, _NO_FLIPS
     dt = 2.0 * math.pi / schedule.omega_dd
+    # The flips kept are a prefix of each list: only its last few can lie
+    # within rounding of t_end.
     n = int(math.floor(t_end / dt + 1e-12))
+    while n > 0 and _with_slack(dt * n) >= t_end:
+        n -= 1
     spin_flips = dt * np.arange(1, n + 1)
-    spin_flips = spin_flips[_with_slack(spin_flips) < t_end]
-    field_flips = spin_flips + schedule.delta / schedule.omega_dd
-    return spin_flips, field_flips[_with_slack(field_flips) < t_end]
+    if not schedule.delta:
+        return spin_flips, spin_flips
+    lag = schedule.delta / schedule.omega_dd
+    while n > 0 and _with_slack(dt * n + lag) >= t_end:
+        n -= 1
+    return spin_flips, spin_flips[:n] + lag
+
+
+def _flip_segments(spins: Sequence[int],
+                   schedules: Sequence[Optional[FlipSchedule]], t0: float,
+                   t_end: float) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """The segments of a stack's run over [t0, t_end] and every row's sign
+    spin * current on them: (edges, signs, spin_flips, row_schedule), with
+    ``signs`` shape (n, n_seg), ``spin_flips`` the spin flip times of each
+    distinct schedule and ``row_schedule`` each row's index into them.
+
+    The force follows the sign spin * current alone, so a spin flip and a
+    current flip at the same instant cancel: each row's sign changes only
+    at the times found in exactly one of its two flip lists, none on a
+    synchronized schedule.  Both lists are sorted and unique; the edges are
+    t0, t_end and every such time after t0.
+    """
+    # Rows that share a schedule share its flips and signs.
+    distinct = list(dict.fromkeys(schedules))
+    row_schedule = [distinct.index(sched) for sched in schedules]
+    flips = [_flip_times(sched, t_end) for sched in distinct]
+    # A synchronized schedule's two lists are one array (:func:`_flip_times`).
+    effective = [_NO_FLIPS if ff is sf
+                 else np.setxor1d(sf, ff, assume_unique=True)
+                 for sf, ff in flips]
+    spin_flips = [sf for sf, _ff in flips]
+    row_spins = np.array(spins)[:, None]
+    crossing = [ef for ef in effective if ef.size]
+    if not crossing:
+        return np.array((t0, t_end)), row_spins, spin_flips, row_schedule
+    # Every flip lies before t_end; one schedule's effective flips are
+    # sorted and unique already.
+    inner = (crossing[0] if len(crossing) == 1
+             else np.unique(np.concatenate(crossing)))
+    edges = np.concatenate(((t0,), inner[inner > t0], (t_end,)))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    # (-1)^(flips before each segment's middle), by its parity.
+    pattern = np.ones((len(distinct), len(mids)), dtype=int)
+    for row, ef in zip(pattern, effective):
+        if ef.size:
+            row -= 2 * (ef.searchsorted(mids, side="right") & 1)
+    return edges, row_spins * pattern[row_schedule], spin_flips, row_schedule
 
 
 def harmonic_centre(
@@ -308,14 +363,15 @@ def harmonic_centre(
     symmetric pair) and every entry of K is a finite, normal positive
     number.
     """
-    bx, t, _u, _w = source.btuw(np.zeros((1, 3)), constants)[:, 0]
-    stiffness = ((-_chi_coefficient(nd, constants) / nd.mass * t) * t
-                 * np.array((4.0, 1.0, 1.0)))
-    if not (bx == 0.0 and np.all((stiffness >= np.finfo(float).tiny)
-                                 & (stiffness < np.inf))):
+    bx, t = source.btuw(np.zeros((1, 3)), constants)[:2, 0].tolist()
+    # K_y = K_z, and K_x = 4 K_y is the largest.
+    k_y = (-_chi_coefficient(nd, constants) / nd.mass * t) * t
+    if not (bx == 0.0 and np.finfo(float).tiny <= k_y
+            and 4.0 * k_y < math.inf):
         return None
     mu_s = _spin_moment(1, constants)
-    return stiffness, np.array((-2.0 * t * mu_s / nd.mass, 0.0, 0.0))
+    return (np.array((4.0 * k_y, k_y, k_y)),
+            np.array((-2.0 * t * mu_s / nd.mass, 0.0, 0.0)))
 
 
 class _Reference:
@@ -339,24 +395,27 @@ class _Reference:
         n, n_seg = signs.shape
         self.omega2, c = centre
         self.omega = np.sqrt(self.omega2)
+        self.minus_i_omega = -1j * self.omega
         self.xstar = signs * (c[0] / self.omega2[0])
         z0 = y0[:, :3] + 1j * y0[:, 3:] / self.omega
         self.wx = np.empty((n, n_seg), dtype=complex)
         self.wx[:, 0] = z0[:, 0] - self.xstar[:, 0]
-        self.wx[:, 1:] = (self.xstar[:, :-1] - self.xstar[:, 1:]) * np.exp(
-            1j * self.omega[0] * (edges[1:-1] - edges[0]))
-        np.cumsum(self.wx, axis=1, out=self.wx)
+        if n_seg > 1:
+            self.wx[:, 1:] = (self.xstar[:, :-1] - self.xstar[:, 1:]) * np.exp(
+                1j * self.omega[0] * (edges[1:-1] - edges[0]))
+            np.cumsum(self.wx, axis=1, out=self.wx)
         self.wyz = z0[:, 1:]
 
     def segments(self, t: np.ndarray, hi: int) -> np.ndarray:
         """The segment of each time t of a solver run whose last segment is
-        hi (every t at or after the run's start)."""
-        return np.minimum(self.edges.searchsorted(t, side="right") - 1, hi)
+        hi (every t at or after the run's start): how many of edges 1 to
+        hi lie at or before it."""
+        return self.edges[1:hi + 1].searchsorted(t, side="right")
 
     def phasor(self, t: np.ndarray) -> np.ndarray:
         """exp(-i omega tau) per time (axis 0) and axis (axis 1), with
         tau = t - edges[0]: cos(omega tau) - i sin(omega tau)."""
-        return np.exp(-1j * self.omega * (t - self.edges[0])[:, None])
+        return np.exp(self.minus_i_omega * (t - self.edges[0])[:, None])
 
     def offsets(self, t: np.ndarray, k: np.ndarray, phasor: np.ndarray,
                 ab: Optional[np.ndarray] = None) -> np.ndarray:
@@ -365,29 +424,44 @@ class _Reference:
         plus the residual's where its harmonic amplitudes ``ab``, shape
         (len(t), n, 6), are given.  Per axis the residual (a, b) adds
         a + i b / omega to z's amplitude (see :class:`_Residual`), so the
-        one phasor turns both into states."""
-        w = np.empty((len(t), len(self.wyz), 3), dtype=complex)
-        w[..., 0] = self.wx[:, k].T
-        w[..., 1:] = self.wyz
+        one phasor turns both into states.  The numbers are formed in
+        (row, axis, time) order, every pass running along the times, and
+        returned as a transposed view."""
+        w = np.empty((len(self.wyz), 3, len(t)), dtype=complex)
+        w[:, 0] = self.wx[:, k]
+        w[:, 1:] = self.wyz[:, :, None]
         if ab is not None:
-            w.real += ab[..., :3]
-            w.imag += ab[..., 3:] / self.omega
-        w *= phasor[:, None]
-        return w
+            ab = ab.transpose(1, 2, 0)
+            w.real += ab[:, :3]
+            w.imag += ab[:, 3:] / self.omega[:, None]
+        w *= phasor.T
+        return w.transpose(2, 0, 1)
 
-    def state(self, t: np.ndarray, hi: int, ab: Optional[np.ndarray] = None
+    def state(self, t: np.ndarray, hi: int, ab: Optional[np.ndarray] = None,
+              out: Optional[np.ndarray] = None
               ) -> tuple[np.ndarray, np.ndarray]:
         """q and v, each shape (n, len(t), 3), at times t of a solver run
         whose last segment is hi: q_ref and v_ref, or the states of the
         rows whose residual amplitudes ``ab``, shape (n, len(t), 6), are
-        given."""
+        given.  They are views of one (n, len(t), 6) array, ``out`` if
+        given, which may be ``ab`` itself: x* added to the real part of
+        :meth:`offsets` in x, and v omega times its imaginary part."""
         k = self.segments(t, hi)
-        if ab is not None:
-            ab = ab.transpose(1, 0, 2)
-        off = self.offsets(t, k, self.phasor(t), ab).transpose(1, 0, 2)
-        q = off.real
-        q[..., 0] += self.xstar[:, k]
-        return q, self.omega * off.imag
+        # One (row, axis, time) array, the layout in which offsets forms
+        # its numbers, holds the amplitudes and then the states.
+        states = (np.empty((len(self.wyz), 6, len(t))) if ab is None
+                  else ab.transpose(0, 2, 1).copy())
+        w = self.offsets(t, k, self.phasor(t),
+                         None if ab is None else states.transpose(2, 0, 1)
+                         ).transpose(1, 2, 0)
+        np.add(w.real[:, 0], self.xstar[:, k], out=states[:, 0])
+        states[:, 1:3] = w.real[:, 1:]
+        np.multiply(self.omega[:, None], w.imag, out=states[:, 3:])
+        if out is None:
+            out = states.transpose(0, 2, 1)
+        else:
+            out[...] = states.transpose(0, 2, 1)
+        return out[..., :3], out[..., 3:]
 
     def envelope(self) -> tuple[np.ndarray, np.ndarray, tuple, float]:
         """Per row, the largest |q_ref| and |v_ref| components, shape (n,)
@@ -425,13 +499,16 @@ def _crosses_flips(source, nd: NanodiamondParams, constants: PhysicalConstants,
     absolute tolerance for h = ``span``, the equal step of the one call
     that would cross them (:func:`_even_step`).
     """
-    x, rho = (g.ravel() for g in np.meshgrid(
-        np.linspace(*x_range, _JUMP_GRID), np.linspace(0.0, rho_max, _JUMP_GRID)))
-    _bx, t, u, w = source.btuw(np.stack((x, rho, np.zeros_like(x)), axis=1),
-                               constants)
+    # Grid point (i, j) is (x_j, rho_i, 0), each row of x at one rho.
+    grid = np.zeros((_JUMP_GRID, _JUMP_GRID, 3))
+    grid[..., 0] = np.linspace(*x_range, _JUMP_GRID)
+    grid[..., 1] = np.linspace(0.0, rho_max, _JUMP_GRID)[:, None]
+    q = grid.reshape(-1, 3)
+    rho = q[:, 1]
+    _bx, t, u, w = source.btuw(q, constants)
     mu_s = _spin_moment(1, constants) / nd.mass
-    jump = _JUMP_MARGIN * 2.0 * np.max(np.hypot(
-        (-2.0 * t - w * rho * rho) * mu_s - c[0], u * rho * mu_s))
+    jump = _JUMP_MARGIN * 2.0 * np.hypot(
+        (-2.0 * t - w * rho * rho) * mu_s - c[0], u * rho * mu_s).max()
     return bool(jump * span <= atol[:, 3:].min()
                 and jump * span / omega.min() <= atol[:, :3].min())
 
@@ -684,49 +761,47 @@ def _integrate_stack(
     """Integrate n trajectories (one per start, initial spin and flip
     schedule), all starting at ``starts[0].t``, as one stacked (n, 6)
     residual state about the harmonic reference; see the module docstring.
-    ``t_eval`` must be sorted and inside [starts[0].t, t_end] (ValueError
-    otherwise); each trajectory's q and v are views of one stacked
-    (n, len(t_eval), 6) sample array.
+    ``t_end`` must be finite and ``t_eval`` sorted and inside
+    [starts[0].t, t_end], NaN nowhere (ValueError otherwise); each
+    trajectory's q and v are views of one stacked (n, len(t_eval), 6)
+    sample array.
     A source without a harmonic centre raises FloatingPointError before
     anything else.  A failure raises :class:`IntegrationError` with the
     first row's last state; an overflow or an invalid operation raises
     FloatingPointError where it happens, and so does a reference that
-    reaches a loop plane."""
+    reaches a loop plane.
+
+    The set-up is one pass: the flips and segments of every distinct
+    schedule (:func:`_flip_segments`), the reference, its envelope and the
+    residual's start, the tolerances and, where the stack has effective
+    flips, the one crossing bound (:func:`_crosses_flips`).  Outside the
+    solver it makes at most two kernel passes: at the origin for the
+    harmonic centre, and on the crossing grid.  Inside, each RHS call
+    makes one."""
     centre = harmonic_centre(source, nd, constants)
     if centre is None:
         raise FloatingPointError(
             "the trap stiffness at the coil centre is not a positive normal "
             "number, so there is no trap period to integrate over")
     t0 = starts[0].t
-    if not t_end > t0:
-        raise ValueError("t_end must exceed the initial time")
+    if not t0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and exceed the initial time")
     if any(s not in (-1, 1) for s in spins):
         raise ValueError("spin_initial must be -1 or +1")
     if t_eval is None:
         t_eval = np.linspace(t0, t_end, 1000)
     t_eval = np.asarray(t_eval, dtype=float)
-    if (np.any(t_eval < t0) or np.any(t_eval > t_end)
-            or np.any(t_eval[1:] < t_eval[:-1])):
+    # Every comparison with NaN is false, so a NaN anywhere fails one.
+    if t_eval.size and not (t0 <= t_eval[0] and t_eval[-1] <= t_end
+                            and (t_eval[1:] >= t_eval[:-1]).all()):
         raise ValueError("t_eval must be sorted and lie within "
                          "[initial.t, t_end]")
 
     n = len(starts)
-    # Rows that share a schedule share its flips and signs.
-    distinct = list(dict.fromkeys(schedules))
-    row_schedule = [distinct.index(sched) for sched in schedules]
-    flips = [_flip_times(sched, t_end) for sched in distinct]
-    # The force follows the sign spin * current alone, so a spin flip and a
-    # current flip at the same instant cancel; each row's sign changes only
-    # at the times found in exactly one of its two flip lists.
-    effective = [np.setxor1d(sf, ff) for sf, ff in flips]
-    edges = np.unique(np.concatenate([[t0, t_end], *effective]))
-    edges = edges[(edges >= t0) & (edges <= t_end)]
-    n_seg = len(edges) - 1
-    mids = 0.5 * (edges[:-1] + edges[1:])
     # The sign spin * current of each row (axis 0) on each segment (axis 1).
-    signs = np.array(spins)[:, None] * np.array(
-        [(-1) ** np.searchsorted(ef, mids, side="right") for ef in effective]
-    )[row_schedule]
+    edges, signs, spin_flips, row_schedule = _flip_segments(
+        spins, schedules, t0, t_end)
+    n_seg = len(edges) - 1
     # The RHS takes the acceleration from _force with both moment terms
     # divided by the mass: the spin moment at each sign, and -chi V / mu0.
     mu_spin = _spin_moment(signs, constants) / nd.mass
@@ -740,10 +815,10 @@ def _integrate_stack(
     # through atol, times the largest |q| and |v| of its reference.
     pos, vel, x_range, rho_max = ref.envelope()
     _check_confined(source, x_range)
-    scale = 1.0 / math.sqrt(n)
-    atol = scale * np.repeat(np.stack((cfg.abs_tol_pos + cfg.rel_tol * pos,
-                                       cfg.abs_tol_vel + cfg.rel_tol * vel),
-                                      axis=1), 3, axis=1).ravel()
+    atol = np.empty((n, 6))
+    atol[:, :3] = (cfg.abs_tol_pos + cfg.rel_tol * pos)[:, None]
+    atol[:, 3:] = (cfg.abs_tol_vel + cfg.rel_tol * vel)[:, None]
+    atol *= 1.0 / math.sqrt(n)
     rtol = cfg.stack_rtol(n)
     # The harmonic amplitudes leave no linear term for a step to amplify;
     # the cap of half an x oscillation serves the quartic dense output
@@ -754,21 +829,19 @@ def _integrate_stack(
     # effective flip.
     if n_seg == 1 or _crosses_flips(
             source, nd, constants, centre[1], x_range, rho_max,
-            _even_step(t0, t_end, cap), ref.omega, atol.reshape(n, 6)):
-        runs = [(0, n_seg - 1)]
+            _even_step(t0, t_end, cap), ref.omega, atol):
+        runs, ends = [(0, n_seg - 1)], [len(t_eval)]
     else:
         runs = [(k, k) for k in range(n_seg)]
-
-    # A sample within rounding of a restart or a spin flip belongs to the
-    # time before it.
-    ends = np.searchsorted(t_eval, _with_slack(edges[[hi + 1 for _lo, hi in runs]]),
-                           side="right")
+        # A sample within rounding of a restart belongs to the time before
+        # it.
+        ends = t_eval.searchsorted(_with_slack(edges[1:]), side="right")
+    atol = atol.ravel()
     # Each run writes its residual amplitudes into its own samples, which
     # become states at the end of the run.
     samples = np.empty((n, len(t_eval), 6))
 
-    q_ref, v_ref = ref.state(edges[:1], 0)
-    state = (y0 - np.concatenate((q_ref[:, 0], v_ref[:, 0]), axis=1)).ravel()
+    state = (y0 - np.concatenate(ref.state(edges[:1], 0), axis=2)[:, 0]).ravel()
     residual = _Residual(ref, source, constants, a_mass, mu_spin)
     filled = 0
     for (lo, hi), last in zip(runs, ends):
@@ -785,16 +858,18 @@ def _integrate_stack(
                                 v=tuple(v[0, 0])))
         if last > filled:
             run = samples[:, filled:last]
-            run[..., :3], run[..., 3:] = ref.state(seg_t, hi, run)
+            ref.state(seg_t, hi, run, out=run)
             filled = last
         state = sol.y[:, -1]
 
-    spin_patterns = [(-1) ** np.searchsorted(_with_slack(sf), t_eval, side="left")
-                     for sf, _ff in flips]
+    # A sample within rounding of a spin flip keeps the sign before it:
+    # (-1)^(spin flips before each sample), by its parity.
+    spin_patterns = [1 - 2 * (_with_slack(sf).searchsorted(t_eval) & 1)
+                     for sf in spin_flips]
     return [Trajectory(t=t_eval.copy(), q=samples[i, :, :3],
                        v=samples[i, :, 3:],
                        spin=spins[i] * spin_patterns[j],
-                       flip_times=flips[j][0].copy())
+                       flip_times=spin_flips[j].copy())
             for i, j in enumerate(row_schedule)]
 
 
@@ -802,19 +877,21 @@ def _check_confined(source, x_range: tuple) -> None:
     """Raise FloatingPointError where the reference's x range reaches the
     nearest loop plane on either side of the centre: beyond it the pair
     does not confine along x.  A source without loops has no plane."""
-    planes = np.array([lp.x_c for lp in getattr(source, "loops", ())])
-    ahead, behind = planes[planes > 0.0], planes[planes < 0.0]
-    if ((ahead.size and x_range[1] >= ahead.min())
-            or (behind.size and x_range[0] <= behind.max())):
+    planes = [lp.x_c for lp in getattr(source, "loops", ())]
+    ahead = [x for x in planes if x > 0.0]
+    behind = [x for x in planes if x < 0.0]
+    if ((ahead and x_range[1] >= min(ahead))
+            or (behind and x_range[0] <= max(behind))):
         raise FloatingPointError(
             f"the harmonic reference spans x in [{x_range[0]:.3g}, "
             f"{x_range[1]:.3g}] m, past a loop plane of the source: the "
             "trap does not hold the particle")
 
 
-def _with_slack(times: np.ndarray) -> np.ndarray:
+def _with_slack(times):
     """Each time plus 1e-15 max(1, t): a sample at or below it is taken as
-    before the event, so one landing on a flip keeps the pre-flip sign."""
+    before the event, so one landing on a flip keeps the pre-flip sign.
+    Takes an array or a float."""
     return times + 1e-15 * np.maximum(1.0, times)
 
 
@@ -832,7 +909,9 @@ def integrate(
     """Integrate the translational dynamics from ``initial`` to ``t_end``.
 
     Samples are produced at ``t_eval`` (default: 1000 uniform times), which
-    must be sorted: a decreasing ``t_eval`` raises ValueError.  The
+    must be sorted and lie within [initial.t, t_end], and ``t_end`` must be
+    finite: a decreasing ``t_eval``, one with a NaN or outside that span,
+    or an infinite or NaN ``t_end`` raises ValueError.  The
     solver steps across the effective flips (see the module docstring), or
     restarts at each where their jump in R could break the tolerance.  The
     source must have a harmonic centre (:func:`harmonic_centre`); one
@@ -877,9 +956,9 @@ def sensitivity_scan(
                r * math.cos(theta)) for theta, phi in angles]
     # One stacked run: rows (start 0, +1), (start 0, -1), (start 1, +1), ...
     spins = (1, -1)
+    states = [TrajectoryState(t=0.0, q=q0, v=(0.0, 0.0, 0.0)) for q0 in starts]
     trajs = _integrate_stack(
-        [TrajectoryState(t=0.0, q=q0, v=(0.0, 0.0, 0.0))
-         for q0 in starts for _ in spins],
+        [state for state in states for _ in spins],
         spins * len(starts), [schedule] * (2 * len(starts)), source, nd,
         t_end, cfg, t_eval, constants)
     records: list[dict] = []
@@ -889,9 +968,9 @@ def sensitivity_scan(
             "theta": theta,
             "phi": phi,
             "start": q0,
-            "y_overlap": np.max(np.abs(up.y - down.y)) / norm,
-            "z_overlap": np.max(np.abs(up.z - down.z)) / norm,
-            "x_separation_max": np.max(np.abs(up.x - down.x)),
+            "y_overlap": np.abs(up.y - down.y).max() / norm,
+            "z_overlap": np.abs(up.z - down.z).max() / norm,
+            "x_separation_max": np.abs(up.x - down.x).max(),
             "trajectories": {1: up, -1: down},
         })
     return records
@@ -929,7 +1008,7 @@ def delta_scan(
         source, nd, period, cfg, t_eval, constants)
     x = {d: tr.x for d, tr in zip(lags, trajs)}
     x_ref = x[0.0]
-    dx_max = float(np.max(np.abs(x_ref)) * 2.0)
+    dx_max = float(np.abs(x_ref).max() * 2.0)
     return [{"delta": float(delta),
-             "deviation": float(np.max(np.abs(x[float(delta)] - x_ref)) / dx_max)}
+             "deviation": float(np.abs(x[float(delta)] - x_ref).max() / dx_max)}
             for delta in delta_values]

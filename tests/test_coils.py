@@ -11,13 +11,14 @@ from ndspin import (
     CONSTANTS,
     CoilAssembly,
     LoopSource,
+    PhysicalConstants,
     UniformGradientField,
     complete_elliptic_KE,
     field_and_jacobian,
     field_jacobian,
     field_map,
 )
-from ndspin.coils import _RHO_SERIES_FACTOR
+from ndspin.coils import _RHO_SERIES_FACTOR, _btuw, _loop_params
 
 
 def _ke_quadrature(m):
@@ -336,3 +337,23 @@ def test_anti_helmholtz_constructor_contract():
 def test_empty_assembly_rejected_at_construction():
     with pytest.raises(ValueError, match="at least one loop"):
         CoilAssembly(loops=())
+
+
+def test_origin_pass_is_kept_per_assembly_and_mu0():
+    # a batch of the origin alone makes one kernel pass per assembly and
+    # mu0; every later one gets a fresh copy of that pass's bits, signed
+    # zeros included, and a one-point batch off the origin is its own pass
+    coil = CoilAssembly.anti_helmholtz()
+    doubled = PhysicalConstants(mu0=2.0 * CONSTANTS.mu0)
+    for constants in (CONSTANTS, doubled):
+        want = _btuw(np.zeros((1, 3)), np.zeros(1),
+                     _loop_params(coil.loops, constants.mu0, 1))
+        first = coil.btuw(np.zeros((1, 3)), constants)
+        first[:] = np.nan
+        for origin in ([[0.0, 0.0, 0.0]], [[-0.0, 0.0, -0.0]]):
+            assert coil.btuw(origin, constants).tobytes() == want.tobytes()
+    assert coil.btuw(np.zeros((1, 3)), doubled).tobytes() == (
+        2.0 * coil.btuw(np.zeros((1, 3)))).tobytes()
+    off = np.array([[1e-3, 0.0, 0.0]])
+    assert coil.btuw(off).tobytes() == _btuw(
+        off, np.zeros(1), _loop_params(coil.loops, CONSTANTS.mu0, 1)).tobytes()

@@ -25,12 +25,14 @@ from ndspin import (
     max_separation,
     sensitivity_scan,
 )
+import ndspin.coils
 import ndspin.trajectory
 from ndspin.coils import LoopSource, _RHO_SERIES_FACTOR, _elliptic_btuw
+from ndspin.config import parse_config
 from ndspin.trajectory import (_JUMP_GRID, _JUMP_MARGIN, _Reference,
                                _Residual, _Solution, _chi_coefficient,
-                               _crosses_flips, _flip_times,
-                               _integrate_stack, _spin_moment)
+                               _crosses_flips, _flip_segments, _flip_times,
+                               _integrate_stack, _spin_moment, _with_slack)
 
 
 def _solve_ivp_oracle(q0, spin, source, nd, omega_dd, delta, t_end, cfg,
@@ -342,6 +344,35 @@ def test_integrate_rejects_decreasing_t_eval(nd_250nm, field_fig2):
     assert traj.t.tolist() == t_eval
     assert traj.q[1].tolist() == traj.q[2].tolist()
     assert traj.q.base is not None and traj.q.base is traj.v.base
+
+
+@pytest.mark.parametrize("t_eval", [[0.0, math.nan, 1.0], [math.nan],
+                                    [math.nan, 1.0], [0.0, 1.0, math.nan]])
+def test_integrate_rejects_nan_in_t_eval(nd_250nm, field_fig2, t_eval):
+    # every comparison with NaN is false: a check that looks for a sample
+    # out of order or out of range finds none, and the samples at and
+    # after the NaN would be the leftovers of an uninitialised array
+    src = UniformGradientField(field_fig2.Bprime)
+    start = TrajectoryState(0.0, (1e-9, 0.0, 0.0), (0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="sorted"):
+        integrate(start, 1, src, nd_250nm, None, 1.0, t_eval=t_eval)
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan])
+@pytest.mark.parametrize("flips", [False, True])
+def test_integrate_rejects_non_finite_t_end(nd_250nm, field_fig2, t_end,
+                                            flips):
+    src = UniformGradientField(field_fig2.Bprime)
+    start = TrajectoryState(0.0, (1e-9, 0.0, 0.0), (0.0, 0.0, 0.0))
+    schedule = FlipSchedule(omega_dd=10.0, delta=0.5) if flips else None
+    with pytest.raises(ValueError, match="finite"):
+        integrate(start, 1, src, nd_250nm, schedule, t_end, t_eval=[0.0])
+
+
+@pytest.mark.parametrize("omega_dd", [math.inf, math.nan, 0.0, -1.0])
+def test_flip_schedule_rejects_non_finite_or_non_positive_rate(omega_dd):
+    with pytest.raises(ValueError, match="omega_dd"):
+        FlipSchedule(omega_dd=omega_dd)
 
 
 def test_nan_field_raises(nd_250nm):
@@ -1155,3 +1186,159 @@ def test_residual_rhs_is_the_force_bit_for_bit(stack, rng):
             inside = rho < zone
             assert {"series": inside.all(), "elliptic": not inside.any(),
                     "edge": 0 < inside.sum() < len(rho)}[stack.split("-")[1]]
+
+
+def _generic_flip_times(schedule, t_end):
+    """Test-only reference for the flip lists: every multiple of the flip
+    period below t_end, then each list masked where its time plus the
+    slack reaches t_end."""
+    if schedule is None:
+        return np.empty(0), np.empty(0)
+    dt = 2.0 * math.pi / schedule.omega_dd
+    spin_flips = dt * np.arange(1, int(math.floor(t_end / dt + 1e-12)) + 1)
+    spin_flips = spin_flips[_with_slack(spin_flips) < t_end]
+    field_flips = spin_flips + schedule.delta / schedule.omega_dd
+    return spin_flips, field_flips[_with_slack(field_flips) < t_end]
+
+
+def _generic_set_up(spins, schedules, t0, t_end, t_eval):
+    """Test-only reference for a stack's segments: each row's effective
+    flips by setxor1d, the edges by unique, the signs on the segments and
+    the spin pattern at the samples by (-1)**searchsorted."""
+    distinct = list(dict.fromkeys(schedules))
+    row_schedule = [distinct.index(sched) for sched in schedules]
+    flips = [_generic_flip_times(sched, t_end) for sched in distinct]
+    effective = [np.setxor1d(sf, ff) for sf, ff in flips]
+    edges = np.unique(np.concatenate([[t0, t_end], *effective]))
+    edges = edges[(edges >= t0) & (edges <= t_end)]
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    signs = np.array(spins)[:, None] * np.array(
+        [(-1) ** np.searchsorted(ef, mids, side="right") for ef in effective]
+    )[row_schedule]
+    patterns = [(-1) ** np.searchsorted(_with_slack(sf), t_eval, side="left")
+                for sf, _ff in flips]
+    return edges, signs, [sf for sf, _ff in flips], row_schedule, patterns
+
+
+def _generic_states(ref, t, hi, ab=None):
+    """Test-only reference for the reference's states at times t, shape
+    (n, len(t), 6), from :meth:`_Reference.offsets` in its (time, row,
+    axis) layout, on each time's segment by a search of every edge: x*
+    added to the real part's x, omega times the imaginary part."""
+    k = np.minimum(ref.edges.searchsorted(t, side="right") - 1, hi)
+    assert np.array_equal(ref.segments(t, hi), k)
+    off = ref.offsets(t, k, ref.phasor(t),
+                      None if ab is None else ab.transpose(1, 0, 2))
+    off = off.transpose(1, 0, 2)
+    q = off.real.copy()
+    q[..., 0] += ref.xstar[:, k]
+    return np.concatenate((q, ref.omega * off.imag), axis=2)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_set_up_repeats_the_generic_construction(case):
+    # the stack's set-up (flip lists, edges, signs, spin patterns, the
+    # residual's start and the samples' states) is the generic
+    # construction's bit for bit, signed zeros included, on random
+    # schedules: synchronized ones, lags so small that the current flips
+    # round onto the spin flips, an end on a flip and a start after some
+    # flips or on one
+    rng = np.random.default_rng(case)
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    centre = harmonic_centre(coil, nd)
+    period = 2.0 * math.pi / math.sqrt(centre[0][0])
+    omega_dd = 2.0 * math.pi / period * rng.integers(3, 60)
+    lags = [0.0, 1e-300, 1e-18 * rng.uniform(0.5, 2.0),
+            rng.uniform(0.0, math.pi), rng.uniform(0.0, 0.05)]
+    kinds = rng.choice(len(lags) + 1, size=rng.integers(1, 5))
+    schedules = [None if kind == len(lags) else FlipSchedule(
+        omega_dd=omega_dd * rng.choice([1.0, 1.5]), delta=lags[kind])
+        for kind in kinds]
+    spins = list(rng.choice([-1, 1], size=len(schedules)))
+    dt = 2.0 * math.pi / omega_dd
+    t_end = (dt * rng.integers(2, 40) if case % 2
+             else period * rng.uniform(0.5, 2.0))
+    # a start at 0, after some flips, or on a spin flip
+    t0 = (0.0, t_end * rng.uniform(0.0, 0.6), dt)[case % 3]
+    t_eval = np.sort(np.concatenate((
+        [t0, t_end], rng.uniform(t0, t_end, 30),
+        dt * np.arange(1, int(t_end / dt) + 1))))
+    t_eval = t_eval[(t_eval >= t0) & (t_eval <= t_end)]
+
+    edges, signs, spin_flips, row_schedule = _flip_segments(
+        spins, schedules, t0, t_end)
+    want = _generic_set_up(spins, schedules, t0, t_end, t_eval)
+    assert _same_bits(edges, want[0])
+    assert _same_bits(signs, want[1])
+    assert all(_same_bits(a, b) for a, b in zip(spin_flips, want[2]))
+    assert row_schedule == want[3]
+    patterns = [1 - 2 * (_with_slack(sf).searchsorted(t_eval) & 1)
+                for sf in spin_flips]
+    assert all(_same_bits(a, b) for a, b in zip(patterns, want[4]))
+    for sched in schedules:
+        assert all(_same_bits(a, b) for a, b in zip(
+            _flip_times(sched, t_end), _generic_flip_times(sched, t_end)))
+
+    # starts with zeros of both signs among their components
+    y0 = rng.normal(size=(len(spins), 6)) * np.repeat([1e-7, 1e-10], 3)
+    y0[rng.random(y0.shape) < 0.3] = 0.0
+    y0[rng.random(y0.shape) < 0.2] = -0.0
+    ref = _Reference(centre, edges, signs, y0)
+    q_ref, v_ref = ref.state(edges[:1], 0)
+    assert _same_bits(np.concatenate((q_ref, v_ref), axis=2),
+                      _generic_states(ref, edges[:1], 0))
+    hi = len(edges) - 2
+    ab = rng.normal(size=(len(spins), len(t_eval), 6)) * 1e-12
+    ab[rng.random(ab.shape) < 0.2] = -0.0
+    want = _generic_states(ref, t_eval, hi, ab)
+    ref.state(t_eval, hi, ab, out=ab)
+    assert _same_bits(ab, want)
+
+
+def test_set_up_kernel_passes_on_the_baseline():
+    # the baseline's scans (3 cm pair, 5.6e-14 kg, 200 flips) on a fresh
+    # assembly: the shell scan's set-up makes one kernel pass, at the
+    # origin for the harmonic centre; the delta scan's one more, on the
+    # crossing grid, the assembly keeping its numbers at the origin; inside
+    # the solver every RHS call makes one
+    cfg = parse_config({"version": 1, "nanodiamond": {"mass_kg": 5.6e-14},
+                        "coil": {"radius_m": 0.03, "separation_m": 0.03,
+                                 "mmf_At": 564.0}})
+    coil, nd = cfg.coil, cfg.nanodiamond
+    # the period from an equal assembly, so that this one's origin is fresh
+    omega, period = _coil_period(CoilAssembly.anti_helmholtz(), nd)
+    passes = {False: 0, True: 0}
+    nfev, solving = [], [False]
+    kernel, stepper = ndspin.coils._btuw, ndspin.trajectory.solve_ivp
+
+    def counting(*args):
+        passes[solving[0]] += 1
+        return kernel(*args)
+
+    def counted(*args):
+        solving[0] = True
+        try:
+            sol = stepper(*args)
+        finally:
+            solving[0] = False
+        nfev.append(sol.nfev)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ndspin.coils, "_btuw", counting)
+        mp.setattr(ndspin.trajectory, "solve_ivp", counted)
+        sensitivity_scan(cfg.sensitivity_radius, cfg.sensitivity_theta,
+                         cfg.sensitivity_phi, coil, nd,
+                         FlipSchedule(omega_dd=cfg.sensitivity_n_flip * omega),
+                         period, cfg.integrator, cfg.sensitivity_n_samples)
+        shell = dict(passes)
+        delta_scan(cfg.sensitivity_delta, coil, nd, cfg.sensitivity_n_flip,
+                   omega, cfg.integrator, cfg.sensitivity_n_samples)
+    assert shell == {False: 1, True: nfev[0]}
+    assert passes == {False: 2, True: sum(nfev)}
+    assert nfev == [13, 13]
