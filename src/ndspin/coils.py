@@ -34,12 +34,13 @@ k-th axial derivatives b_k of the on-axis field:
 B_x = b0 - rho^2 b2/4, t = -b1/2 + rho^2 b3/16, u = -b2/2, w = b3/8.
 
 The kernel is array-valued: one pass evaluates every loop at a batch of
-points into one (4, n_loops, n) array, summed over the loops once, each
-point taking the series or the closed form by a mask.  The loop constants
-that do not depend on the point (b_amp = mu0 F r_c^2 / 2, 3 r_c^2, the
-series-zone radius) are computed once per assembly, and so are the four
-numbers at the origin, where the trajectory engine takes the harmonic
-centre of every stack it integrates.  A field source is
+points into one (4, n_loops, n) array, summed over the loops once.  The
+series, finite everywhere, fills every (loop, point) pair, and the closed
+form overwrites the pairs outside the loop's series zone.  The loop
+constants that do not depend on the point (b_amp = mu0 F r_c^2 / 2,
+3 r_c^2, the series-zone radius) are computed once per assembly, and so
+are the four numbers at the origin, where the trajectory engine takes the
+harmonic centre of every stack it integrates.  A field source is
 anything that exposes the summed four numbers as ``btuw``;
 :func:`field_and_jacobian` builds B and J from them for every source, and
 the trajectory force is taken from them directly, without forming J, with
@@ -81,12 +82,6 @@ __all__ = [
 _RHO_SERIES_FACTOR = 5e-4
 #: Rejection radius around the wire circle, as a fraction of the loop radius.
 _WIRE_EPS_FACTOR = 1e-9
-#: Batches of up to this many points take the loop constants tiled to their
-#: size, cached per assembly: numpy's ufuncs run faster on small arrays when
-#: no operand broadcasts.  A trajectory stack has at most 2 x 16 x 16 rows
-#: (both spins of every shell start).  Larger batches broadcast the
-#: (n_loops, 1) columns.
-_TILED_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -127,8 +122,7 @@ class CoilAssembly:
 
     @cached_property
     def _params(self) -> dict:
-        """The kernel's loop constants (:func:`_loop_params`), by mu0 and
-        the number of points they are tiled to."""
+        """The kernel's loop constants (:func:`_loop_params`), by mu0."""
         return {}
 
     @cached_property
@@ -147,10 +141,10 @@ class CoilAssembly:
         origin = len(q) == 1 and not q.any()
         if origin and constants.mu0 in self._origin:
             return self._origin[constants.mu0].copy()
-        key = (constants.mu0, len(q) if len(q) <= _TILED_POINTS else 1)
-        params = self._params.get(key)
+        params = self._params.get(constants.mu0)
         if params is None:
-            params = self._params[key] = _loop_params(self.loops, *key)
+            params = self._params[constants.mu0] = _loop_params(
+                self.loops, constants.mu0)
         out = _btuw(q, _rho2(q) if rho2 is None else rho2, params)
         if origin:
             self._origin[constants.mu0] = out.copy()
@@ -250,16 +244,16 @@ def _elliptic_btuw(s, rho2, rc, mu0_mmf):
     return (c * ((rc2 - r2) * E + a2 * K), t, u, (-g - 2.0 * t) / rho2)
 
 
-def _loop_params(loops: Sequence[LoopSource], mu0: float, n: int) -> tuple:
-    """The point-independent constants of :func:`_btuw`: per loop, each
-    shape (n_loops, n), x_c, r_c, r_c^2, 3 r_c^2, b_amp = mu0 mmf r_c^2 / 2,
-    mu0 mmf and the squared series-zone radius, tiled over n points; last,
-    the smallest of those radii, a float."""
+def _loop_params(loops: Sequence[LoopSource], mu0: float) -> tuple:
+    """The point-independent constants of :func:`_btuw`, each an
+    (n_loops, 1) column that broadcasts over the points: x_c, r_c, r_c^2,
+    3 r_c^2, b_amp = mu0 mmf r_c^2 / 2, mu0 mmf and the squared series-zone
+    radius."""
     cols = np.array([
         (lp.x_c, lp.r_c, lp.r_c ** 2, 3.0 * lp.r_c ** 2,
          mu0 * (0.5 * lp.mmf * lp.r_c ** 2), mu0 * lp.mmf,
          (_RHO_SERIES_FACTOR * lp.r_c) ** 2) for lp in loops]).T
-    return (*np.repeat(cols[:, :, None], n, axis=2), float(cols[-1].min()))
+    return tuple(cols[:, :, None])
 
 
 def _rho2(q: np.ndarray) -> np.ndarray:
@@ -274,25 +268,19 @@ def _btuw(q: np.ndarray, rho2: np.ndarray, loop_params: tuple) -> np.ndarray:
     ``rho2``, shape (n,); returns shape (4, n).
 
     Every loop and point is evaluated in one pass over (loop, point) arrays
-    into one (4, n_loops, n) array, summed over the loops at the end.
-    Points within _RHO_SERIES_FACTOR r_c of a loop's axis take the series,
-    the rest the elliptic closed form.
+    into one (4, n_loops, n) array, summed over the loops at the end.  The
+    series fills every pair; the elliptic closed form overwrites the pairs
+    at or beyond _RHO_SERIES_FACTOR r_c from the loop's axis (and any whose
+    rho^2 is NaN).
     """
-    x_c, rc, rc2, three_rc2, b_amp, mu0_mmf, zone2, zone2_min = loop_params
+    x_c, rc, rc2, three_rc2, b_amp, mu0_mmf, zone2 = loop_params
     s = q[:, 0] - x_c
     out = np.empty((4,) + s.shape)
-    if not rho2.size or np.maximum.reduce(rho2) < zone2_min:
-        _series_btuw(s, rho2, rc2, three_rc2, b_amp, out)
-        return np.add.reduce(out, axis=1)
-    series = rho2 < zone2
-    if series.any():
-        part = np.empty((4, np.count_nonzero(series)))
-        _series_btuw(*(np.broadcast_to(a, s.shape)[series]
-                       for a in (s, rho2, rc2, three_rc2, b_amp)), part)
-        out[:, series] = part
-    ell = ~series
-    out[:, ell] = _elliptic_btuw(
-        *(np.broadcast_to(a, s.shape)[ell] for a in (s, rho2, rc, mu0_mmf)))
+    _series_btuw(s, rho2, rc2, three_rc2, b_amp, out)
+    ell = ~(rho2 < zone2)
+    if ell.any():
+        out[:, ell] = _elliptic_btuw(
+            *(np.broadcast_to(a, s.shape)[ell] for a in (s, rho2, rc, mu0_mmf)))
     return np.add.reduce(out, axis=1)
 
 

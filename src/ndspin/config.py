@@ -38,9 +38,13 @@ SCHEMA_VERSION = 1
 #: and ``trajectory`` (n_samples per B0 value), whose columns the verb
 #: holds in memory; the CSV writer adds one block of 4096 rows, about 5 MB
 #: of peak RSS for 10^6 rows.  With these caps no table exceeds 10^6 rows.
+#: Each flip multiplier of ``dd`` (a closed form, whatever the count) stays
+#: within 2^53, so its flip index floor(t / seg) is an exact float and its
+#: ``n_flip`` column an integer one.
 MAX_SAMPLES = 10**6
 MAX_GRID = 10**3
 MAX_FLIPS = 10**4
+MAX_DD_FLIPS = 2**53
 MAX_SCAN_VALUES = 16
 MAX_STACK_SAMPLES = 2 * 10**6
 MAX_TABLE_ROWS = 10**6
@@ -231,7 +235,8 @@ _FIELDS = {
         # Validated for existing scenario files, but no verb reads a single
         # flip multiplier: `dd` renders every n in n_values.
         "n_flip": (None, _integer(1)),
-        "n_values": ("dd_n_values", _list(_integer(1), maximum=MAX_SCAN_VALUES)),
+        "n_values": ("dd_n_values", _list(_integer(1, MAX_DD_FLIPS),
+                                          maximum=MAX_SCAN_VALUES)),
         "n_samples": ("dd_n_samples", _integer(2, MAX_SAMPLES)),
     },
     "protocol": {

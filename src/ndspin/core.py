@@ -75,10 +75,11 @@ class NanodiamondParams:
     Parameters
     ----------
     diameter : float
-        Sphere diameter in m (> 0), whose volume must not round to 0.
+        Sphere diameter in m (> 0), whose volume must neither round to 0
+        nor overflow.
     density : float
         Mass density in kg/m^3 (> 0), whose product with the volume must
-        not round to 0.
+        neither round to 0 nor overflow.
     chi_magnitude : float
         Magnitude of the (diamagnetic) volume susceptibility, dimensionless.
     epsilon : float
@@ -95,10 +96,14 @@ class NanodiamondParams:
             raise ValueError("diameter must be > 0")
         if not self.volume > 0.0:
             raise ValueError("nanodiamond volume must be > 0")
+        if not math.isfinite(self.volume):
+            raise ValueError("nanodiamond volume must be finite")
         if not self.density > 0.0:
             raise ValueError("density must be > 0")
         if not self.mass > 0.0:
             raise ValueError("nanodiamond mass must be > 0")
+        if not math.isfinite(self.mass):
+            raise ValueError("nanodiamond mass must be finite")
         if not self.chi_magnitude > 0.0:
             raise ValueError("chi_magnitude must be > 0")
         if not self.epsilon > 1.0:

@@ -121,7 +121,10 @@ def dd_branch_state(
 ) -> BranchState:
     """Branch state at time(s) ``times`` under gradient-only decoupling.
 
-    ``alpha`` and ``theta`` have the shape of ``times``.
+    ``alpha`` and ``theta`` have the shape of ``times``.  A flip interval
+    that is not a positive finite number (a trap frequency that overflows)
+    raises FloatingPointError: the segment index of a time would not be a
+    number.
     """
     if spin not in (-1, 0, 1):
         raise ValueError("spin eigenvalue must be -1, 0 or +1")
@@ -134,6 +137,10 @@ def dd_branch_state(
     osc = derive_oscillator(nd, fld, constants)
     omega = osc.omega
     seg = osc.period / dd.n  # 2 pi / omega_DD
+    if not 0.0 < seg < math.inf:
+        raise FloatingPointError(
+            f"the flip interval 2 pi / omega_DD = {seg:g} s is not a positive "
+            "finite number")
     j = np.floor(t / seg)
     tau = t - j * seg
 

@@ -278,19 +278,14 @@ def _force(q: np.ndarray, rho2: np.ndarray, btuw: np.ndarray, a: float,
     return out
 
 
-#: The flip times of no flips, shared read-only.
-_NO_FLIPS = np.empty(0)
-_NO_FLIPS.flags.writeable = False
-
-
 def _flip_times(schedule: Optional[FlipSchedule], t_end: float
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(spin flip times, field flip times) inside (0, t_end).  A flip within
-    rounding of t_end (see :func:`_with_slack`) is dropped: it would only
-    start a segment a few ulps long.  Without a lag the field flips are the
-    spin flips, the same array."""
+    """(spin flip times, field flip times) inside (0, t_end), two fresh
+    arrays.  A flip within rounding of t_end (see :func:`_with_slack`) is
+    dropped: it would only start a segment a few ulps long.  Without a lag
+    the field flips equal the spin flips."""
     if schedule is None:
-        return _NO_FLIPS, _NO_FLIPS
+        return np.empty(0), np.empty(0)
     dt = 2.0 * math.pi / schedule.omega_dd
     # The flips kept are a prefix of each list: only its last few can lie
     # within rounding of t_end.
@@ -298,8 +293,6 @@ def _flip_times(schedule: Optional[FlipSchedule], t_end: float
     while n > 0 and _with_slack(dt * n) >= t_end:
         n -= 1
     spin_flips = dt * np.arange(1, n + 1)
-    if not schedule.delta:
-        return spin_flips, spin_flips
     lag = schedule.delta / schedule.omega_dd
     while n > 0 and _with_slack(dt * n + lag) >= t_end:
         n -= 1
@@ -324,27 +317,17 @@ def _flip_segments(spins: Sequence[int],
     distinct = list(dict.fromkeys(schedules))
     row_schedule = [distinct.index(sched) for sched in schedules]
     flips = [_flip_times(sched, t_end) for sched in distinct]
-    # A synchronized schedule's two lists are one array (:func:`_flip_times`).
-    effective = [_NO_FLIPS if ff is sf
-                 else np.setxor1d(sf, ff, assume_unique=True)
-                 for sf, ff in flips]
-    spin_flips = [sf for sf, _ff in flips]
-    row_spins = np.array(spins)[:, None]
-    crossing = [ef for ef in effective if ef.size]
-    if not crossing:
-        return np.array((t0, t_end)), row_spins, spin_flips, row_schedule
-    # Every flip lies before t_end; one schedule's effective flips are
-    # sorted and unique already.
-    inner = (crossing[0] if len(crossing) == 1
-             else np.unique(np.concatenate(crossing)))
+    effective = [np.setxor1d(sf, ff, assume_unique=True) for sf, ff in flips]
+    # Every flip lies before t_end.
+    inner = np.unique(np.concatenate(effective))
     edges = np.concatenate(((t0,), inner[inner > t0], (t_end,)))
     mids = 0.5 * (edges[:-1] + edges[1:])
     # (-1)^(flips before each segment's middle), by its parity.
     pattern = np.ones((len(distinct), len(mids)), dtype=int)
     for row, ef in zip(pattern, effective):
-        if ef.size:
-            row -= 2 * (ef.searchsorted(mids, side="right") & 1)
-    return edges, row_spins * pattern[row_schedule], spin_flips, row_schedule
+        row -= 2 * (ef.searchsorted(mids, side="right") & 1)
+    return (edges, np.array(spins)[:, None] * pattern[row_schedule],
+            [sf for sf, _ff in flips], row_schedule)
 
 
 def harmonic_centre(
@@ -400,10 +383,9 @@ class _Reference:
         z0 = y0[:, :3] + 1j * y0[:, 3:] / self.omega
         self.wx = np.empty((n, n_seg), dtype=complex)
         self.wx[:, 0] = z0[:, 0] - self.xstar[:, 0]
-        if n_seg > 1:
-            self.wx[:, 1:] = (self.xstar[:, :-1] - self.xstar[:, 1:]) * np.exp(
-                1j * self.omega[0] * (edges[1:-1] - edges[0]))
-            np.cumsum(self.wx, axis=1, out=self.wx)
+        self.wx[:, 1:] = (self.xstar[:, :-1] - self.xstar[:, 1:]) * np.exp(
+            1j * self.omega[0] * (edges[1:-1] - edges[0]))
+        np.cumsum(self.wx, axis=1, out=self.wx)
         self.wyz = z0[:, 1:]
 
     def segments(self, t: np.ndarray, hi: int) -> np.ndarray:
@@ -803,8 +785,10 @@ def _integrate_stack(
         spins, schedules, t0, t_end)
     n_seg = len(edges) - 1
     # The RHS takes the acceleration from _force with both moment terms
-    # divided by the mass: the spin moment at each sign, and -chi V / mu0.
-    mu_spin = _spin_moment(signs, constants) / nd.mass
+    # divided by the mass: the spin moment at each sign (exact, so the
+    # signs, from spins checked above, scale the one moment), and
+    # -chi V / mu0.
+    mu_spin = signs * (_spin_moment(1, constants) / nd.mass)
     a_mass = _chi_coefficient(nd, constants) / nd.mass
     y0 = np.array([[*st.q, *st.v] for st in starts], dtype=float)
     ref = _Reference(centre, edges, signs, y0)

@@ -261,6 +261,34 @@ def test_field_and_jacobian_batch_matches_rows_and_line_integral(coil_564):
         want = _biot_savart_gradient(p, coil_564)
         assert np.max(np.abs(j - want)) <= 1e-9 * np.max(np.abs(want))
 
+    # one kernel path for every batch: each row of these batches is the
+    # row evaluated alone, bit for bit, whatever else shares its batch
+    zone2 = edge ** 2
+    rhos = [edge]
+    for _ in range(3):
+        rhos = [math.nextafter(rhos[0], 0.0), *rhos,
+                math.nextafter(rhos[-1], math.inf)]
+    on_edge = np.array([(x, rho * c, rho * s) for x in (0.0, 2e-3, -4e-3)
+                        for rho in rhos for c, s in ((1.0, 0.0), (0.0, -1.0))])
+    rho2 = on_edge[:, 1] ** 2 + on_edge[:, 2] ** 2
+    # rows exactly on the zone edge and a few ulps to either side
+    assert (rho2 == zone2).any() and (rho2 < zone2).any() and (
+        rho2 > zone2).any()
+    rng = np.random.default_rng(513)
+    # past the 512 rows up to which the loop constants were once tiled
+    mixed = np.column_stack((rng.uniform(-1e-2, 1e-2, 513),
+                             *(rng.choice([0.0, 0.3, 1.0, 3.0, 300.0], 513)
+                               * edge * rng.uniform(-1.0, 1.0, (2, 513)))))
+    for batch in (on_edge, np.linspace((-1e-2, 0.0, 0.0), (1e-2, 0.0, 0.0), 41),
+                  mixed):
+        B, J = field_and_jacobian(coil_564, batch)
+        for p, b, j in zip(batch, B, J):
+            alone = field_and_jacobian(coil_564, p[None])
+            assert b.tobytes() == alone[0][0].tobytes()
+            assert j.tobytes() == alone[1][0].tobytes()
+    B, J = field_and_jacobian(coil_564, np.empty((0, 3)))
+    assert B.shape == (0, 3) and J.shape == (0, 3, 3)
+
 
 def test_jacobian_continuous_across_series_switch(coil_564):
     edge = _RHO_SERIES_FACTOR * 0.03
@@ -347,7 +375,7 @@ def test_origin_pass_is_kept_per_assembly_and_mu0():
     doubled = PhysicalConstants(mu0=2.0 * CONSTANTS.mu0)
     for constants in (CONSTANTS, doubled):
         want = _btuw(np.zeros((1, 3)), np.zeros(1),
-                     _loop_params(coil.loops, constants.mu0, 1))
+                     _loop_params(coil.loops, constants.mu0))
         first = coil.btuw(np.zeros((1, 3)), constants)
         first[:] = np.nan
         for origin in ([[0.0, 0.0, 0.0]], [[-0.0, 0.0, -0.0]]):
@@ -356,4 +384,4 @@ def test_origin_pass_is_kept_per_assembly_and_mu0():
         2.0 * coil.btuw(np.zeros((1, 3)))).tobytes()
     off = np.array([[1e-3, 0.0, 0.0]])
     assert coil.btuw(off).tobytes() == _btuw(
-        off, np.zeros(1), _loop_params(coil.loops, CONSTANTS.mu0, 1)).tobytes()
+        off, np.zeros(1), _loop_params(coil.loops, CONSTANTS.mu0)).tobytes()

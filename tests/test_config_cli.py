@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from ndspin.cli import _COMMANDS, main
 from ndspin.coils import CoilAssembly
-from ndspin.config import (MAX_SAMPLES, MAX_STACK_SAMPLES, MAX_TABLE_ROWS,
-                           ConfigError, ScenarioConfig, load_config,
-                           parse_config)
+from ndspin.config import (MAX_DD_FLIPS, MAX_SAMPLES, MAX_STACK_SAMPLES,
+                           MAX_TABLE_ROWS, ConfigError, ScenarioConfig,
+                           load_config, parse_config)
 from ndspin.core import CONSTANTS, FieldConfig, NanodiamondParams
 from ndspin.protocol import ProtocolConfig, casimir_polder_separation
 from ndspin.trajectory import IntegratorConfig
@@ -336,6 +336,24 @@ def test_dd_n_values_past_float_range_exits_2(tmp_path, capsys):
         10**15]
 
 
+def test_dd_n_values_entry_over_its_cap_exits_2(tmp_path, capsys):
+    # past 2^53 the flip index floor(t / seg) is no longer exact, and past
+    # 2^63 the n_flip column would turn from integers to floats
+    path = _write_config(tmp_path, {**BASE, "dd": {"n_values": [4, 2**53],
+                                                   "n_samples": 4}})
+    out = tmp_path / "out"
+    assert main(["dd", "--config", path, "--out", str(out)]) == 0
+    n_flip = [row.split(",")[0] for row in
+              (out / "dd_phase_space.csv").read_text().splitlines()[1:]]
+    assert n_flip == ["0"] * 8 + ["4"] * 8 + [str(2**53)] * 8
+    for entry in (MAX_DD_FLIPS + 1, 2**63, 10**20):
+        path = _write_config(tmp_path, {**BASE, "dd": {"n_values": [entry]}})
+        out = tmp_path / "bad"
+        assert main(["dd", "--config", path, "--out", str(out)]) == 2
+        assert "$.dd.n_values" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_protocol_time_overflow_exits_3(tmp_path, capsys):
     # a valid mass range at which G m^2/hbar overflows
     doc = {"version": 1, "protocol": {"mass_range_kg": [1e200, 1e300],
@@ -627,6 +645,28 @@ def test_mass_that_rounds_to_zero_exits_2(tmp_path, capsys, verb):
     assert not captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("nanodiamond, quantity", [
+    ({"mass_kg": 1e308}, "volume"),
+    ({"mass_kg": 5.6e-14, "density_kg_per_m3": 5e-324}, "volume"),
+    ({"diameter_m": 1e100, "density_kg_per_m3": 1e300}, "mass"),
+], ids=["heavy", "rarefied", "dense"])
+@pytest.mark.parametrize("verb", sorted(_COMMANDS))
+def test_particle_whose_size_overflows_exits_2(tmp_path, capsys, nanodiamond,
+                                               quantity, verb):
+    # the diameter from the mass, or the mass from the volume, overflows to
+    # inf: every verb refuses the particle at $.nanodiamond before it
+    # computes anything (dd once cast the NaN flip index of an infinite
+    # period to an integer and raised IndexError)
+    path = _write_config(tmp_path, {"version": 1, "nanodiamond": nanodiamond,
+                                    "coil": {}})
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: $.nanodiamond: nanodiamond "
+                            f"{quantity} must be finite\n")
+    assert not captured.out and not out.exists()
+
+
 @pytest.mark.parametrize("rel_tol, sensitivity, ok", [
     (1e-16, {}, False),
     (5e-14, {}, False),           # 18 rows divide it below 100 eps
@@ -736,6 +776,35 @@ def test_mutated_config_never_raises(mutations):
                     contextlib.redirect_stderr(None):
                 code = main([verb, "--config", path, "--out", f"{tmp}/{verb}"])
             assert code in (0, 2, 3), (verb, doc)
+
+
+#: A one-key sweep of extreme values over the particle's keys, on the small
+#: scenario of the mutations with the particle given by its mass or by its
+#: diameter.
+_EXTREMES = [0, -0.0, -1, 5e-324, 2.2e-308, 1e-300, 1e-30, 1e-15, 0.5, 3,
+             1e30, 1e300, 1e308]
+_PARTICLE_KEYS = [(given, key) for given in ("mass_kg", "diameter_m")
+                  for key in (given, "density_kg_per_m3", "chi_magnitude",
+                              "epsilon")]
+
+
+@pytest.mark.parametrize("given, key", _PARTICLE_KEYS,
+                         ids=[f"{g}-{k}" for g, k in _PARTICLE_KEYS])
+def test_extreme_particle_values_never_raise(tmp_path, given, key):
+    # every verb exits 0, 2 (config error) or 3 (numerical failure) at
+    # every extreme value of every particle key: never a traceback
+    base = copy.deepcopy(FUZZ_BASE)
+    base["nanodiamond"] = {given: 5.6e-14 if given == "mass_kg" else 3.1e-7}
+    for value in _EXTREMES:
+        doc = copy.deepcopy(base)
+        doc["nanodiamond"][key] = value
+        path = _write_config(tmp_path, doc)
+        for verb in sorted(_COMMANDS):
+            with _time_limit(60.0), contextlib.redirect_stdout(None), \
+                    contextlib.redirect_stderr(None):
+                code = main([verb, "--config", path,
+                             "--out", str(tmp_path / verb)])
+            assert code in (0, 2, 3), (verb, key, value)
 
 
 def test_float_format_round_trips(tmp_path):

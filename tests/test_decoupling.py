@@ -120,6 +120,16 @@ def test_config_validation():
                         DDConfig(n=4))
 
 
+def test_overflowing_trap_frequency_raises():
+    # |chi| / (mu0 rho) overflows, so omega is infinite and the flip
+    # interval 0: the segment index would be NaN, cast to an integer
+    nd = NanodiamondParams(chi_magnitude=1e308)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                  match="flip interval"):
+        dd_branch_state([0.0, 1e-3], 1, nd, FieldConfig(Bprime=1e3),
+                        DDConfig(n=4))
+
+
 def test_zero_bias_reduces_to_undecoupled(nd_250nm, field_fig2):
     osc = derive_oscillator(nd_250nm, field_fig2)
     dd = DDConfig(n=7)
