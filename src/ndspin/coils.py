@@ -96,6 +96,11 @@ class LoopSource:
     def __post_init__(self) -> None:
         if not self.r_c > 0.0:
             raise ValueError("loop radius r_c must be > 0")
+        # The kernel forms 3 r_c^2, and 4 s^2 with s = x - x_c, about x_c
+        # near the centre.
+        if not 4.0 * (self.r_c * self.r_c + self.x_c * self.x_c) < math.inf:
+            raise ValueError("loop radius r_c and position x_c must square "
+                             "to finite numbers")
 
 
 @dataclass(frozen=True)
@@ -183,13 +188,14 @@ class UniformGradientField:
 
 def complete_elliptic_KE(k2):
     """Complete elliptic integrals (K(k^2), E(k^2)) of squared modulus
-    m = k^2 in [0, 1); broadcasts over arrays.  scipy.special is imported
-    at the first call, so only field points off the near-axis zone load
-    scipy."""
+    m = k^2 in [0, 1); broadcasts over arrays.  A NaN modulus, which a
+    field point whose distances overflow gives, gives NaN.  scipy.special
+    is imported at the first call, so only field points off the near-axis
+    zone load scipy."""
     from scipy.special import ellipe, ellipk
 
     k2 = np.asarray(k2, dtype=float)
-    if not ((0.0 <= k2) & (k2 < 1.0)).all():
+    if ((k2 < 0.0) | (k2 >= 1.0)).any():
         raise ValueError("k2 must lie in [0, 1)")
     return ellipk(k2), ellipe(k2)
 

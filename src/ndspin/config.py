@@ -32,15 +32,17 @@ SCHEMA_VERSION = 1
 #: family or sensitivity list (a table holds a block of rows per family
 #: value, a shell scan stacks every theta-phi pair, and the delta scan's
 #: per-segment arrays grow as the square of its lags), the samples of a
-#: sensitivity stack summed over its trajectories (the scans keep about
-#: 220 bytes per trajectory and sample) and the rows of the family tables
-#: of ``dd`` (n_samples per spin and n_flip, the undecoupled 0 included)
-#: and ``trajectory`` (n_samples per B0 value), whose columns the verb
-#: holds in memory; the CSV writer adds one block of 4096 rows, about 5 MB
-#: of peak RSS for 10^6 rows.  With these caps no table exceeds 10^6 rows.
+#: sensitivity stack summed over its trajectories (the scans keep 48 bytes
+#: per trajectory and sample, beside Picard windows of bounded size) and
+#: the rows of the family tables of ``dd`` (n_samples per spin and n_flip,
+#: the undecoupled 0 included) and ``trajectory`` (n_samples per B0
+#: value), whose columns the verb holds in memory; the CSV writer adds one
+#: block of 4096 rows, about 5 MB of peak RSS for 10^6 rows.  With these
+#: caps no table exceeds 10^6 rows.
 #: Each flip multiplier of ``dd`` (a closed form, whatever the count) stays
 #: within 2^53, so its flip index floor(t / seg) is an exact float and its
-#: ``n_flip`` column an integer one.
+#: ``n_flip`` column an integer one; the inert ``$.dd.n_flip`` has the same
+#: cap.
 MAX_SAMPLES = 10**6
 MAX_GRID = 10**3
 MAX_FLIPS = 10**4
@@ -78,18 +80,16 @@ def _number(check=None, bound=""):
     return read
 
 
-def _integer(minimum, maximum=None):
+def _integer(minimum, maximum):
+    """An integer in [minimum, maximum]; every cap lies within the float
+    range, in whose arithmetic the counts enter the model."""
     def read(v, path):
         if type(v) is not int:
             raise ConfigError(path, "expected an integer")
         if v < minimum:
             raise ConfigError(path, f"must be >= {minimum}")
-        if maximum is not None and v > maximum:
+        if v > maximum:
             raise ConfigError(path, f"must be <= {maximum}")
-        try:
-            float(v)  # counts enter the float arithmetic of the model
-        except OverflowError:
-            raise ConfigError(path, "must be within the float range") from None
         return v
     return read
 
@@ -234,7 +234,7 @@ _FIELDS = {
     "dd": {
         # Validated for existing scenario files, but no verb reads a single
         # flip multiplier: `dd` renders every n in n_values.
-        "n_flip": (None, _integer(1)),
+        "n_flip": (None, _integer(1, MAX_DD_FLIPS)),
         "n_values": ("dd_n_values", _list(_integer(1, MAX_DD_FLIPS),
                                           maximum=MAX_SCAN_VALUES)),
         "n_samples": ("dd_n_samples", _integer(2, MAX_SAMPLES)),

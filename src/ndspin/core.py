@@ -94,9 +94,13 @@ class NanodiamondParams:
     def __post_init__(self) -> None:
         if not self.diameter > 0.0:
             raise ValueError("diameter must be > 0")
-        if not self.volume > 0.0:
+        try:
+            volume = self.volume
+        except OverflowError:  # a finite diameter whose cube overflows
+            volume = math.inf
+        if not volume > 0.0:
             raise ValueError("nanodiamond volume must be > 0")
-        if not math.isfinite(self.volume):
+        if not math.isfinite(volume):
             raise ValueError("nanodiamond volume must be finite")
         if not self.density > 0.0:
             raise ValueError("density must be > 0")

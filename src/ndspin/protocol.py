@@ -170,7 +170,8 @@ def delta_phi_bd(
         (G m^2/hbar)(2 pi/omega) [1/sqrt(d(d-dx)) + 1/sqrt(d(d+dx)) - 2/d].
     """
     cfg = ProtocolConfig(scenario=Scenario.FULL_CYCLE, distance=d)
-    return float(_timing(nd.mass, fld.Bprime, nd, cfg, constants,
+    return float(_timing(nd.mass, fld.Bprime, nd.chi_magnitude * nd.volume,
+                         cfg, constants,
                          casimir_polder_separation(nd, constants)).delta_phi_bd)
 
 
@@ -185,17 +186,18 @@ def _sweep_bracket(dx, d):
     return e2 * (4.0 - 2.0 / (1.0 + c)) / (c * (a + b + 2.0 * c)) / d
 
 
-def _timing(m, bprime, nd: NanodiamondParams, cfg: ProtocolConfig,
+def _timing(m, bprime, chi_v, cfg: ProtocolConfig,
             constants: PhysicalConstants, delta_cp: float) -> ProtocolResult:
-    """Protocol timing for particles of mass ``m`` and the material of ``nd``
-    at gradient ``bprime``, broadcast over arrays of both; the fields of the
-    returned record have the broadcast shape (``delta_cp`` is a scalar,
-    ``delta_phi_bd`` too in HOLD_ONLY).  ``cfg.distance`` is used as given:
-    the caller checks it against d_min.  ``delta_cp`` is
-    :func:`casimir_polder_separation` of ``nd``, which the caller computes
-    once for the material.
+    """Protocol timing for particles of mass ``m`` and susceptibility times
+    volume |chi| V ``chi_v`` at gradient ``bprime``, broadcast over arrays
+    of all three; the fields of the returned record have the broadcast
+    shape (``delta_cp`` is a scalar, ``delta_phi_bd`` too in HOLD_ONLY).
+    The caller forms |chi| V as :mod:`ndspin.core` does for one particle,
+    so a point's timing repeats core's numbers.  ``cfg.distance`` is used
+    as given: the caller checks it against d_min.  ``delta_cp`` is
+    :func:`casimir_polder_separation` of the material, which the caller
+    computes once.
     """
-    chi_v = nd.chi_magnitude * m / nd.density
     # derive_oscillator's period and max_separation's dx_max, on arrays
     period = 2.0 * math.pi / (bprime * np.sqrt(chi_v / (constants.mu0 * m)))
     dx = 4.0 * constants.hbar * constants.gamma_e * constants.mu0 / (chi_v * bprime)
@@ -236,8 +238,8 @@ def protocol_duration(
             f"distance {cfg.distance:.6e} m below d_min {d_min:.6e} m: "
             "Casimir-Polder interaction exceeds a tenth of gravity",
             stacklevel=2)
-    res = _timing(nd.mass, fld.Bprime, nd, cfg, constants,
-                  casimir_polder_separation(nd, constants))
+    res = _timing(nd.mass, fld.Bprime, nd.chi_magnitude * nd.volume, cfg,
+                  constants, casimir_polder_separation(nd, constants))
     return ProtocolResult(*(float(getattr(res, f.name))
                             for f in fields(ProtocolResult)))
 
@@ -360,8 +362,10 @@ def optimize_tmin(
         while True:
             m_axis, b_axis = _axis(m_lo, m_hi, n_m), _axis(b_lo, b_hi, n_b)
             try:
-                cells = _timing(m_axis[:, None], b_axis[None, :], template,
-                                cfg, constants, delta_cp)
+                m_col = m_axis[:, None]
+                chi_v = template.chi_magnitude * m_col / template.density
+                cells = _timing(m_col, b_axis[None, :], chi_v, cfg,
+                                constants, delta_cp)
             except ValueError as exc:
                 # the distance is Auto, so only rounding puts dx_max on d
                 raise ArithmeticError(

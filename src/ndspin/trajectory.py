@@ -1,4 +1,4 @@
-"""Adaptive integration of the nanodiamond translational dynamics.
+"""Integration of the nanodiamond translational dynamics.
 
 The rigid-body center of mass obeys
 
@@ -22,55 +22,43 @@ split): K and c come in closed form from the kernel's (B_x, t, u, w) at the
 origin (:func:`harmonic_centre`), and R is O((q / r_c)^2) of the force.
 With s piecewise constant the harmonic part has a closed form, the reference
 q_ref (see :class:`_Reference`), and only the residual e = q - q_ref,
-driven by R, is integrated.  The residual obeys e'' = -K e + R; its
-harmonic part is solved exactly too (variation of constants): per axis e
-is carried as the amplitudes (a, b) of e = a cos(omega tau) + (b / omega)
-sin(omega tau), in the reference's rotating frame, and only R moves them
-(:class:`_Residual`).  With no -K e left in the stepped equation, RK45's
-stability along the imaginary axis sets no cap; the step is held to half
-an x oscillation, pi / omega_x, for the quartic dense output between the
-step ends.  Each solver run splits its span into the fewest equal steps
-under that cap (a span over k caps by rounding alone takes k), the last
-landing on the run's end, so no step a few ulps long follows; it starts
-at that step, since the residual starts at zero, where the initial-step
-rule would start at 1e-6 s and take several steps to grow to the cap.
-The error control accepts or rejects every step, the first included.
-The reference's x range must stay inside the nearest loop plane on
-either side of the centre, beyond which the pair does not confine along
-x.
+driven by R, is left.  The residual obeys e'' = -K e + R; its harmonic
+part is solved exactly too (variation of constants): per axis e is carried
+as the amplitudes (a, b) of e = a cos(omega tau) + (b / omega)
+sin(omega tau), in the reference's rotating frame, and only R moves them,
+a' = -(sin(omega tau) / omega) R and b' = cos(omega tau) R.
 
-A flip makes R jump by 2 (mu_s J(q) e_x / m - c): tiny near the centre, so
-one solver call steps across every flip.  Per scan the jump is bounded on
-the reference's (x, rho) envelope; where the equal step of that one call
-could lose more than the tolerance to it (:func:`_crosses_flips`), the
-solver restarts at every effective flip instead, so no step straddles one.
-The harmonic centre is a precondition: a source without one (a single
-loop, or a stiffness that underflows) raises FloatingPointError before any
-flip or solver call.
+R is a small perturbation of the reference, so the amplitudes come by
+quadrature, with no stepper (Picard iteration on the variation-of-constants
+integral, as Bai & Junkins, J. Astronaut. Sci. 58 (2011) 583, do for
+perturbed Kepler orbits).  The breakpoints of a stack are its samples, its
+effective flips and the run's ends, with every interval between them split
+into equal parts no longer than a fixed share of the x period,
+:data:`_CAP_PER_PERIOD`.  Each interval holds two Gauss-Legendre nodes, so
+no node lies on a flip.  A pass takes R at q_ref + e_k on every row and
+node in one kernel pass, whose rho^2 the force shares (:class:`_Residual`),
+and cumulative sums over the intervals give the next amplitudes e_{k+1} at
+the breakpoints; a two-node collocation gives them at the nodes.  Pass 1
+takes R on the reference itself (e_0 = 0).  The passes stop when no
+amplitude changes by more than its row's tolerance; a window where they do
+not within :data:`_PASSES` passes is halved, and each window's passes start
+from the amplitudes at its start, the reference re-anchored there
+(:func:`solve_ivp`).  The reference's x range must stay inside the nearest
+loop plane on either side of the centre, beyond which the pair does not
+confine along x.  The harmonic centre is a
+precondition: a source without one (a single loop, or a stiffness that
+underflows) raises FloatingPointError before any pass.
 
 The trajectories of one scan (every shell start with both spins, or the
-synchronized run with every flip lag) are integrated together as one stacked
-(n, 6) residual state with the Dormand-Prince 5(4) pair (Dormand & Prince,
-J. Comput. Appl. Math. 6 (1980) 19), one array-valued kernel evaluation per
-right-hand side call, with the force J mu taken in closed form from the
-kernel's (B_x, t, u, w) (see :mod:`ndspin.coils`).  The stepper,
-:func:`solve_ivp`, repeats scipy 1.17's RK45 operation for operation, so
-its steps and samples are scipy's bit for bit, and it is fused with the
-stacked residual (:class:`_Residual`): each step computes its stage bases
-once, in one array call over its five distinct stage times (every row's
-reference offset, the phasor's cos and sin per axis, x* and the spin
-moment); each right-hand side call then makes one kernel pass whose rho^2
-the force shares and writes its stage derivative into its stage array,
-and the dense output goes into the samples, which one pass through the
-phasor then maps back to states.
-The error norm is an RMS over the whole state, so ``rtol`` and ``atol``
-are divided by sqrt(n): the stack's norm is then sqrt(sum_i norm_i^2) >=
-max_i norm_i, and every trajectory is held at least as tightly as it
-would be alone.  The position tolerances hold a and the velocity
-tolerances b.  The residual is far smaller than the motion, so ``rtol``
-reaches each row through the absolute tolerance, times the largest |q|
-(or |v|) of its reference; the stack's ``rtol`` must not fall below
-:data:`RTOL_FLOOR`, 100 machine epsilons.
+synchronized run with every flip lag) are integrated together as one
+stack, synchronized and lagged rows alike, with the force J mu taken in
+closed form from the kernel's (B_x, t, u, w) (see :mod:`ndspin.coils`).
+The position tolerances hold a and the velocity tolerances b, each divided
+by sqrt(n) on an n-row stack.  The residual is far smaller than the
+motion, so ``rtol`` reaches each row through the absolute tolerance, times
+the largest |q| (or |v|) of its reference; the stack's ``rtol`` must not
+fall below :data:`RTOL_FLOOR`, 100 machine epsilons, near which rounding
+alone would move the amplitudes between passes by about that much.
 :func:`integrate` is the n = 1 case.
 """
 
@@ -115,17 +103,15 @@ class TrajectoryState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive embedded Runge-Kutta pair: Dormand-Prince 5(4), stepped as
-    scipy's RK45 steps it by :func:`solve_ivp`.
+    """Tolerances of the trapped engine: the stop of its Picard passes.
 
     Absolute floors are split between position and velocity; periods of
-    hundreds of seconds with nanometer amplitudes need both.  The error
-    control accepts or rejects every step; the only cap is half an x
-    oscillation, pi / omega_x, which serves the dense output, not the
-    stability of the residual integration.  Each run splits its span into
-    the fewest equal steps under the cap and starts at that step (see the
-    module docstring).  An n-row stack integrates at
-    ``stack_rtol(n)``, which must be at least :data:`RTOL_FLOOR`.
+    hundreds of seconds with nanometer amplitudes need both.  The passes
+    over a stack stop when no residual amplitude moves by more than its
+    row's tolerance, abs_tol + rel_tol times the largest |q| (or |v|) of
+    the row's reference, divided by sqrt(n) on an n-row stack (see the
+    module docstring).  An n-row stack's ``stack_rtol(n)`` must be at
+    least :data:`RTOL_FLOOR`.
     """
 
     rel_tol: float = 1e-9
@@ -138,7 +124,7 @@ class IntegratorConfig:
 
     def stack_rtol(self, n: int) -> float:
         """The relative tolerance of an n-row stack, rel_tol / sqrt(n) (see
-        the module docstring); the stepper refuses one below
+        the module docstring); the engine refuses one below
         :data:`RTOL_FLOOR`."""
         return 1.0 / math.sqrt(n) * self.rel_tol
 
@@ -369,7 +355,8 @@ class _Reference:
     exp(i omega tau_j): one cumulative sum over the flips.  c lies along x,
     so only x keeps per-segment arrays, shape (n, n_seg); y and z oscillate
     freely with their starting W.  ``centre`` is the (K, c) of
-    :func:`harmonic_centre`.
+    :func:`harmonic_centre`.  Arrays over times are laid out (axis, row,
+    time).
     """
 
     def __init__(self, centre, edges: np.ndarray, signs: np.ndarray,
@@ -388,173 +375,61 @@ class _Reference:
         np.cumsum(self.wx, axis=1, out=self.wx)
         self.wyz = z0[:, 1:]
 
-    def segments(self, t: np.ndarray, hi: int) -> np.ndarray:
-        """The segment of each time t of a solver run whose last segment is
-        hi (every t at or after the run's start): how many of edges 1 to
-        hi lie at or before it."""
-        return self.edges[1:hi + 1].searchsorted(t, side="right")
+    def segments(self, t: np.ndarray) -> np.ndarray:
+        """The segment of each time t (at or after edges[0]): how many of
+        the inner edges lie at or before it."""
+        return self.edges[1:-1].searchsorted(t, side="right")
 
     def phasor(self, t: np.ndarray) -> np.ndarray:
-        """exp(-i omega tau) per time (axis 0) and axis (axis 1), with
+        """exp(-i omega tau) per axis (axis 0) and time (axis 1), with
         tau = t - edges[0]: cos(omega tau) - i sin(omega tau)."""
-        return np.exp(self.minus_i_omega * (t - self.edges[0])[:, None])
+        return np.exp(self.minus_i_omega[:, None] * (t - self.edges[0]))
 
-    def offsets(self, t: np.ndarray, k: np.ndarray, phasor: np.ndarray,
+    def offsets(self, k: np.ndarray, phasor: np.ndarray,
                 ab: Optional[np.ndarray] = None) -> np.ndarray:
-        """z - (x*_k, 0, 0) of every row at times t on segments k, shape
-        (len(t), n, 3), with ``phasor`` the :meth:`phasor` of t: z_ref's,
-        plus the residual's where its harmonic amplitudes ``ab``, shape
-        (len(t), n, 6), are given.  Per axis the residual (a, b) adds
+        """z - (x*_k, 0, 0) of every row at the times of ``phasor`` (see
+        :meth:`phasor`) on segments k, shape (3, n, len(k)): z_ref's, plus
+        the residual's where its harmonic amplitudes ``ab``, shape
+        (6, n, len(k)), are given.  Per axis the residual (a, b) adds
         a + i b / omega to z's amplitude (see :class:`_Residual`), so the
-        one phasor turns both into states.  The numbers are formed in
-        (row, axis, time) order, every pass running along the times, and
-        returned as a transposed view."""
-        w = np.empty((len(self.wyz), 3, len(t)), dtype=complex)
-        w[:, 0] = self.wx[:, k]
-        w[:, 1:] = self.wyz[:, :, None]
+        one phasor turns both into states."""
+        w = np.empty((3, len(self.wyz), len(k)), dtype=complex)
+        w[0] = self.wx[:, k]
+        w[1:] = self.wyz.T[:, :, None]
         if ab is not None:
-            ab = ab.transpose(1, 2, 0)
-            w.real += ab[:, :3]
-            w.imag += ab[:, 3:] / self.omega[:, None]
-        w *= phasor.T
-        return w.transpose(2, 0, 1)
+            w.real += ab[:3]
+            w.imag += ab[3:] / self.omega[:, None, None]
+        w *= phasor[:, None]
+        return w
 
-    def state(self, t: np.ndarray, hi: int, ab: Optional[np.ndarray] = None,
-              out: Optional[np.ndarray] = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """q and v, each shape (n, len(t), 3), at times t of a solver run
-        whose last segment is hi: q_ref and v_ref, or the states of the
-        rows whose residual amplitudes ``ab``, shape (n, len(t), 6), are
-        given.  They are views of one (n, len(t), 6) array, ``out`` if
-        given, which may be ``ab`` itself: x* added to the real part of
-        :meth:`offsets` in x, and v omega times its imaginary part."""
-        k = self.segments(t, hi)
-        # One (row, axis, time) array, the layout in which offsets forms
-        # its numbers, holds the amplitudes and then the states.
-        states = (np.empty((len(self.wyz), 6, len(t))) if ab is None
-                  else ab.transpose(0, 2, 1).copy())
-        w = self.offsets(t, k, self.phasor(t),
-                         None if ab is None else states.transpose(2, 0, 1)
-                         ).transpose(1, 2, 0)
-        np.add(w.real[:, 0], self.xstar[:, k], out=states[:, 0])
-        states[:, 1:3] = w.real[:, 1:]
-        np.multiply(self.omega[:, None], w.imag, out=states[:, 3:])
-        if out is None:
-            out = states.transpose(0, 2, 1)
-        else:
-            out[...] = states.transpose(0, 2, 1)
-        return out[..., :3], out[..., 3:]
+    def state(self, t: np.ndarray, ab: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+        """(q, v) of every row at times t, shape (6, n, len(t)): the
+        reference's, or the states of the rows whose residual amplitudes
+        ``ab``, shape (6, n, len(t)), are given.  x* is added to the real
+        part of :meth:`offsets` in x, and v is omega times its imaginary
+        part."""
+        k = self.segments(t)
+        w = self.offsets(k, self.phasor(t), ab)
+        states = np.empty((6,) + w.shape[1:])
+        np.add(w.real[0], self.xstar[:, k], out=states[0])
+        states[1:3] = w.real[1:]
+        np.multiply(self.omega[:, None, None], w.imag, out=states[3:])
+        return states
 
-    def envelope(self) -> tuple[np.ndarray, np.ndarray, tuple, float]:
+    def envelope(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         """Per row, the largest |q_ref| and |v_ref| components, shape (n,)
-        each; the x range and the largest rho that q_ref reaches."""
+        each; and the x range that q_ref reaches."""
         ax, ayz = np.abs(self.wx), np.abs(self.wyz)
         return (np.maximum((np.abs(self.xstar) + ax).max(axis=1), ayz.max(axis=1)),
                 np.maximum(self.omega[0] * ax.max(axis=1),
                            (self.omega[1:] * ayz).max(axis=1)),
-                ((self.xstar - ax).min(), (self.xstar + ax).max()),
-                float(np.hypot(ayz[:, 0], ayz[:, 1]).max()))
-
-
-#: Points per side of the (x, rho) grid on which R's jump is bounded, and
-#: the safety factor on that bound, for the grid's spacing and for the
-#: residual, which moves q off the reference's envelope.
-_JUMP_GRID = 9
-_JUMP_MARGIN = 2.0
-
-
-def _crosses_flips(source, nd: NanodiamondParams, constants: PhysicalConstants,
-                   c: np.ndarray, x_range: tuple, rho_max: float,
-                   span: float, omega: np.ndarray, atol: np.ndarray) -> bool:
-    """Whether one solver call may step across the flips.
-
-    At a flip R jumps by 2 |mu_s J(q) e_x / m - c|, a function of (x, rho)
-    alone, since J e_x = (-2t - w rho^2, u y, u z).  Its largest value on a
-    _JUMP_GRID-square grid over the reference's envelope (x in ``x_range``,
-    rho <= ``rho_max``; one kernel pass), times _JUMP_MARGIN, is the bound
-    D.  The residual's amplitudes move as b' = cos(omega tau) R and
-    a' = -(sin(omega tau) / omega) R (see :class:`_Residual`), so a step of
-    length h that straddles flips can lose at most D h of b and D h / omega
-    of a to them, with the smallest of the axes' ``omega`` (twice the
-    jump's integral over the step, for the exact flow and for the
-    stepper's stages); the solver crosses flips if that stays within every
-    absolute tolerance for h = ``span``, the equal step of the one call
-    that would cross them (:func:`_even_step`).
-    """
-    # Grid point (i, j) is (x_j, rho_i, 0), each row of x at one rho.
-    grid = np.zeros((_JUMP_GRID, _JUMP_GRID, 3))
-    grid[..., 0] = np.linspace(*x_range, _JUMP_GRID)
-    grid[..., 1] = np.linspace(0.0, rho_max, _JUMP_GRID)[:, None]
-    q = grid.reshape(-1, 3)
-    rho = q[:, 1]
-    _bx, t, u, w = source.btuw(q, constants)
-    mu_s = _spin_moment(1, constants) / nd.mass
-    jump = _JUMP_MARGIN * 2.0 * np.hypot(
-        (-2.0 * t - w * rho * rho) * mu_s - c[0], u * rho * mu_s).max()
-    return bool(jump * span <= atol[:, 3:].min()
-                and jump * span / omega.min() <= atol[:, :3].min())
-
-
-#: Dormand & Prince's RK5(4)7M pair with Shampine's quartic dense output,
-#: as scipy's RK45 holds it: stage times C, stage weights A, the fifth-order
-#: weights B, the error weights E (fifth- minus fourth-order, the FSAL stage
-#: included) and the interpolant's coefficients P.
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
-])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-               1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608,
-     -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933,
-     87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304,
-     -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-#: The step-size controller: safety factor, the bounds of one change and
-#: the exponent -1 / (error order + 1).
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_ERROR_EXPONENT = -1 / 5
-#: The smallest relative tolerance the stepper takes: 100 machine epsilons.
-RTOL_FLOOR = 100 * np.finfo(float).eps
-
-
-def _rms(x: np.ndarray) -> float:
-    """RMS norm of a state-sized array, as ``np.linalg.norm(x) / sqrt(x.size)``
-    computes it."""
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
-
-
-@dataclass(frozen=True)
-class _Solution:
-    """One solver run, with the fields of scipy's result that the engine,
-    the tests and the benchmark's tracer read: the accepted step times
-    ``t``, the states ``y``, shape (6 n, len(t)), the RHS calls ``nfev``,
-    and ``success`` with its ``message``."""
-
-    t: np.ndarray
-    y: np.ndarray
-    nfev: int
-    success: bool
-    message: str
+                ((self.xstar - ax).min(), (self.xstar + ax).max()))
 
 
 class _Residual:
-    """Right-hand side of a stack's residual e = y - y_ref, shape (n, 6),
-    carried as its harmonic amplitudes (a, b) per axis, on a solver run
-    whose last segment is ``hi``.
+    """A stack's residual e = y - y_ref, shape (n, 6), carried as its
+    harmonic amplitudes (a, b) per axis about the reference ``ref``.
 
     e'' = -K e + R, and the harmonic part is solved exactly (variation of
     constants): e = a cos(omega tau) + (b / omega) sin(omega tau) and
@@ -562,170 +437,161 @@ class _Residual:
     edges[0] and the reference's omega per axis, so that (a, b) = (e, e_v)
     at tau = 0 and only R drives them: a' = -(sin(omega tau) / omega) R,
     b' = cos(omega tau) R.  R = F(q) / m + K (off + e) with q = q_ref + e,
-    where off = q_ref - x* e_x is the reference offset.
+    where off = q_ref - x* e_x is the reference offset.  Constant
+    amplitudes are free harmonic motion, so the reference plus the
+    amplitudes at some time is the reference re-anchored there.
 
-    :meth:`at` takes the reference at a batch of times in one array call
-    (the initial derivative, or a step's five distinct stage times) and
-    keeps each time's reference offset, its cos(omega tau) and
-    -sin(omega tau) / omega (both from the phasor that forms the offset),
-    x* and spin moment, one row per time.  A call then writes (a', b') at
-    the j-th of those times into a stage row, shape (n, 6), from one
+    :meth:`at` takes the reference at a window's nodes in one array call
+    and keeps each node's reference offset, its cos(omega tau) and
+    -sin(omega tau) / omega (from the phasor that forms the offset), x* and
+    spin moment.  A call then gives (a', b') at every row and node from one
     kernel pass that shares rho^2 with the force.
     """
 
     def __init__(self, ref: _Reference, source, constants: PhysicalConstants,
                  a_mass: float, mu_spin: np.ndarray):
         self.ref, self.btuw, self.constants = ref, source.btuw, constants
-        # A 0-d array, which numpy's ufuncs take without converting a
-        # Python float at every call.
-        self.a_mass = np.array(a_mass)
-        # x* and the spin moment per segment (axis 0) and row (axis 1).
-        self.seg_xstar, self.seg_mu = ref.xstar.T.copy(), mu_spin.T.copy()
-        self.hi = 0
+        self.a_mass, self.mu_spin = a_mass, mu_spin
 
     def at(self, times: np.ndarray) -> None:
-        k = self.ref.segments(times, self.hi)
-        phasor = self.ref.phasor(times)
-        self.off = self.ref.offsets(times, k, phasor).real
-        self.cos = phasor.real
+        """Keep the reference's numbers at ``times``, the nodes."""
+        ref = self.ref
+        k = ref.segments(times)
+        phasor = ref.phasor(times)
+        self.off = ref.offsets(k, phasor).real
+        self.cos = phasor.real[:, None]
         # -sin / omega, since the phasor's imaginary part is -sin.
-        self.sin_w = phasor.imag / self.ref.omega
-        self.xstar, self.mu = self.seg_xstar[k], self.seg_mu[k]
+        self.sin_w = (phasor.imag / ref.omega[:, None])[:, None]
+        self.xstar, self.mu = ref.xstar[:, k], self.mu_spin[:, k].ravel()
 
-    def __call__(self, j: int, ab: np.ndarray, out: np.ndarray) -> None:
-        if not np.isfinite(ab).all():
-            raise FloatingPointError("non-finite state during integration")
-        ab = ab.reshape(out.shape)
-        cos, sin_w = self.cos[j], self.sin_w[j]
-        # (off + e) + x*, in this order: a base off + x* formed once per
-        # step would round differently.  K (off + e) is taken before x* is
-        # added.
-        q = self.off[j] + (ab[:, :3] * cos - ab[:, 3:] * sin_w)
-        k_q = self.ref.omega2 * q
-        q[:, 0] += self.xstar[j]
-        rho2 = _rho2(q)
-        r = _force(q, rho2, self.btuw(q, self.constants, rho2), self.a_mass,
-                   self.mu[j], out=out[:, 3:])
+    def __call__(self, ab: np.ndarray) -> np.ndarray:
+        """(a', b'), shape (6, n, len(times)), at the times of :meth:`at`
+        for the amplitudes ``ab`` there, of the same shape."""
+        q = self.off + (ab[:3] * self.cos - ab[3:] * self.sin_w)
+        k_q = self.ref.omega2[:, None, None] * q
+        q[0] += self.xstar
+        # The kernel takes the points as rows: views of the (axis, point)
+        # arrays.
+        points = q.reshape(3, -1).T
+        rho2 = _rho2(points)
+        r = np.empty_like(q)
+        _force(points, rho2, self.btuw(points, self.constants, rho2),
+               self.a_mass, self.mu, out=r.reshape(3, -1).T)
         r += k_q
-        np.multiply(r, sin_w, out=out[:, :3])
-        r *= cos
+        d = np.empty((6,) + q.shape[1:])
+        np.multiply(r, self.sin_w, out=d[:3])
+        np.multiply(r, self.cos, out=d[3:])
+        return d
 
 
-def solve_ivp(fun: _Residual, t_span: tuple, y0: np.ndarray, rtol: float,
-              atol: np.ndarray, max_step: float, t_eval: np.ndarray,
-              out: np.ndarray) -> _Solution:
-    """Dormand-Prince 5(4) over ``t_span`` on the stacked residual ``fun``
-    from ``y0``, shape (6 n,), stepped as scipy 1.17's RK45 steps it with
-    ``first_step=min(max_step, span)``, operation for operation: the
-    tableau, the minimum step of ten ulps of t, the controller, the RMS
-    error norm over atol + rtol max(|y|, |y_new|) and the quartic dense
-    output, which a sample at a step's end takes from the step before it.
-    The samples ``t_eval`` (sorted, inside ``t_span``) are written into
-    ``out``, shape (n, len(t_eval), 6).  An rtol below :data:`RTOL_FLOOR`
-    raises ValueError.
+#: Intervals between breakpoints are split into equal parts no longer than
+#: the x period 2 pi / omega_x over this.
+_CAP_PER_PERIOD = 64
+#: The two Gauss-Legendre nodes on [-1, 1] (weights 1 and 1), and the
+#: matrix that takes a derivative's values at them to its integral from -1
+#: to each node, that of the line through the two values.
+_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
+_TO_NODES = 0.5 + np.array([[0.0, -1.0], [1.0, 0.0]]) / math.sqrt(3.0)
+#: Picard passes in a window before it is halved.
+_PASSES = 4
+#: Rows times nodes in one window at most, which bounds a pass's memory.
+_WINDOW_NODES = 2 ** 16
+#: The smallest relative tolerance the engine takes: 100 machine epsilons.
+RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """One stack's run: ``nfev`` RHS evaluations of the stack, the node
+    times of every pass of every window tried."""
+
+    nfev: int
+
+
+def _passes(fun: _Residual, t: np.ndarray, ab0: np.ndarray, tol: np.ndarray
+            ) -> tuple[Optional[np.ndarray], int]:
+    """Picard passes over one window, with breakpoints t and the amplitudes
+    ``ab0``, shape (6, n), at its start: the amplitudes at t, shape
+    (6, n, len(t)), or None where no pass met the tolerance ``tol``, shape
+    (6, n, 1); and the passes made."""
+    half = 0.5 * np.diff(t)
+    # Node j of interval i is node j N + i of the window, N the intervals.
+    fun.at((t[:-1] + half + half * _NODES[:, None]).ravel())
+    n = ab0.shape[1]
+    # Pass 1 takes the amplitudes at their start everywhere.
+    ab = np.broadcast_to(ab0[:, :, None], (6, n, len(t)))
+    at_nodes = np.broadcast_to(ab0[:, :, None], (6, n, 2 * len(half)))
+    for k in range(1, _PASSES + 1):
+        d = fun(at_nodes).reshape(6, n, 2, -1)
+        d *= half
+        new = np.empty(ab.shape)
+        new[:, :, 0] = ab0
+        np.cumsum(d[:, :, 0] + d[:, :, 1], axis=2, out=new[:, :, 1:])
+        new[:, :, 1:] += ab0[:, :, None]
+        # A NaN or an infinity reaches the end of the cumulative sums.
+        if not np.isfinite(new[:, :, -1]).all():
+            raise FloatingPointError("non-finite state during integration")
+        if (np.abs(new - ab) <= tol).all():
+            return new, k
+        ab = new
+        at_nodes = (new[:, :, None, :-1] + _TO_NODES @ d).reshape(6, n, -1)
+    return None, _PASSES
+
+
+def solve_ivp(fun: _Residual, t: np.ndarray, atol: np.ndarray,
+              samples: np.ndarray, out: np.ndarray) -> _Solution:
+    """Picard passes over the stacked residual ``fun`` on the breakpoints
+    ``t`` (sorted and distinct, from the reference's start to the run's
+    end), each stopped at the tolerance ``atol``, shape (n, 6); the states
+    at the breakpoints ``samples`` (sorted indices into t) go into ``out``,
+    shape (n, len(samples), 6).
+
+    The first window holds every interval, up to _WINDOW_NODES rows times
+    nodes.  A window whose passes do not stop within _PASSES is halved; one
+    that stops is followed by one twice its length, which starts from the
+    amplitudes at its end, the reference re-anchored there.  A single
+    interval that does not stop raises :class:`IntegrationError` with the
+    first row's state at its start.
     """
-    t, t_bound = map(float, t_span)
-    if not rtol >= RTOL_FLOOR:
-        raise ValueError(f"rtol = {rtol:g} is below the stepper's floor "
-                         f"100 eps = {RTOL_FLOOR:g}")
-    y = np.asarray(y0, dtype=float)
-    # The stages, one row each; row 0 holds the derivative at the step's
-    # start, row 6 the one at its end (FSAL: first same as last).
-    k = np.empty((7, y.size))
-    rows = k.reshape(7, -1, 6)
-    fun.at(np.array([t]))
-    fun(0, y, rows[0])
-    nfev = 1
-    h_abs = min(max_step, t_bound - t)
-    ts, ys = [t], [y]
-    done = 0
-    while True:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return _Solution(np.array(ts), np.array(ys).T, nfev, False,
-                                 "Required step size is less than spacing "
-                                 "between numbers.")
-            t_new = t + h_abs
-            if t_new - t_bound > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            # The five distinct stage times; the last is also the FSAL
-            # evaluation's.
-            fun.at(t + _C[1:] * h)
-            for s in range(1, 6):
-                dy = np.dot(k[:s].T, _A[s, :s]) * h
-                fun(s - 1, y + dy, rows[s])
-            y_new = y + h * np.dot(k[:-1].T, _B)
-            fun(4, y_new, rows[6])
-            nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(k.T, _E) * h / scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
-
-        if done < len(t_eval) and t_eval[done] <= t_new:
-            stop = np.searchsorted(t_eval, t_new, side="right")
-            # Powers x, x^2, x^3, x^4 of the step fraction, as cumprod
-            # forms them.
-            powers = np.empty((4, stop - done))
-            powers[0] = (t_eval[done:stop] - t) / h
-            for i in range(1, 4):
-                np.multiply(powers[i - 1], powers[0], out=powers[i])
-            dense = h * np.dot(k.T.dot(_P), powers)
-            dense += y[:, None]
-            out[:, done:stop] = dense.reshape(len(out), 6, -1).transpose(0, 2, 1)
-            done = stop
-        t, y = t_new, y_new
-        k[0] = k[6]
-        ts.append(t)
-        ys.append(y)
-        if t - t_bound >= 0:
-            return _Solution(np.array(ts), np.array(ys).T, nfev, True,
-                             "The solver successfully reached the end of the "
-                             "integration interval.")
+    n_int, tol = len(t) - 1, atol.T[:, :, None]
+    most = max(1, _WINDOW_NODES // (2 * len(atol)))
+    ab0 = np.zeros((6, len(atol)))
+    i0, size, nfev, filled = 0, most, 0, 0
+    while i0 < n_int:
+        i1 = min(i0 + size, n_int)
+        ab, passes = _passes(fun, t[i0:i1 + 1], ab0, tol)
+        nfev += passes * 2 * (i1 - i0)
+        if ab is None:
+            if i1 - i0 == 1:
+                y = fun.ref.state(t[i0:i1], ab0[:, :, None])[:, 0, 0].tolist()
+                raise IntegrationError(
+                    f"integration failed in [{t[i0]:g}, {t[i1]:g}] s: the "
+                    f"Picard passes did not converge in {_PASSES}",
+                    TrajectoryState(t=float(t[i0]), q=tuple(y[:3]),
+                                    v=tuple(y[3:])))
+            size = (i1 - i0) // 2
+            continue
+        stop = samples.searchsorted(i1, side="right")
+        idx = samples[filled:stop]
+        out[:, filled:stop] = fun.ref.state(
+            t[idx], ab[:, :, idx - i0]).transpose(1, 2, 0)
+        filled, ab0 = stop, ab[:, :, -1]
+        i0, size = i1, min(2 * size, most)
+    return _Solution(nfev)
 
 
-#: A run's span over k step caps by less than this relative amount, which
-#: rounding alone makes, counts as k steps, not k + 1.
-_STEP_SLACK = 1e-12
-
-
-def _even_step(ta: float, tb: float, cap: float) -> float:
-    """The ``max_step`` that splits the run [ta, tb] into n = ceil(span /
-    cap) equal steps (see _STEP_SLACK), raised by ulps until the stepper's
-    own sums ta + h + ... + h reach tb at the n-th step, which it then clips
-    onto tb: no step of a few ulps follows.  A one-step run returns its
-    span, :func:`solve_ivp`'s first step."""
-    span = tb - ta
-    n = math.ceil(span / cap * (1.0 - _STEP_SLACK))
-    if n <= 1:
-        return span
-    h = span / n
-    bump = math.ulp(abs(ta) + abs(tb))
-    while True:
-        t = ta
-        for _ in range(n):
-            t += h
-        if t >= tb:
-            return h
-        h += bump
+def _breakpoints(edges: np.ndarray, t_eval: np.ndarray, cap: float
+                 ) -> np.ndarray:
+    """The edges and samples, sorted and distinct, with every interval
+    between them longer than ``cap`` split into equal parts no longer than
+    it (to rounding)."""
+    t = np.unique(np.concatenate((edges, t_eval)))
+    gaps = np.diff(t)
+    parts = np.ceil(gaps / cap).astype(int)
+    first = np.repeat(np.cumsum(parts) - parts, parts)
+    step = np.repeat(gaps / parts, parts)
+    return np.append(np.repeat(t[:-1], parts)
+                     + (np.arange(len(first)) - first) * step, t[-1])
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
@@ -741,25 +607,23 @@ def _integrate_stack(
     constants: PhysicalConstants,
 ) -> list[Trajectory]:
     """Integrate n trajectories (one per start, initial spin and flip
-    schedule), all starting at ``starts[0].t``, as one stacked (n, 6)
-    residual state about the harmonic reference; see the module docstring.
-    ``t_end`` must be finite and ``t_eval`` sorted and inside
-    [starts[0].t, t_end], NaN nowhere (ValueError otherwise); each
-    trajectory's q and v are views of one stacked (n, len(t_eval), 6)
-    sample array.
+    schedule), all starting at ``starts[0].t``, as one stacked residual
+    about the harmonic reference; see the module docstring.  ``t_end``
+    must be finite and ``t_eval`` sorted and inside [starts[0].t, t_end],
+    NaN nowhere, and the stack's rtol at least :data:`RTOL_FLOOR`
+    (ValueError otherwise); each trajectory's q and v are views of one
+    stacked (n, len(t_eval), 6) sample array.
     A source without a harmonic centre raises FloatingPointError before
-    anything else.  A failure raises :class:`IntegrationError` with the
-    first row's last state; an overflow or an invalid operation raises
-    FloatingPointError where it happens, and so does a reference that
-    reaches a loop plane.
+    anything else.  Passes that do not converge raise
+    :class:`IntegrationError` with the first row's last state; an overflow
+    or an invalid operation raises FloatingPointError where it happens, and
+    so does a reference that reaches a loop plane.
 
     The set-up is one pass: the flips and segments of every distinct
-    schedule (:func:`_flip_segments`), the reference, its envelope and the
-    residual's start, the tolerances and, where the stack has effective
-    flips, the one crossing bound (:func:`_crosses_flips`).  Outside the
-    solver it makes at most two kernel passes: at the origin for the
-    harmonic centre, and on the crossing grid.  Inside, each RHS call
-    makes one."""
+    schedule (:func:`_flip_segments`), the reference and its envelope, the
+    tolerances and the breakpoints.  Outside :func:`solve_ivp`, which it
+    calls once, it makes one kernel pass, at the origin for the harmonic
+    centre; inside, each Picard pass makes one."""
     centre = harmonic_centre(source, nd, constants)
     if centre is None:
         raise FloatingPointError(
@@ -778,12 +642,15 @@ def _integrate_stack(
                             and (t_eval[1:] >= t_eval[:-1]).all()):
         raise ValueError("t_eval must be sorted and lie within "
                          "[initial.t, t_end]")
-
     n = len(starts)
+    rtol = cfg.stack_rtol(n)
+    if not rtol >= RTOL_FLOOR:
+        raise ValueError(f"rtol = {rtol:g} is below the engine's floor "
+                         f"100 eps = {RTOL_FLOOR:g}")
+
     # The sign spin * current of each row (axis 0) on each segment (axis 1).
     edges, signs, spin_flips, row_schedule = _flip_segments(
         spins, schedules, t0, t_end)
-    n_seg = len(edges) - 1
     # The RHS takes the acceleration from _force with both moment terms
     # divided by the mass: the spin moment at each sign (exact, so the
     # signs, from spins checked above, scale the one moment), and
@@ -793,58 +660,19 @@ def _integrate_stack(
     y0 = np.array([[*st.q, *st.v] for st in starts], dtype=float)
     ref = _Reference(centre, edges, signs, y0)
 
-    # The error norm is an RMS over the whole flattened state; dividing
-    # both tolerances by sqrt(n) turns it into sqrt(sum_i norm_i^2) over the
-    # rows, which bounds every row's own norm.  rtol reaches each row
-    # through atol, times the largest |q| and |v| of its reference.
-    pos, vel, x_range, rho_max = ref.envelope()
+    # rtol reaches each row through atol, times the largest |q| and |v| of
+    # its reference, and both are divided by sqrt(n).
+    pos, vel, x_range = ref.envelope()
     _check_confined(source, x_range)
     atol = np.empty((n, 6))
     atol[:, :3] = (cfg.abs_tol_pos + cfg.rel_tol * pos)[:, None]
     atol[:, 3:] = (cfg.abs_tol_vel + cfg.rel_tol * vel)[:, None]
     atol *= 1.0 / math.sqrt(n)
-    rtol = cfg.stack_rtol(n)
-    # The harmonic amplitudes leave no linear term for a step to amplify;
-    # the cap of half an x oscillation serves the quartic dense output
-    # (see the module docstring).  Each run takes equal steps under it.
-    cap = math.pi / ref.omega[0]
-    # One solver call steps across every flip, unless R's jumps could break
-    # the tolerance at that call's step: then it restarts at every
-    # effective flip.
-    if n_seg == 1 or _crosses_flips(
-            source, nd, constants, centre[1], x_range, rho_max,
-            _even_step(t0, t_end, cap), ref.omega, atol):
-        runs, ends = [(0, n_seg - 1)], [len(t_eval)]
-    else:
-        runs = [(k, k) for k in range(n_seg)]
-        # A sample within rounding of a restart belongs to the time before
-        # it.
-        ends = t_eval.searchsorted(_with_slack(edges[1:]), side="right")
-    atol = atol.ravel()
-    # Each run writes its residual amplitudes into its own samples, which
-    # become states at the end of the run.
+    t = _breakpoints(edges, t_eval,
+                     2.0 * math.pi / (_CAP_PER_PERIOD * ref.omega[0]))
     samples = np.empty((n, len(t_eval), 6))
-
-    state = (y0 - np.concatenate(ref.state(edges[:1], 0), axis=2)[:, 0]).ravel()
-    residual = _Residual(ref, source, constants, a_mass, mu_spin)
-    filled = 0
-    for (lo, hi), last in zip(runs, ends):
-        ta, tb = edges[lo], edges[hi + 1]
-        residual.hi = hi
-        seg_t = np.clip(t_eval[filled:last], ta, tb)
-        sol = solve_ivp(residual, (ta, tb), state, rtol, atol,
-                        _even_step(ta, tb, cap), seg_t, samples[:, filled:last])
-        if not sol.success:
-            q, v = ref.state(sol.t[-1:], hi, sol.y[:, -1].reshape(n, 1, 6))
-            raise IntegrationError(
-                f"integration failed in [{ta:g}, {tb:g}] s: {sol.message}",
-                TrajectoryState(t=float(sol.t[-1]), q=tuple(q[0, 0]),
-                                v=tuple(v[0, 0])))
-        if last > filled:
-            run = samples[:, filled:last]
-            ref.state(seg_t, hi, run, out=run)
-            filled = last
-        state = sol.y[:, -1]
+    solve_ivp(_Residual(ref, source, constants, a_mass, mu_spin), t, atol,
+              t.searchsorted(t_eval), samples)
 
     # A sample within rounding of a spin flip keeps the sign before it:
     # (-1)^(spin flips before each sample), by its parity.
@@ -895,11 +723,12 @@ def integrate(
     Samples are produced at ``t_eval`` (default: 1000 uniform times), which
     must be sorted and lie within [initial.t, t_end], and ``t_end`` must be
     finite: a decreasing ``t_eval``, one with a NaN or outside that span,
-    or an infinite or NaN ``t_end`` raises ValueError.  The
-    solver steps across the effective flips (see the module docstring), or
-    restarts at each where their jump in R could break the tolerance.  The
-    source must have a harmonic centre (:func:`harmonic_centre`); one
-    without raises FloatingPointError before any solver call.
+    or an infinite or NaN ``t_end`` raises ValueError.  The residual
+    comes by Picard passes over the breakpoints, the samples and the
+    effective flips among them (see the module docstring), stopped at the
+    tolerances of ``cfg``.  The source must have a harmonic centre
+    (:func:`harmonic_centre`); one without raises FloatingPointError before
+    any pass.
     """
     return _integrate_stack([initial], [spin_initial], [schedule], source, nd,
                             t_end, cfg, t_eval, constants)[0]

@@ -326,7 +326,7 @@ def test_dd_n_flip_still_validated(tmp_path, capsys):
 
 
 def test_dd_n_values_past_float_range_exits_2(tmp_path, capsys):
-    # no cap: an entry only has to be a number the model can compute with
+    # an entry past the float range is over the 2^53 cap of every entry
     path = _write_config(tmp_path, {**BASE, "dd": {"n_values": [4, 10**400]}})
     out = tmp_path / "out"
     assert main(["dd", "--config", path, "--out", str(out)]) == 2
@@ -596,12 +596,15 @@ def test_sensitivity_particle_the_pair_cannot_trap_exits_3(tmp_path, capsys,
     ("derive", {"field": {"B0_T": 1e300}}),
     ("fieldmap", {"coil": {"mmf_At": 1e308}}),
     ("sensitivity", {"coil": {"mmf_At": 1e308}}),
+    ("fieldmap", {"coil": {}, "fieldmap": {"x_min_m": -1e300,
+                                          "x_max_m": 1e300}}),
 ])
 def test_non_finite_artifact_exits_3(tmp_path, capsys, verb, section):
     # B0 = 1e300 T is a finite setting whose phases and frequencies are not;
     # at 1e308 At the default pair's field overflows, and J_xx(0) is NaN
-    # (the near-axis series multiplies an exact 0 by an overflowed factor):
-    # one numerical failure line, no warning, and no file
+    # (the near-axis series multiplies an exact 0 by an overflowed factor);
+    # at x = 1e300 m the distances to the loops overflow, and the elliptic
+    # modulus is NaN: one numerical failure line, no warning, and no file
     path = _write_config(tmp_path, {"version": 1, **section})
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -612,6 +615,23 @@ def test_non_finite_artifact_exits_3(tmp_path, capsys, verb, section):
     assert captured.err.startswith("numerical failure")
     assert "Warning" not in captured.err and not captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coil", [{"radius_m": 1e300},
+                                  {"separation_m": 1e300}],
+                         ids=["radius", "separation"])
+@pytest.mark.parametrize("verb", ["fieldmap", "sensitivity"])
+def test_coil_whose_size_overflows_exits_2(tmp_path, capsys, coil, verb):
+    # the kernel squares each loop's radius and its distance from the
+    # points near the centre: a coil whose squares overflow is refused at
+    # $.coil before anything is computed (it exited 3, or 2 naming no key)
+    path = _write_config(tmp_path, {"version": 1, "coil": coil})
+    out = tmp_path / "out"
+    assert main([verb, "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: $.coil: loop radius r_c and "
+                            "position x_c must square to finite numbers\n")
+    assert not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("verb", sorted(_COMMANDS))
@@ -649,7 +669,8 @@ def test_mass_that_rounds_to_zero_exits_2(tmp_path, capsys, verb):
     ({"mass_kg": 1e308}, "volume"),
     ({"mass_kg": 5.6e-14, "density_kg_per_m3": 5e-324}, "volume"),
     ({"diameter_m": 1e100, "density_kg_per_m3": 1e300}, "mass"),
-], ids=["heavy", "rarefied", "dense"])
+    ({"diameter_m": 1e300}, "volume"),  # diameter**3 overflows
+], ids=["heavy", "rarefied", "dense", "huge"])
 @pytest.mark.parametrize("verb", sorted(_COMMANDS))
 def test_particle_whose_size_overflows_exits_2(tmp_path, capsys, nanodiamond,
                                                quantity, verb):
@@ -823,3 +844,27 @@ def test_float_format_round_trips(tmp_path):
     assert [n for _, n in cells] == ["4", "-1"] * 4 + ["4"]
     with pytest.raises(ValueError):
         write_csv(str(path), ("x", "n"), (np.array(floats), ints[:-1]))
+
+
+def test_protocol_point_repeats_derive_for_the_same_particle(tmp_path):
+    # a seeded sweep of particles and gradients: the protocol point's
+    # period and distance are derive's period and d_min bit for bit, both
+    # from |chi| V of the particle (the point once formed |chi| m / rho,
+    # which differs in the last bit for some particles)
+    rng = np.random.default_rng(20261021)
+    for i in range(40):
+        doc = {"version": 1,
+               "nanodiamond": {"diameter_m": float(10 ** rng.uniform(-8, -6)),
+                               "density_kg_per_m3": float(rng.uniform(2e3, 5e3)),
+                               "chi_magnitude": float(10 ** rng.uniform(-6, -4))},
+               "field": {"B0_T": 0.0,
+                         "Bprime_T_per_m": float(10 ** rng.uniform(-1, 3))},
+               "protocol": {"grid_shape": [4, 4], "refine": False}}
+        path = _write_config(tmp_path, doc)
+        out = tmp_path / f"out{i}"
+        assert main(["derive", "--config", path, "--out", str(out)]) == 0
+        assert main(["protocol-opt", "--config", path, "--out", str(out)]) == 0
+        derived = json.loads((out / "derive.json").read_text())
+        point = json.loads((out / "protocol_point.json").read_text())
+        assert point["period_s"] == derived["period_s"], doc
+        assert point["d_used_m"] == derived["d_min_m"], doc

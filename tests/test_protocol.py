@@ -515,9 +515,10 @@ def _reference_optimize(scenario, mass_range, bprime_range, grid_shape,
             b_axis = np.logspace(math.log10(b_lo), math.log10(b_hi), n_b)
             m_axis[0], m_axis[-1] = m_lo, m_hi
             b_axis[0], b_axis[-1] = b_lo, b_hi
-            cells = protocol._timing(m_axis[:, None], b_axis[None, :],
-                                     template, cfg, CONSTANTS,
-                                     casimir_polder_separation(template))
+            cells = protocol._timing(
+                m_axis[:, None], b_axis[None, :],
+                template.chi_magnitude * m_axis[:, None] / template.density,
+                cfg, CONSTANTS, casimir_polder_separation(template))
             t_total = cells.t_total
             assert np.all(np.isfinite(t_total))
             near = np.flatnonzero(
