@@ -31,19 +31,24 @@ a' = -(sin(omega tau) / omega) R and b' = cos(omega tau) R.
 R is a small perturbation of the reference, so the amplitudes come by
 quadrature, with no stepper (Picard iteration on the variation-of-constants
 integral, as Bai & Junkins, J. Astronaut. Sci. 58 (2011) 583, do for
-perturbed Kepler orbits).  The breakpoints of a stack are its samples, its
-effective flips and the run's ends, with every interval between them split
-into equal parts no longer than a fixed share of the x period,
-:data:`_CAP_PER_PERIOD`.  Each interval holds two Gauss-Legendre nodes, so
-no node lies on a flip.  A pass takes R at q_ref + e_k on every row and
-node in one kernel pass, whose rho^2 the force shares (:class:`_Residual`),
-and cumulative sums over the intervals give the next amplitudes e_{k+1} at
-the breakpoints; a two-node collocation gives them at the nodes.  Pass 1
-takes R on the reference itself (e_0 = 0).  The passes stop when no
-amplitude changes by more than its row's tolerance; a window where they do
-not within :data:`_PASSES` passes is halved, and each window's passes start
-from the amplitudes at its start, the reference re-anchored there
-(:func:`solve_ivp`).  The reference's x range must stay inside the nearest
+perturbed Kepler orbits).  The breakpoints of a stack are its effective
+flips and the run's ends, with every interval between them split into
+equal parts no longer than a fixed share of the x period,
+:data:`_CAP_PER_PERIOD`, so the passes' cost follows the flips and the
+motion, not the samples.  Each interval holds two Gauss-Legendre nodes,
+and three where a sample lies strictly inside it; no node lies on a flip.
+A pass takes R at q_ref + e_k on every row and node in one kernel pass,
+whose rho^2 the force shares (:class:`_Residual`), and cumulative sums of
+the quadrature terms give the next amplitudes e_{k+1} at the breakpoints;
+the collocation polynomial through each interval's derivative values gives
+them at its nodes.  Pass 1 takes R on the reference itself (e_0 = 0).  The
+passes stop when no amplitude changes by more than its row's tolerance; a
+window where they do not within :data:`_PASSES` passes is halved, and each
+window's passes start from the amplitudes at its start, the reference
+re-anchored there.  A sample on a breakpoint takes the amplitudes there,
+and one inside an interval is read off the interval's collocation
+polynomial, the parabola through its three nodes (:func:`solve_ivp`).
+The reference's x range must stay inside the nearest
 loop plane on either side of the centre, beyond which the pair does not
 confine along x.  The harmonic centre is a
 precondition: a source without one (a single loop, or a stiffness that
@@ -208,7 +213,12 @@ def _spin_moment(spin_sign, constants: PhysicalConstants):
     spin_sign = np.asarray(spin_sign)
     if not (np.abs(spin_sign) == 1).all():
         raise ValueError("spin_sign must be -1 or +1")
-    return spin_sign * (-constants.hbar * constants.gamma_e)
+    return spin_sign * _spin_up_moment(constants)
+
+
+def _spin_up_moment(constants: PhysicalConstants) -> float:
+    """The spin moment at s = +1 (A m^2), -hbar gamma_e."""
+    return -constants.hbar * constants.gamma_e
 
 
 def force(
@@ -338,7 +348,7 @@ def harmonic_centre(
     if not (bx == 0.0 and np.finfo(float).tiny <= k_y
             and 4.0 * k_y < math.inf):
         return None
-    mu_s = _spin_moment(1, constants)
+    mu_s = _spin_up_moment(constants)
     return (np.array((4.0 * k_y, k_y, k_y)),
             np.array((-2.0 * t * mu_s / nd.mass, 0.0, 0.0)))
 
@@ -382,8 +392,14 @@ class _Reference:
 
     def phasor(self, t: np.ndarray) -> np.ndarray:
         """exp(-i omega tau) per axis (axis 0) and time (axis 1), with
-        tau = t - edges[0]: cos(omega tau) - i sin(omega tau)."""
-        return np.exp(self.minus_i_omega[:, None] * (t - self.edges[0]))
+        tau = t - edges[0]: cos(omega tau) - i sin(omega tau).  K is
+        (4k, k, k) (:func:`harmonic_centre`), so omega_x = 2 omega_y
+        exactly and x's phasor is the square of y's, which z shares."""
+        p = np.empty((3, len(t)), dtype=complex)
+        np.exp(self.minus_i_omega[1] * (t - self.edges[0]), out=p[1])
+        np.multiply(p[1], p[1], out=p[0])
+        p[2] = p[1]
+        return p
 
     def offsets(self, k: np.ndarray, phasor: np.ndarray,
                 ab: Optional[np.ndarray] = None) -> np.ndarray:
@@ -394,7 +410,7 @@ class _Reference:
         a + i b / omega to z's amplitude (see :class:`_Residual`), so the
         one phasor turns both into states."""
         w = np.empty((3, len(self.wyz), len(k)), dtype=complex)
-        w[0] = self.wx[:, k]
+        self.wx.take(k, axis=1, out=w[0])
         w[1:] = self.wyz.T[:, :, None]
         if ab is not None:
             w.real += ab[:3]
@@ -412,7 +428,7 @@ class _Reference:
         k = self.segments(t)
         w = self.offsets(k, self.phasor(t), ab)
         states = np.empty((6,) + w.shape[1:])
-        np.add(w.real[0], self.xstar[:, k], out=states[0])
+        np.add(w.real[0], self.xstar.take(k, axis=1), out=states[0])
         states[1:3] = w.real[1:]
         np.multiply(self.omega[:, None, None], w.imag, out=states[3:])
         return states
@@ -462,7 +478,8 @@ class _Residual:
         self.cos = phasor.real[:, None]
         # -sin / omega, since the phasor's imaginary part is -sin.
         self.sin_w = (phasor.imag / ref.omega[:, None])[:, None]
-        self.xstar, self.mu = ref.xstar[:, k], self.mu_spin[:, k].ravel()
+        self.xstar = ref.xstar.take(k, axis=1)
+        self.mu = self.mu_spin.take(k, axis=1).ravel()
 
     def __call__(self, ab: np.ndarray) -> np.ndarray:
         """(a', b'), shape (6, n, len(times)), at the times of :meth:`at`
@@ -474,7 +491,7 @@ class _Residual:
         # arrays.
         points = q.reshape(3, -1).T
         rho2 = _rho2(points)
-        r = np.empty_like(q)
+        r = np.empty(q.shape)
         _force(points, rho2, self.btuw(points, self.constants, rho2),
                self.a_mass, self.mu, out=r.reshape(3, -1).T)
         r += k_q
@@ -487,14 +504,46 @@ class _Residual:
 #: Intervals between breakpoints are split into equal parts no longer than
 #: the x period 2 pi / omega_x over this.
 _CAP_PER_PERIOD = 64
-#: The two Gauss-Legendre nodes on [-1, 1] (weights 1 and 1), and the
-#: matrix that takes a derivative's values at them to its integral from -1
-#: to each node, that of the line through the two values.
-_NODES = np.array([-1.0, 1.0]) / math.sqrt(3.0)
-_TO_NODES = 0.5 + np.array([[0.0, -1.0], [1.0, 0.0]]) / math.sqrt(3.0)
+#: The outer nodes of the three-node Gauss-Legendre rule are +-sqrt(3/5),
+#: with weights 5/9, and its middle node 0, with weight 8/9; its nodes are
+#: kept in that order: left, right, middle.
+_X3 = math.sqrt(0.6)
+_W3 = np.array([5.0, 5.0, 8.0]) / 9.0
+#: The integrals from -1 to u of that rule's Lagrange polynomials, as
+#: cubics in v = u + 1, v (_V1 + v (_V2 + v _V3)), each over its node's
+#: weight.
+_V1 = 5.0 / 6.0 * np.array([1.0 + _X3, 1.0 - _X3, -0.8]) / _W3
+_V2 = -5.0 / 6.0 * np.array([1.0 + 0.5 * _X3, 1.0 - 0.5 * _X3, -2.0]) / _W3
+_V3 = 5.0 / 18.0 * np.array([1.0, 1.0, -2.0]) / _W3
+
+
+def _partial3(v: np.ndarray) -> np.ndarray:
+    """Per v = u + 1, u in [-1, 1], the factors, shape (len(v), 3), that
+    take the three-node rule's quadrature terms h w_j f_j (h the half
+    length of the interval, w_j and f_j the weight and the derivative at
+    node j) to the integral from the interval's start to u of the parabola
+    through the f_j: the integrals from -1 to u of the nodes' Lagrange
+    polynomials, each over its weight.  All three are 0 at v = 0."""
+    v = v[:, None]
+    return v * (_V1 + v * (_V2 + v * _V3))
+
+
+#: The Gauss-Legendre rules on [-1, 1]: two nodes on an interval with no
+#: sample strictly inside, three on one with (:func:`solve_ivp`).  Entry
+#: 2 r + j of each table is node j of rule r, r = 0 for two nodes and 1
+#: for three: the node, its weight and the row of factors that take the
+#: rule's quadrature terms to the integral from -1 to the node of the
+#: polynomial through the derivative's values (0 past the rule's nodes).
+_NODES = np.array([-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0), -_X3, _X3, 0.0])
+_WEIGHTS = np.concatenate(((1.0, 1.0), _W3))
+_TO_NODES = np.concatenate((
+    np.pad(0.5 + np.array([[0.0, -1.0], [1.0, 0.0]]) / math.sqrt(3.0),
+           ((0, 0), (0, 1))),
+    _partial3(1.0 + _NODES[2:])))
 #: Picard passes in a window before it is halved.
 _PASSES = 4
-#: Rows times nodes in one window at most, which bounds a pass's memory.
+#: Rows times nodes in one window at most, which bounds a pass's memory;
+#: the samples are read in chunks of at most as many rows times samples.
 _WINDOW_NODES = 2 ** 16
 #: The smallest relative tolerance the engine takes: 100 machine epsilons.
 RTOL_FLOOR = 100 * np.finfo(float).eps
@@ -508,43 +557,94 @@ class _Solution:
     nfev: int
 
 
-def _passes(fun: _Residual, t: np.ndarray, ab0: np.ndarray, tol: np.ndarray
-            ) -> tuple[Optional[np.ndarray], int]:
-    """Picard passes over one window, with breakpoints t and the amplitudes
-    ``ab0``, shape (6, n), at its start: the amplitudes at t, shape
-    (6, n, len(t)), or None where no pass met the tolerance ``tol``, shape
-    (6, n, 1); and the passes made."""
-    half = 0.5 * np.diff(t)
-    # Node j of interval i is node j N + i of the window, N the intervals.
-    fun.at((t[:-1] + half + half * _NODES[:, None]).ravel())
-    n = ab0.shape[1]
+def _collocate(ab: np.ndarray, rows: np.ndarray, at: np.ndarray,
+               nodes: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """The amplitudes, shape (6, n, len(at)), at points on breakpoint
+    ``at`` of a window or inside the interval that starts there: the
+    window's amplitudes ``ab`` there, shape (6, n, breakpoints), plus the
+    integral to the point of the polynomial through the derivative values
+    at the interval's nodes.  That integral is the quadrature terms
+    ``rows`` (node, axis and row) at the interval's ``nodes``, shape
+    (len(at), 3), times ``factors`` of the same shape: 0 past the
+    interval's nodes, and all 0 on a breakpoint."""
+    amp = ab.take(at, axis=2)
+    amp += (factors[:, None] @ rows[nodes]).reshape(
+        -1, 6, ab.shape[1]).transpose(1, 2, 0)
+    return amp
+
+
+def _passes(fun: _Residual, t: np.ndarray, half: np.ndarray,
+            rule: np.ndarray, ab0: np.ndarray, tol: np.ndarray
+            ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], int]:
+    """Picard passes over one window, with breakpoints t, the intervals'
+    half lengths ``half``, rule 1 (three nodes) on the intervals where
+    ``rule`` is 1 and rule 0 (two) on the others, and the amplitudes
+    ``ab0``, shape (6, n), at the window's start.  Returns the amplitudes
+    at t, shape (6, n, len(t)), or None where no pass met the tolerance
+    ``tol``, shape (6, n, 1); the last pass's quadrature terms, h w f at
+    each node (h its interval's half length, w its weight and f the
+    derivative there), as rows (node, axis and row); and the passes
+    made."""
+    n, n_int = ab0.shape[1], len(rule)
+    # Node j of interval i is node j N + i of the window, N its intervals,
+    # for the left and right nodes, j = 0 and 1; the middle nodes of the
+    # three-node intervals follow.
+    three = np.flatnonzero(rule)
+    n3 = len(three)
+    if n3 == n_int:
+        three = slice(None)
+    mid = t[:-1] + half
+    outer = half * _NODES[2 * rule + 1]
+    fun.at(np.concatenate((mid - outer, mid + outer, mid[three])))
+    hw = half * _WEIGHTS[2 * rule]
+    hw = np.concatenate((hw, hw, half[three] * _WEIGHTS[4]))
     # Pass 1 takes the amplitudes at their start everywhere.
-    ab = np.broadcast_to(ab0[:, :, None], (6, n, len(t)))
-    at_nodes = np.broadcast_to(ab0[:, :, None], (6, n, 2 * len(half)))
+    ab = at_nodes = ab0[:, :, None]
     for k in range(1, _PASSES + 1):
-        d = fun(at_nodes).reshape(6, n, 2, -1)
-        d *= half
-        new = np.empty(ab.shape)
+        terms = fun(at_nodes)
+        terms *= hw
+        new = np.empty((6, n, n_int + 1))
         new[:, :, 0] = ab0
-        np.cumsum(d[:, :, 0] + d[:, :, 1], axis=2, out=new[:, :, 1:])
-        new[:, :, 1:] += ab0[:, :, None]
+        step = new[:, :, 1:]
+        np.add(terms[:, :, :n_int], terms[:, :, n_int:2 * n_int], out=step)
+        step[:, :, three] += terms[:, :, 2 * n_int:]
+        np.cumsum(step, axis=2, out=step)
+        step += ab0[:, :, None]
         # A NaN or an infinity reaches the end of the cumulative sums.
         if not np.isfinite(new[:, :, -1]).all():
             raise FloatingPointError("non-finite state during integration")
+        rows = np.ascontiguousarray(terms.reshape(6 * n, -1).T)
         if (np.abs(new - ab) <= tol).all():
-            return new, k
+            return new, rows, k
         ab = new
-        at_nodes = (new[:, :, None, :-1] + _TO_NODES @ d).reshape(6, n, -1)
-    return None, _PASSES
+        # Per node: its interval, that interval's nodes (an index past the
+        # rows, a two-node interval's middle one, is clipped: its factor
+        # is 0) and its entry in the rule tables.
+        iv = np.concatenate((np.arange(n_int), np.arange(n_int),
+                             np.flatnonzero(rule)))
+        middle = 2 * n_int + np.cumsum(rule) - rule
+        nodes = np.minimum(np.stack((iv, iv + n_int, middle[iv]), axis=1),
+                           len(rows) - 1)
+        entry = np.concatenate((2 * rule, 2 * rule + 1, np.full(n3, 4)))
+        at_nodes = _collocate(new, rows, iv, nodes, _TO_NODES[entry])
+    return None, None, _PASSES
 
 
 def solve_ivp(fun: _Residual, t: np.ndarray, atol: np.ndarray,
-              samples: np.ndarray, out: np.ndarray) -> _Solution:
+              t_eval: np.ndarray, out: np.ndarray) -> _Solution:
     """Picard passes over the stacked residual ``fun`` on the breakpoints
     ``t`` (sorted and distinct, from the reference's start to the run's
     end), each stopped at the tolerance ``atol``, shape (n, 6); the states
-    at the breakpoints ``samples`` (sorted indices into t) go into ``out``,
-    shape (n, len(samples), 6).
+    at the sorted times ``t_eval``, inside [t[0], t[-1]], go into ``out``,
+    shape (n, len(t_eval), 6).
+
+    An interval that holds a sample strictly inside takes three
+    Gauss-Legendre nodes, any other two.  A sample on a breakpoint takes
+    the amplitudes there; one inside an interval is read off the interval's
+    collocation polynomial, the amplitudes at its start plus the integral
+    of the parabola through the last pass's derivative values at its three
+    nodes.  The samples are read in chunks of at most _WINDOW_NODES rows
+    times samples.
 
     The first window holds every interval, up to _WINDOW_NODES rows times
     nodes.  A window whose passes do not stop within _PASSES is halved; one
@@ -553,14 +653,36 @@ def solve_ivp(fun: _Residual, t: np.ndarray, atol: np.ndarray,
     interval that does not stop raises :class:`IntegrationError` with the
     first row's state at its start.
     """
-    n_int, tol = len(t) - 1, atol.T[:, :, None]
-    most = max(1, _WINDOW_NODES // (2 * len(atol)))
-    ab0 = np.zeros((6, len(atol)))
-    i0, size, nfev, filled = 0, most, 0, 0
+    n_int, n, tol = len(t) - 1, len(atol), atol.T[:, :, None]
+    half = 0.5 * np.diff(t)
+    # The breakpoint at or before each sample.  An interval with a sample
+    # strictly inside takes rule 1, any other rule 0 (see _passes).
+    at = t.searchsorted(t_eval, side="right") - 1
+    lo = t[at]
+    rule = np.zeros(n_int, dtype=int)
+    rule[at[lo < t_eval]] = 1
+    # Before each breakpoint: the three-node intervals, and the nodes.
+    before = np.zeros(n_int + 1, dtype=int)
+    np.cumsum(rule, out=before[1:])
+    nodes = 2 * np.arange(n_int + 1) + before
+    # Per sample: its interval's left, right and middle nodes, less the
+    # offsets of its window (a two-node interval's middle one is clipped),
+    # and the factors of its integral from the interval's start, 0 on a
+    # breakpoint.
+    last = np.minimum(at, n_int - 1)
+    slots = np.stack((last, last, before[last]), axis=1)
+    factors = _partial3((t_eval - lo) / half[last])
+    most = _WINDOW_NODES // n
+    chunk = max(1, most)
+    ab0 = np.zeros((6, n))
+    i0, size, nfev, filled = 0, n_int, 0, 0
     while i0 < n_int:
-        i1 = min(i0 + size, n_int)
-        ab, passes = _passes(fun, t[i0:i1 + 1], ab0, tol)
-        nfev += passes * 2 * (i1 - i0)
+        # At most _WINDOW_NODES rows times nodes, and at least one interval.
+        i1 = min(i0 + size, max(i0 + 1, nodes.searchsorted(
+            nodes[i0] + most, side="right") - 1))
+        ab, rows, passes = _passes(fun, t[i0:i1 + 1], half[i0:i1],
+                                   rule[i0:i1], ab0, tol)
+        nfev += passes * int(nodes[i1] - nodes[i0])
         if ab is None:
             if i1 - i0 == 1:
                 y = fun.ref.state(t[i0:i1], ab0[:, :, None])[:, 0, 0].tolist()
@@ -571,27 +693,31 @@ def solve_ivp(fun: _Residual, t: np.ndarray, atol: np.ndarray,
                                     v=tuple(y[3:])))
             size = (i1 - i0) // 2
             continue
-        stop = samples.searchsorted(i1, side="right")
-        idx = samples[filled:stop]
-        out[:, filled:stop] = fun.ref.state(
-            t[idx], ab[:, :, idx - i0]).transpose(1, 2, 0)
+        stop = len(t_eval) if i1 == n_int else at.searchsorted(i1)
+        # Node j of the window's interval i is node j N + i for the left and
+        # right nodes, N its intervals, and the middle nodes follow.
+        offsets = np.array((-i0, i1 - 2 * i0, 2 * (i1 - i0) - before[i0]))
+        for s0 in range(filled, stop, chunk):
+            s = slice(s0, min(s0 + chunk, stop))
+            amp = _collocate(ab, rows, at[s] - i0,
+                             np.minimum(slots[s] + offsets, len(rows) - 1),
+                             factors[s])
+            out[:, s] = fun.ref.state(t_eval[s], amp).transpose(1, 2, 0)
         filled, ab0 = stop, ab[:, :, -1]
-        i0, size = i1, min(2 * size, most)
+        i0, size = i1, min(2 * size, n_int)
     return _Solution(nfev)
 
 
-def _breakpoints(edges: np.ndarray, t_eval: np.ndarray, cap: float
-                 ) -> np.ndarray:
-    """The edges and samples, sorted and distinct, with every interval
-    between them longer than ``cap`` split into equal parts no longer than
-    it (to rounding)."""
-    t = np.unique(np.concatenate((edges, t_eval)))
-    gaps = np.diff(t)
+def _breakpoints(edges: np.ndarray, cap: float) -> np.ndarray:
+    """The edges (sorted and distinct) with every interval between them
+    longer than ``cap`` split into equal parts no longer than it (to
+    rounding)."""
+    gaps = np.diff(edges)
     parts = np.ceil(gaps / cap).astype(int)
     first = np.repeat(np.cumsum(parts) - parts, parts)
     step = np.repeat(gaps / parts, parts)
-    return np.append(np.repeat(t[:-1], parts)
-                     + (np.arange(len(first)) - first) * step, t[-1])
+    return np.append(np.repeat(edges[:-1], parts)
+                     + (np.arange(len(first)) - first) * step, edges[-1])
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
@@ -655,7 +781,7 @@ def _integrate_stack(
     # divided by the mass: the spin moment at each sign (exact, so the
     # signs, from spins checked above, scale the one moment), and
     # -chi V / mu0.
-    mu_spin = signs * (_spin_moment(1, constants) / nd.mass)
+    mu_spin = signs * (_spin_up_moment(constants) / nd.mass)
     a_mass = _chi_coefficient(nd, constants) / nd.mass
     y0 = np.array([[*st.q, *st.v] for st in starts], dtype=float)
     ref = _Reference(centre, edges, signs, y0)
@@ -668,11 +794,10 @@ def _integrate_stack(
     atol[:, :3] = (cfg.abs_tol_pos + cfg.rel_tol * pos)[:, None]
     atol[:, 3:] = (cfg.abs_tol_vel + cfg.rel_tol * vel)[:, None]
     atol *= 1.0 / math.sqrt(n)
-    t = _breakpoints(edges, t_eval,
-                     2.0 * math.pi / (_CAP_PER_PERIOD * ref.omega[0]))
+    t = _breakpoints(edges, 2.0 * math.pi / (_CAP_PER_PERIOD * ref.omega[0]))
     samples = np.empty((n, len(t_eval), 6))
     solve_ivp(_Residual(ref, source, constants, a_mass, mu_spin), t, atol,
-              t.searchsorted(t_eval), samples)
+              t_eval, samples)
 
     # A sample within rounding of a spin flip keeps the sign before it:
     # (-1)^(spin flips before each sample), by its parity.
@@ -724,8 +849,9 @@ def integrate(
     must be sorted and lie within [initial.t, t_end], and ``t_end`` must be
     finite: a decreasing ``t_eval``, one with a NaN or outside that span,
     or an infinite or NaN ``t_end`` raises ValueError.  The residual
-    comes by Picard passes over the breakpoints, the samples and the
-    effective flips among them (see the module docstring), stopped at the
+    comes by Picard passes over the breakpoints, the effective flips and
+    the run's ends, and each sample is read off its interval's collocation
+    polynomial (see the module docstring); the passes stop at the
     tolerances of ``cfg``.  The source must have a harmonic centre
     (:func:`harmonic_centre`); one without raises FloatingPointError before
     any pass.
@@ -777,13 +903,14 @@ def sensitivity_scan(
     records: list[dict] = []
     for i, ((theta, phi), q0) in enumerate(zip(angles, starts)):
         up, down = trajs[2 * i], trajs[2 * i + 1]
+        apart = np.abs(up.q - down.q).max(axis=0)
         records.append({
             "theta": theta,
             "phi": phi,
             "start": q0,
-            "y_overlap": np.abs(up.y - down.y).max() / norm,
-            "z_overlap": np.abs(up.z - down.z).max() / norm,
-            "x_separation_max": np.abs(up.x - down.x).max(),
+            "y_overlap": apart[1] / norm,
+            "z_overlap": apart[2] / norm,
+            "x_separation_max": apart[0],
             "trajectories": {1: up, -1: down},
         })
     return records

@@ -507,10 +507,10 @@ def test_stacked_shell_scan_matches_per_row_oracle(coil_name):
 
 @pytest.mark.parametrize("coil_name", ["3cm", "5mm"])
 def test_sparse_samples_match_per_row_oracle(monkeypatch, coil_name):
-    # the shell stack of the test above, sampled at seven times off the
-    # flips: the intervals between samples and flips, up to P/10 long, are
-    # split into equal parts no longer than the x period over
-    # _CAP_PER_PERIOD, whose ends hold no sample
+    # the shell stack of the test above, sampled at seven times: the
+    # breakpoints split the period into equal parts no longer than the x
+    # period over _CAP_PER_PERIOD, and each sample inside one is read off
+    # its interval's collocation polynomial
     coil, r = _COILS[coil_name]
     nd = NanodiamondParams.from_mass(5.6e-14)
     omega, period = _coil_period(coil, nd)
@@ -580,6 +580,14 @@ def _record_solver_calls(monkeypatch):
 
     monkeypatch.setattr(ndspin.trajectory, "solve_ivp", recording)
     return calls
+
+
+def _one_pass_nodes(breaks, t_eval):
+    """The node times of one pass over the breakpoints: two per interval,
+    and a third in each interval that holds a sample strictly inside."""
+    inner = t_eval[~np.isin(t_eval, breaks)]
+    held = np.unique(np.searchsorted(breaks, inner, side="right"))
+    return 2 * (len(breaks) - 1) + len(held)
 
 
 def test_failed_run_reports_the_state_not_the_amplitudes(tmp_path, capsys):
@@ -692,7 +700,7 @@ def test_light_particle_matches_per_row_oracle(monkeypatch):
     monkeypatch.undo()
     (args, sol), = calls
     # more than one pass
-    assert sol.nfev > 2 * (len(args[1]) - 1)
+    assert sol.nfev > _one_pass_nodes(args[1], t_eval)
     zone = _RHO_SERIES_FACTOR * coil.loops[0].r_c
     rho = np.hypot(rows[2].y, rows[2].z)
     assert rho.min() < zone < rho.max()
@@ -759,7 +767,8 @@ def test_no_flip_within_rounding_of_the_end(monkeypatch, n_flip):
 @pytest.mark.parametrize("lag", [math.pi / 45.0, math.pi / 10.0, math.pi / 5.0])
 def test_lagged_scan_steps_across_flips(monkeypatch, lag):
     # at the default tolerances the lagged delta scan is one solver call
-    # and one pass over breakpoints that hold every flip
+    # and one pass over breakpoints that hold every flip, with a third node
+    # in each interval that holds a sample
     coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
     omega, period = _coil_period(coil, nd)
     cfg = IntegratorConfig()
@@ -774,7 +783,7 @@ def test_lagged_scan_steps_across_flips(monkeypatch, lag):
     monkeypatch.undo()
     (args, sol), = calls
     breaks = args[1]
-    assert sol.nfev == 2 * (len(breaks) - 1)
+    assert sol.nfev == _one_pass_nodes(breaks, t_eval)
     flips = _flip_times(FlipSchedule(omega_dd=n_flip * omega, delta=lag),
                         period)
     assert np.isin(np.concatenate(flips), breaks).all()
@@ -901,6 +910,34 @@ def test_synchronized_delta_row_within_abs_tol_of_tight_reference():
     want = _solve_ivp_oracle((0.0, 0.0, 0.0), 1, coil, nd, None, 0.0,
                              osc.period, tight, t_eval)
     assert np.max(np.abs(row.q - want)) <= cfg.abs_tol_pos
+
+
+def test_default_particle_samples_within_row_tolerance():
+    # the default particle (2.9e-17 kg) in the 3 cm pair at the default
+    # tolerances, one shell row over one period: its x reaches 0.38 mm,
+    # and every one of 400 samples, most read off their interval's
+    # collocation polynomial, lies within the row's stop tolerance,
+    # (abs_tol_pos + rel_tol max|q|) / sqrt(n) with n = 1 rows, of a tight
+    # DOP853 run.
+    # The row's flips cancel, so the oracle runs without them.  A line
+    # through two nodes per interval reads 2.1e-12 m off here.
+    cfg = parse_config({"version": 1, "coil": {"radius_m": 0.03,
+                                                "separation_m": 0.03,
+                                                "mmf_At": 564.0}})
+    coil, nd, r = cfg.coil, cfg.nanodiamond, cfg.sensitivity_radius
+    omega, period = _coil_period(coil, nd)
+    q0 = (r * 0.5, r * 0.5, r * math.sqrt(0.5))
+    t_eval = np.linspace(0.0, period, 400)
+    row = _integrate_stack(
+        [TrajectoryState(0.0, q0, (0.0, 0.0, 0.0))], [1],
+        [FlipSchedule(omega_dd=cfg.sensitivity_n_flip * omega)], coil, nd,
+        period, cfg.integrator, t_eval, CONSTANTS)[0]
+    tight = IntegratorConfig(rel_tol=1e-13, abs_tol_pos=1e-20, abs_tol_vel=1e-20)
+    want = _solve_ivp_oracle(q0, 1, coil, nd, None, 0.0, period, tight, t_eval)
+    assert np.max(np.abs(want[:, 0])) > 3.5e-4
+    tol = cfg.integrator.abs_tol_pos + cfg.integrator.rel_tol * np.max(
+        np.abs(want))
+    assert np.max(np.abs(row.q - want)) <= tol
 
 
 def test_baseline_worst_overlap_within_1e4_of_tight_reference():
@@ -1173,10 +1210,12 @@ def test_set_up_kernel_passes_on_the_baseline():
     # origin for the harmonic centre, and the delta scan's none, the
     # assembly keeping its numbers at the origin.  Inside the solver each
     # Picard pass makes one, and one pass each meets the default
-    # tolerances: two nodes on each of the shell scan's 399 intervals
-    # between samples, and on each of the delta scan's 1394 between its
-    # 400 samples and 995 distinct flips (199 spin flips and 4 x 199
-    # current flips), which fall on no sample but the ends
+    # tolerances.  The shell scan's breakpoints split its period into 65
+    # equal intervals (the period over the cap rounds to just above 64),
+    # each holding samples and so three nodes; the delta scan's are its
+    # 995 distinct flips (199 spin flips and 4 x 199 current flips), which
+    # fall on no sample but the ends, and of its 996 intervals the 239 that
+    # hold one of the 398 inner samples take a third node
     cfg = parse_config({"version": 1, "nanodiamond": {"mass_kg": 5.6e-14},
                         "coil": {"radius_m": 0.03, "separation_m": 0.03,
                                  "mmf_At": 564.0}})
@@ -1212,4 +1251,4 @@ def test_set_up_kernel_passes_on_the_baseline():
                    omega, cfg.integrator, cfg.sensitivity_n_samples)
     assert shell == {False: 1, True: 1}
     assert passes == {False: 1, True: 2}
-    assert nfev == [2 * 399, 2 * 1394]
+    assert nfev == [3 * 65, 2 * 996 + 239]
