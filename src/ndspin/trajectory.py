@@ -15,7 +15,11 @@ multiple of 2 pi / omega_DD and the coil current sign follows after the
 phase lag delta / omega_DD.  The force depends only on the product s of the
 two signs, so a spin flip and a current flip at the same instant cancel:
 a trajectory's effective flips are the times in exactly one of its two
-flip lists; a synchronized schedule (delta = 0) has none.
+flip lists; a synchronized schedule (delta = 0) has none.  The lag is
+less than half the flip period, so the two lists interleave, and the
+effective flips are the lists merged in turn, less each pair whose lag
+rounds onto one time; they come in closed form from the schedule, with no
+sort (:func:`_effective_flips`).
 
 Near the trap centre the acceleration is -K q + s c + R(q, s) (Encke's
 split): K and c come in closed form from the kernel's (B_x, t, u, w) at the
@@ -305,25 +309,66 @@ def _flip_segments(spins: Sequence[int],
 
     The force follows the sign spin * current alone, so a spin flip and a
     current flip at the same instant cancel: each row's sign changes only
-    at the times found in exactly one of its two flip lists, none on a
-    synchronized schedule.  Both lists are sorted and unique; the edges are
-    t0, t_end and every such time after t0.
+    at its schedule's effective flips (:func:`_effective_flips`), none on a
+    synchronized schedule.  The edges are t0, t_end and every effective
+    flip after t0; they are sorted and merged only where two or more
+    schedules have effective flips.  A schedule whose effective flips are
+    the inner edges alternates its sign from segment to segment; any other
+    takes the parity of its flips at or before each segment's middle.
     """
     # Rows that share a schedule share its flips and signs.
     distinct = list(dict.fromkeys(schedules))
     row_schedule = [distinct.index(sched) for sched in schedules]
-    flips = [_flip_times(sched, t_end) for sched in distinct]
-    effective = [np.setxor1d(sf, ff, assume_unique=True) for sf, ff in flips]
+    spin_flips, lagged = [], {}
+    for i, sched in enumerate(distinct):
+        sf, ff = _flip_times(sched, t_end)
+        spin_flips.append(sf)
+        if sched is not None and sched.delta:
+            ef = _effective_flips(sf, ff)
+            if len(ef):
+                lagged[i] = ef
+    effective = list(lagged.values())
+    if len(effective) > 1:
+        inner = np.unique(np.concatenate(effective))
+    else:
+        inner = effective[0] if effective else np.empty(0)
     # Every flip lies before t_end.
-    inner = np.unique(np.concatenate(effective))
-    edges = np.concatenate(((t0,), inner[inner > t0], (t_end,)))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    # (-1)^(flips before each segment's middle), by its parity.
-    pattern = np.ones((len(distinct), len(mids)), dtype=int)
-    for row, ef in zip(pattern, effective):
-        row -= 2 * (ef.searchsorted(mids, side="right") & 1)
+    first = inner.searchsorted(t0, side="right")
+    edges = np.concatenate(((t0,), inner[first:], (t_end,)))
+    pattern = np.ones((len(distinct), len(edges) - 1), dtype=int)
+    if lagged:
+        mids = 0.5 * (edges[:-1] + edges[1:])
+    if len(lagged) == 1:
+        # Segment j has first + j flips at or before its middle, and one
+        # more where it is one ulp long and its middle rounds onto its end.
+        (i,) = lagged
+        row = pattern[i]
+        row[1 - first % 2::2] = -1
+        row[:-1][mids[:-1] == edges[1:-1]] *= -1
+    else:
+        # (-1)^(flips at or before each segment's middle), by its parity.
+        for i, ef in lagged.items():
+            pattern[i] -= 2 * (ef.searchsorted(mids, side="right") & 1)
     return (edges, np.array(spins)[:, None] * pattern[row_schedule],
-            [sf for sf, _ff in flips], row_schedule)
+            spin_flips, row_schedule)
+
+
+def _effective_flips(spin_flips: np.ndarray, field_flips: np.ndarray
+                     ) -> np.ndarray:
+    """A lagged schedule's effective flips, the times found in exactly one
+    of its two flip lists (see :func:`_flip_times`), in order.  Spin flip k
+    is k dt and field flip k is k dt + lag, 0 < lag < dt / 2, so the lists
+    interleave, spin flip k first; a pair is dropped where the lag rounds
+    field flip k onto spin flip k, and the spin flips past the last field
+    flip follow."""
+    m = len(field_flips)
+    pairs = np.empty((m, 2))
+    pairs[:, 0] = spin_flips[:m]
+    pairs[:, 1] = field_flips
+    apart = pairs[:, 0] != field_flips
+    if not apart.all():
+        pairs = pairs[apart]
+    return np.concatenate((pairs.ravel(), spin_flips[m:]))
 
 
 def harmonic_centre(
@@ -380,9 +425,10 @@ class _Reference:
         z0 = y0[:, :3] + 1j * y0[:, 3:] / self.omega
         self.wx = np.empty((n, n_seg), dtype=complex)
         self.wx[:, 0] = z0[:, 0] - self.xstar[:, 0]
-        self.wx[:, 1:] = (self.xstar[:, :-1] - self.xstar[:, 1:]) * np.exp(
-            1j * self.omega[0] * (edges[1:-1] - edges[0]))
-        np.cumsum(self.wx, axis=1, out=self.wx)
+        if n_seg > 1:
+            self.wx[:, 1:] = (self.xstar[:, :-1] - self.xstar[:, 1:]) * np.exp(
+                1j * self.omega[0] * (edges[1:-1] - edges[0]))
+            self.wx.cumsum(axis=1, out=self.wx)
         self.wyz = z0[:, 1:]
 
     def segments(self, t: np.ndarray) -> np.ndarray:
@@ -589,14 +635,16 @@ def _passes(fun: _Residual, t: np.ndarray, half: np.ndarray,
     # Node j of interval i is node j N + i of the window, N its intervals,
     # for the left and right nodes, j = 0 and 1; the middle nodes of the
     # three-node intervals follow.
-    three = np.flatnonzero(rule)
+    three = rule.nonzero()[0]
     n3 = len(three)
     if n3 == n_int:
         three = slice(None)
     mid = t[:-1] + half
-    outer = half * _NODES[2 * rule + 1]
+    # Entries 2 r + 1 of the rule tables are rule r's right nodes, and
+    # entries 2 r their weights, which the left nodes share.
+    outer = half * _NODES[1:4:2].take(rule)
     fun.at(np.concatenate((mid - outer, mid + outer, mid[three])))
-    hw = half * _WEIGHTS[2 * rule]
+    hw = half * _WEIGHTS[:3:2].take(rule)
     hw = np.concatenate((hw, hw, half[three] * _WEIGHTS[4]))
     # Pass 1 takes the amplitudes at their start everywhere.
     ab = at_nodes = ab0[:, :, None]
@@ -608,7 +656,7 @@ def _passes(fun: _Residual, t: np.ndarray, half: np.ndarray,
         step = new[:, :, 1:]
         np.add(terms[:, :, :n_int], terms[:, :, n_int:2 * n_int], out=step)
         step[:, :, three] += terms[:, :, 2 * n_int:]
-        np.cumsum(step, axis=2, out=step)
+        step.cumsum(axis=2, out=step)
         step += ab0[:, :, None]
         # A NaN or an infinity reaches the end of the cumulative sums.
         if not np.isfinite(new[:, :, -1]).all():
@@ -654,7 +702,7 @@ def solve_ivp(fun: _Residual, t: np.ndarray, atol: np.ndarray,
     first row's state at its start.
     """
     n_int, n, tol = len(t) - 1, len(atol), atol.T[:, :, None]
-    half = 0.5 * np.diff(t)
+    half = 0.5 * (t[1:] - t[:-1])
     # The breakpoint at or before each sample.  An interval with a sample
     # strictly inside takes rule 1, any other rule 0 (see _passes).
     at = t.searchsorted(t_eval, side="right") - 1
@@ -663,14 +711,14 @@ def solve_ivp(fun: _Residual, t: np.ndarray, atol: np.ndarray,
     rule[at[lo < t_eval]] = 1
     # Before each breakpoint: the three-node intervals, and the nodes.
     before = np.zeros(n_int + 1, dtype=int)
-    np.cumsum(rule, out=before[1:])
-    nodes = 2 * np.arange(n_int + 1) + before
+    rule.cumsum(out=before[1:])
+    nodes = np.arange(0, 2 * n_int + 1, 2) + before
     # Per sample: its interval's left, right and middle nodes, less the
     # offsets of its window (a two-node interval's middle one is clipped),
     # and the factors of its integral from the interval's start, 0 on a
     # breakpoint.
     last = np.minimum(at, n_int - 1)
-    slots = np.stack((last, last, before[last]), axis=1)
+    slots = np.array((last, last, before[last])).T
     factors = _partial3((t_eval - lo) / half[last])
     most = _WINDOW_NODES // n
     chunk = max(1, most)
@@ -712,12 +760,15 @@ def _breakpoints(edges: np.ndarray, cap: float) -> np.ndarray:
     """The edges (sorted and distinct) with every interval between them
     longer than ``cap`` split into equal parts no longer than it (to
     rounding)."""
-    gaps = np.diff(edges)
+    gaps = edges[1:] - edges[:-1]
     parts = np.ceil(gaps / cap).astype(int)
-    first = np.repeat(np.cumsum(parts) - parts, parts)
-    step = np.repeat(gaps / parts, parts)
-    return np.append(np.repeat(edges[:-1], parts)
-                     + (np.arange(len(first)) - first) * step, edges[-1])
+    first = (parts.cumsum() - parts).repeat(parts)
+    t = np.empty(len(first) + 1)
+    np.add(edges[:-1].repeat(parts),
+           (np.arange(len(first)) - first) * (gaps / parts).repeat(parts),
+           out=t[:-1])
+    t[-1] = edges[-1]
+    return t
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
@@ -746,10 +797,12 @@ def _integrate_stack(
     so does a reference that reaches a loop plane.
 
     The set-up is one pass: the flips and segments of every distinct
-    schedule (:func:`_flip_segments`), the reference and its envelope, the
-    tolerances and the breakpoints.  Outside :func:`solve_ivp`, which it
-    calls once, it makes one kernel pass, at the origin for the harmonic
-    centre; inside, each Picard pass makes one."""
+    schedule, in closed form from the schedules and sorted only where two
+    or more of them have effective flips (:func:`_flip_segments`), the
+    reference and its envelope, the tolerances and the breakpoints.
+    Outside :func:`solve_ivp`, which it calls once, it makes one kernel
+    pass, at the origin for the harmonic centre; inside, each Picard pass
+    makes one."""
     centre = harmonic_centre(source, nd, constants)
     if centre is None:
         raise FloatingPointError(
@@ -828,7 +881,10 @@ def _check_confined(source, x_range: tuple) -> None:
 def _with_slack(times):
     """Each time plus 1e-15 max(1, t): a sample at or below it is taken as
     before the event, so one landing on a flip keeps the pre-flip sign.
-    Takes an array or a float."""
+    Takes an array or a float; a float takes Python's max, which costs less
+    than numpy's on one number."""
+    if isinstance(times, float):
+        return times + 1e-15 * max(1.0, times)
     return times + 1e-15 * np.maximum(1.0, times)
 
 

@@ -282,6 +282,20 @@ def test_tolerance_convergence_sanity(nd_250nm, field_fig2):
     coarse, fine = (endpoint_error(coil, nd, q0, oracle, rel)
                     for rel in (1e-9, 1e-12))
     assert fine < coarse
+    # both of those errors sit at the oracle's own floor, about 1.8e-18 m,
+    # where rounding decides the comparison.  In the 3 cm pair from 0.2 mm
+    # off axis the tolerance sets the error: the endpoint's y error is
+    # 1.6e-14 m at rel_tol 1e-6 (two passes) and 4.1e-16 m at 1e-9 (three
+    # passes, and as close as 1e-12 lands), so the tighter tolerance must
+    # land ten times closer
+    coil = _COILS["3cm"][0]
+    q0 = (0.0, 2e-4, 0.0)
+    t_end = 3.3 * _coil_period(coil, nd)[1]
+    oracle = _solve_ivp_oracle(q0, 1, coil, nd, None, 0.0, t_end, tight,
+                               np.array([t_end]))[0]
+    coarse, fine = (endpoint_error(coil, nd, q0, oracle, rel)
+                    for rel in (1e-6, 1e-9))
+    assert fine < 0.1 * coarse
 
 
 def test_flip_events_and_mirror_symmetry(nd_250nm, field_fig2):
@@ -1194,6 +1208,91 @@ def test_set_up_repeats_the_generic_construction(case):
             _flip_times(sched, t_end), _generic_flip_times(sched, t_end)))
 
     # starts with zeros of both signs among their components
+    y0 = rng.normal(size=(len(spins), 6)) * np.repeat([1e-7, 1e-10], 3)
+    y0[rng.random(y0.shape) < 0.3] = 0.0
+    y0[rng.random(y0.shape) < 0.2] = -0.0
+    ref = _Reference(centre, edges, signs, y0)
+    assert _same_bits(ref.state(edges[:1]), _generic_states(ref, edges[:1]))
+    ab = rng.normal(size=(6, len(spins), len(t_eval))) * 1e-12
+    ab[rng.random(ab.shape) < 0.2] = -0.0
+    assert _same_bits(ref.state(t_eval, ab), _generic_states(ref, t_eval, ab))
+
+
+def _set_up_case(kind):
+    """(spins, schedules, t0, t_end, schedules with effective flips) of one
+    named stack: omega_dd is 50 times the 3 cm trap's omega unless the
+    case needs another flip period."""
+    nd = NanodiamondParams.from_mass(5.6e-14)
+    omega, period = _coil_period(_COILS["3cm"][0], nd)
+    sync = FlipSchedule(omega_dd=50.0 * omega)
+    lagged = FlipSchedule(omega_dd=50.0 * omega, delta=0.3)
+    dt = 2.0 * math.pi / sync.omega_dd
+    if kind == "synchronized":
+        return [1, -1, 1, -1], [sync, sync, None, sync], 0.0, period, 0
+    if kind == "one-lagged":
+        return [1, -1], [lagged, lagged], 0.0, period, 1
+    if kind == "lagged-beside-synchronized":
+        return [1, 1], [sync, lagged], 0.0, period, 1
+    if kind == "two-lagged-equal-rate":
+        return ([1, -1, 1], [lagged, FlipSchedule(50.0 * omega, 1.2), sync],
+                0.0, period, 2)
+    if kind == "two-lagged-unequal-rate":
+        return ([-1, 1], [lagged, FlipSchedule(75.0 * omega, 0.05)], 0.0,
+                period, 2)
+    if kind == "late-rounding-lag":
+        # a 1 ms flip period: the 1e-18 s lag moves the current flips below
+        # 2^-6 s by an ulp or more, and rounds the later ones onto the spin
+        # flips, whose ulp is 2^-58 s
+        tiny = FlipSchedule(omega_dd=2.0 * math.pi / 1e-3, delta=2.0 * math.pi
+                            / 1e-3 * 1e-18)
+        return [1, -1], [tiny, None], 0.0, 0.03, 1
+    assert kind == "start-after-flips-end-on-flip"
+    return [1, -1, 1], [lagged, sync, lagged], 5.5 * dt, 20.0 * dt, 1
+
+
+@pytest.mark.parametrize("kind", [
+    "synchronized", "one-lagged", "lagged-beside-synchronized",
+    "two-lagged-equal-rate", "two-lagged-unequal-rate", "late-rounding-lag",
+    "start-after-flips-end-on-flip"])
+def test_set_up_paths_repeat_the_generic_construction(kind):
+    # each path of the closed-form set-up (no effective flips, one
+    # schedule's flips as the edges with alternating signs, and two or
+    # more schedules merged) gives the generic construction's flips,
+    # edges, signs, spin patterns and reference states bit for bit,
+    # signed zeros included
+    spins, schedules, t0, t_end, n_lagged = _set_up_case(kind)
+    rng = np.random.default_rng(len(kind))
+    flips = [_generic_flip_times(sched, t_end) for sched in schedules]
+    assert len({sched for sched, (sf, ff) in zip(schedules, flips)
+                if len(np.setxor1d(sf, ff))}) == n_lagged
+    if kind == "late-rounding-lag":
+        sf, ff = flips[0]
+        onto = ff == sf[:len(ff)]
+        assert not onto[:8].any() and onto[-8:].all()
+        # and a current flip one ulp after its spin flip makes a segment
+        # whose middle rounds onto its end
+        edges = _flip_segments(spins, schedules, t0, t_end)[0]
+        assert (0.5 * (edges[1:-2] + edges[2:-1]) == edges[2:-1]).any()
+    dts = [2.0 * math.pi / sched.omega_dd for sched in schedules if sched]
+    t_eval = np.unique(np.concatenate((
+        [t0, t_end], rng.uniform(t0, t_end, 30),
+        *(dt * np.arange(1, int(t_end / dt) + 1) for dt in dts))))
+    t_eval = t_eval[(t_eval >= t0) & (t_eval <= t_end)]
+
+    edges, signs, spin_flips, row_schedule = _flip_segments(
+        spins, schedules, t0, t_end)
+    want = _generic_set_up(spins, schedules, t0, t_end, t_eval)
+    assert _same_bits(edges, want[0])
+    assert _same_bits(signs, want[1])
+    assert all(_same_bits(a, b) for a, b in zip(spin_flips, want[2]))
+    assert row_schedule == want[3]
+    patterns = [1 - 2 * (_with_slack(sf).searchsorted(t_eval) & 1)
+                for sf in spin_flips]
+    assert all(_same_bits(a, b) for a, b in zip(patterns, want[4]))
+    assert (signs[:, 1:] != signs[:, :-1]).any() == (n_lagged > 0)
+
+    centre = harmonic_centre(_COILS["3cm"][0],
+                             NanodiamondParams.from_mass(5.6e-14))
     y0 = rng.normal(size=(len(spins), 6)) * np.repeat([1e-7, 1e-10], 3)
     y0[rng.random(y0.shape) < 0.3] = 0.0
     y0[rng.random(y0.shape) < 0.2] = -0.0
