@@ -312,9 +312,8 @@ def _flip_segments(spins: Sequence[int],
     at its schedule's effective flips (:func:`_effective_flips`), none on a
     synchronized schedule.  The edges are t0, t_end and every effective
     flip after t0; they are sorted and merged only where two or more
-    schedules have effective flips.  A schedule whose effective flips are
-    the inner edges alternates its sign from segment to segment; any other
-    takes the parity of its flips at or before each segment's middle.
+    schedules have effective flips.  A lagged row's sign on a segment is
+    (-1)^(its schedule's flips at or before the segment's middle).
     """
     # Rows that share a schedule share its flips and signs.
     distinct = list(dict.fromkeys(schedules))
@@ -337,16 +336,8 @@ def _flip_segments(spins: Sequence[int],
     edges = np.concatenate(((t0,), inner[first:], (t_end,)))
     pattern = np.ones((len(distinct), len(edges) - 1), dtype=int)
     if lagged:
-        mids = 0.5 * (edges[:-1] + edges[1:])
-    if len(lagged) == 1:
-        # Segment j has first + j flips at or before its middle, and one
-        # more where it is one ulp long and its middle rounds onto its end.
-        (i,) = lagged
-        row = pattern[i]
-        row[1 - first % 2::2] = -1
-        row[:-1][mids[:-1] == edges[1:-1]] *= -1
-    else:
         # (-1)^(flips at or before each segment's middle), by its parity.
+        mids = 0.5 * (edges[:-1] + edges[1:])
         for i, ef in lagged.items():
             pattern[i] -= 2 * (ef.searchsorted(mids, side="right") & 1)
     return (edges, np.array(spins)[:, None] * pattern[row_schedule],
@@ -797,12 +788,10 @@ def _integrate_stack(
     so does a reference that reaches a loop plane.
 
     The set-up is one pass: the flips and segments of every distinct
-    schedule, in closed form from the schedules and sorted only where two
-    or more of them have effective flips (:func:`_flip_segments`), the
-    reference and its envelope, the tolerances and the breakpoints.
-    Outside :func:`solve_ivp`, which it calls once, it makes one kernel
-    pass, at the origin for the harmonic centre; inside, each Picard pass
-    makes one."""
+    schedule (:func:`_flip_segments`), the reference and its envelope, the
+    tolerances and the breakpoints.  Outside :func:`solve_ivp`, which it
+    calls once, it makes one kernel pass, at the origin for the harmonic
+    centre; inside, each Picard pass makes one."""
     centre = harmonic_centre(source, nd, constants)
     if centre is None:
         raise FloatingPointError(

@@ -1163,36 +1163,87 @@ def _same_bits(a, b):
         a.tobytes() == b.tobytes())
 
 
-@pytest.mark.parametrize("case", range(40))
+_NAMED_STACKS = {
+    # kind: how many of its schedules have effective flips
+    "synchronized": 0, "one-lagged": 1, "lagged-beside-synchronized": 1,
+    "two-lagged-equal-rate": 2, "two-lagged-unequal-rate": 2,
+    "late-rounding-lag": 1, "start-after-flips-end-on-flip": 1}
+
+
+def _set_up_case(case):
+    """(spins, schedules, t0, t_end, t_eval, rng) of one stack, with rng
+    left to draw its starts.  An integer case is a random stack:
+    synchronized schedules, lags so small that the current flips round onto
+    the spin flips, an end on a flip and a start after some flips or on
+    one.  A named one (:data:`_NAMED_STACKS`) takes omega_dd 50 times the
+    3 cm trap's omega unless it needs another flip period."""
+    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        period = 2.0 * math.pi / math.sqrt(harmonic_centre(coil, nd)[0][0])
+        omega_dd = 2.0 * math.pi / period * rng.integers(3, 60)
+        lags = [0.0, 1e-300, 1e-18 * rng.uniform(0.5, 2.0),
+                rng.uniform(0.0, math.pi), rng.uniform(0.0, 0.05)]
+        kinds = rng.choice(len(lags) + 1, size=rng.integers(1, 5))
+        schedules = [None if kind == len(lags) else FlipSchedule(
+            omega_dd=omega_dd * rng.choice([1.0, 1.5]), delta=lags[kind])
+            for kind in kinds]
+        spins = list(rng.choice([-1, 1], size=len(schedules)))
+        dt = 2.0 * math.pi / omega_dd
+        t_end = (dt * rng.integers(2, 40) if case % 2
+                 else period * rng.uniform(0.5, 2.0))
+        # a start at 0, after some flips, or on a spin flip
+        t0 = (0.0, t_end * rng.uniform(0.0, 0.6), dt)[case % 3]
+        t_eval = np.sort(np.concatenate((
+            [t0, t_end], rng.uniform(t0, t_end, 30),
+            dt * np.arange(1, int(t_end / dt) + 1))))
+        return (spins, schedules, t0, t_end,
+                t_eval[(t_eval >= t0) & (t_eval <= t_end)], rng)
+
+    omega, period = _coil_period(coil, nd)
+    sync = FlipSchedule(omega_dd=50.0 * omega)
+    lagged = FlipSchedule(omega_dd=50.0 * omega, delta=0.3)
+    t0, t_end = 0.0, period
+    if case == "synchronized":
+        spins, schedules = [1, -1, 1, -1], [sync, sync, None, sync]
+    elif case == "one-lagged":
+        spins, schedules = [1, -1], [lagged, lagged]
+    elif case == "lagged-beside-synchronized":
+        spins, schedules = [1, 1], [sync, lagged]
+    elif case == "two-lagged-equal-rate":
+        spins = [1, -1, 1]
+        schedules = [lagged, FlipSchedule(50.0 * omega, 1.2), sync]
+    elif case == "two-lagged-unequal-rate":
+        spins, schedules = [-1, 1], [lagged, FlipSchedule(75.0 * omega, 0.05)]
+    elif case == "late-rounding-lag":
+        # a 1 ms flip period: the 1e-18 s lag moves the current flips below
+        # 2^-6 s by an ulp or more, and rounds the later ones onto the spin
+        # flips, whose ulp is 2^-58 s
+        spins, t_end = [1, -1], 0.03
+        schedules = [FlipSchedule(omega_dd=2.0 * math.pi / 1e-3,
+                                  delta=2.0 * math.pi / 1e-3 * 1e-18), None]
+    else:
+        assert case == "start-after-flips-end-on-flip"
+        dt = 2.0 * math.pi / sync.omega_dd
+        spins, schedules = [1, -1, 1], [lagged, sync, lagged]
+        t0, t_end = 5.5 * dt, 20.0 * dt
+    rng = np.random.default_rng(len(case))
+    dts = [2.0 * math.pi / sched.omega_dd for sched in schedules if sched]
+    t_eval = np.unique(np.concatenate((
+        [t0, t_end], rng.uniform(t0, t_end, 30),
+        *(dt * np.arange(1, int(t_end / dt) + 1) for dt in dts))))
+    return (spins, schedules, t0, t_end,
+            t_eval[(t_eval >= t0) & (t_eval <= t_end)], rng)
+
+
+@pytest.mark.parametrize("case", [*range(40), *_NAMED_STACKS])
 def test_set_up_repeats_the_generic_construction(case):
     # the stack's set-up (flip lists, edges, signs, spin patterns, the
     # residual's start and the samples' states) is the generic
-    # construction's bit for bit, signed zeros included, on random
-    # schedules: synchronized ones, lags so small that the current flips
-    # round onto the spin flips, an end on a flip and a start after some
-    # flips or on one
-    rng = np.random.default_rng(case)
-    coil, nd = _COILS["3cm"][0], NanodiamondParams.from_mass(5.6e-14)
-    centre = harmonic_centre(coil, nd)
-    period = 2.0 * math.pi / math.sqrt(centre[0][0])
-    omega_dd = 2.0 * math.pi / period * rng.integers(3, 60)
-    lags = [0.0, 1e-300, 1e-18 * rng.uniform(0.5, 2.0),
-            rng.uniform(0.0, math.pi), rng.uniform(0.0, 0.05)]
-    kinds = rng.choice(len(lags) + 1, size=rng.integers(1, 5))
-    schedules = [None if kind == len(lags) else FlipSchedule(
-        omega_dd=omega_dd * rng.choice([1.0, 1.5]), delta=lags[kind])
-        for kind in kinds]
-    spins = list(rng.choice([-1, 1], size=len(schedules)))
-    dt = 2.0 * math.pi / omega_dd
-    t_end = (dt * rng.integers(2, 40) if case % 2
-             else period * rng.uniform(0.5, 2.0))
-    # a start at 0, after some flips, or on a spin flip
-    t0 = (0.0, t_end * rng.uniform(0.0, 0.6), dt)[case % 3]
-    t_eval = np.sort(np.concatenate((
-        [t0, t_end], rng.uniform(t0, t_end, 30),
-        dt * np.arange(1, int(t_end / dt) + 1))))
-    t_eval = t_eval[(t_eval >= t0) & (t_eval <= t_end)]
-
+    # construction's bit for bit, signed zeros included, on random stacks
+    # and on a named stack for each path: no effective flips, one
+    # schedule's, and two or more schedules' merged
+    spins, schedules, t0, t_end, t_eval, rng = _set_up_case(case)
     edges, signs, spin_flips, row_schedule = _flip_segments(
         spins, schedules, t0, t_end)
     want = _generic_set_up(spins, schedules, t0, t_end, t_eval)
@@ -1206,91 +1257,21 @@ def test_set_up_repeats_the_generic_construction(case):
     for sched in schedules:
         assert all(_same_bits(a, b) for a, b in zip(
             _flip_times(sched, t_end), _generic_flip_times(sched, t_end)))
-
-    # starts with zeros of both signs among their components
-    y0 = rng.normal(size=(len(spins), 6)) * np.repeat([1e-7, 1e-10], 3)
-    y0[rng.random(y0.shape) < 0.3] = 0.0
-    y0[rng.random(y0.shape) < 0.2] = -0.0
-    ref = _Reference(centre, edges, signs, y0)
-    assert _same_bits(ref.state(edges[:1]), _generic_states(ref, edges[:1]))
-    ab = rng.normal(size=(6, len(spins), len(t_eval))) * 1e-12
-    ab[rng.random(ab.shape) < 0.2] = -0.0
-    assert _same_bits(ref.state(t_eval, ab), _generic_states(ref, t_eval, ab))
-
-
-def _set_up_case(kind):
-    """(spins, schedules, t0, t_end, schedules with effective flips) of one
-    named stack: omega_dd is 50 times the 3 cm trap's omega unless the
-    case needs another flip period."""
-    nd = NanodiamondParams.from_mass(5.6e-14)
-    omega, period = _coil_period(_COILS["3cm"][0], nd)
-    sync = FlipSchedule(omega_dd=50.0 * omega)
-    lagged = FlipSchedule(omega_dd=50.0 * omega, delta=0.3)
-    dt = 2.0 * math.pi / sync.omega_dd
-    if kind == "synchronized":
-        return [1, -1, 1, -1], [sync, sync, None, sync], 0.0, period, 0
-    if kind == "one-lagged":
-        return [1, -1], [lagged, lagged], 0.0, period, 1
-    if kind == "lagged-beside-synchronized":
-        return [1, 1], [sync, lagged], 0.0, period, 1
-    if kind == "two-lagged-equal-rate":
-        return ([1, -1, 1], [lagged, FlipSchedule(50.0 * omega, 1.2), sync],
-                0.0, period, 2)
-    if kind == "two-lagged-unequal-rate":
-        return ([-1, 1], [lagged, FlipSchedule(75.0 * omega, 0.05)], 0.0,
-                period, 2)
-    if kind == "late-rounding-lag":
-        # a 1 ms flip period: the 1e-18 s lag moves the current flips below
-        # 2^-6 s by an ulp or more, and rounds the later ones onto the spin
-        # flips, whose ulp is 2^-58 s
-        tiny = FlipSchedule(omega_dd=2.0 * math.pi / 1e-3, delta=2.0 * math.pi
-                            / 1e-3 * 1e-18)
-        return [1, -1], [tiny, None], 0.0, 0.03, 1
-    assert kind == "start-after-flips-end-on-flip"
-    return [1, -1, 1], [lagged, sync, lagged], 5.5 * dt, 20.0 * dt, 1
-
-
-@pytest.mark.parametrize("kind", [
-    "synchronized", "one-lagged", "lagged-beside-synchronized",
-    "two-lagged-equal-rate", "two-lagged-unequal-rate", "late-rounding-lag",
-    "start-after-flips-end-on-flip"])
-def test_set_up_paths_repeat_the_generic_construction(kind):
-    # each path of the closed-form set-up (no effective flips, one
-    # schedule's flips as the edges with alternating signs, and two or
-    # more schedules merged) gives the generic construction's flips,
-    # edges, signs, spin patterns and reference states bit for bit,
-    # signed zeros included
-    spins, schedules, t0, t_end, n_lagged = _set_up_case(kind)
-    rng = np.random.default_rng(len(kind))
-    flips = [_generic_flip_times(sched, t_end) for sched in schedules]
-    assert len({sched for sched, (sf, ff) in zip(schedules, flips)
-                if len(np.setxor1d(sf, ff))}) == n_lagged
-    if kind == "late-rounding-lag":
+    if isinstance(case, str):
+        flips = [_generic_flip_times(sched, t_end) for sched in schedules]
+        n_lagged = _NAMED_STACKS[case]
+        assert len({sched for sched, (sf, ff) in zip(schedules, flips)
+                    if len(np.setxor1d(sf, ff))}) == n_lagged
+        assert (signs[:, 1:] != signs[:, :-1]).any() == (n_lagged > 0)
+    if case == "late-rounding-lag":
         sf, ff = flips[0]
         onto = ff == sf[:len(ff)]
         assert not onto[:8].any() and onto[-8:].all()
         # and a current flip one ulp after its spin flip makes a segment
         # whose middle rounds onto its end
-        edges = _flip_segments(spins, schedules, t0, t_end)[0]
         assert (0.5 * (edges[1:-2] + edges[2:-1]) == edges[2:-1]).any()
-    dts = [2.0 * math.pi / sched.omega_dd for sched in schedules if sched]
-    t_eval = np.unique(np.concatenate((
-        [t0, t_end], rng.uniform(t0, t_end, 30),
-        *(dt * np.arange(1, int(t_end / dt) + 1) for dt in dts))))
-    t_eval = t_eval[(t_eval >= t0) & (t_eval <= t_end)]
 
-    edges, signs, spin_flips, row_schedule = _flip_segments(
-        spins, schedules, t0, t_end)
-    want = _generic_set_up(spins, schedules, t0, t_end, t_eval)
-    assert _same_bits(edges, want[0])
-    assert _same_bits(signs, want[1])
-    assert all(_same_bits(a, b) for a, b in zip(spin_flips, want[2]))
-    assert row_schedule == want[3]
-    patterns = [1 - 2 * (_with_slack(sf).searchsorted(t_eval) & 1)
-                for sf in spin_flips]
-    assert all(_same_bits(a, b) for a, b in zip(patterns, want[4]))
-    assert (signs[:, 1:] != signs[:, :-1]).any() == (n_lagged > 0)
-
+    # starts with zeros of both signs among their components
     centre = harmonic_centre(_COILS["3cm"][0],
                              NanodiamondParams.from_mass(5.6e-14))
     y0 = rng.normal(size=(len(spins), 6)) * np.repeat([1e-7, 1e-10], 3)
