@@ -22,11 +22,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .coherent import classical_position, ramsey_phase
+from .coherent import _swing, ramsey_phase
 from .config import ConfigError, ScenarioConfig, load_config
 from .core import (FieldConfig, derive_oscillator, equilibrium_positions,
                    max_separation)
-from .decoupling import DDConfig, dd_expectation
+from .decoupling import _phase_space
 from .coils import field_jacobian, field_map
 from .protocol import (
     SURFACE_CSV_HEADER,
@@ -100,13 +100,16 @@ def cmd_trajectory(cfg: ScenarioConfig, args) -> int:
     osc = derive_oscillator(cfg.nanodiamond, cfg.field, cfg.constants)
     times = np.linspace(0.0, osc.period, cfg.trajectory_n_samples)
     b0s = cfg.trajectory_B0_values
-    x_plus, x_minus = (np.concatenate([
-        classical_position(times, spin, cfg.nanodiamond, replace(cfg.field, B0=b0),
-                           cfg.constants) for b0 in b0s]) for spin in (1, -1))
-    grid = np.meshgrid(b0s, times, indexing="ij")
+    # omega does not depend on B0, so every family is a branch's equilibrium
+    # position times one swing, as in classical_position
+    swing = _swing(times, osc.omega)
+    x0 = np.array([equilibrium_positions(cfg.nanodiamond, replace(cfg.field, B0=b0),
+                                         cfg.constants) for b0 in b0s])
+    x_plus, x_minus = np.multiply.outer(x0.T, swing).reshape(2, -1)
     _write(args, {"trajectory.csv": (
         ("B0_T", "t_s", "x_plus_m", "x_minus_m"),
-        (*(g.ravel() for g in grid), x_plus, x_minus))}, {
+        (np.repeat(b0s, times.size), np.tile(times, len(b0s)), x_plus,
+         x_minus))}, {
         "trajectory_manifest.json": {
             "generated_by": "ndspin trajectory",
             "x_axis": "t_s",
@@ -122,14 +125,12 @@ def cmd_dd(cfg: ScenarioConfig, args) -> int:
     osc = derive_oscillator(cfg.nanodiamond, cfg.field, cfg.constants)
     times = np.linspace(0.0, osc.period, cfg.dd_n_samples)
     ns = (0, *cfg.dd_n_values)
-    xp = np.concatenate([
-        dd_expectation(times, spin, cfg.nanodiamond, cfg.field,
-                       DDConfig(n=n) if n else None, cfg.constants)
-        for n in ns for spin in (1, -1)])
-    grid = np.meshgrid(ns, (1, -1), times, indexing="ij")
+    xp = _phase_space(times, ns, (1, -1), osc)
     _write(args, {"dd_phase_space.csv": (
         ("n_flip", "spin", "t_s", "x_m", "p_kg_m_per_s"),
-        (*(g.ravel() for g in grid), *xp.T))}, {
+        (np.repeat(ns, 2 * times.size),
+         np.tile(np.repeat((1, -1), times.size), len(ns)),
+         np.tile(times, 2 * len(ns)), *xp.T))}, {
         "dd_manifest.json": {
             "generated_by": "ndspin dd",
             "x_axis": "x_m",

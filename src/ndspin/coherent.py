@@ -77,6 +77,11 @@ def _reduced_angle(t, omega: float):
     return 2.0 * math.pi * (u - np.floor(u))
 
 
+def _swing(t, omega: float):
+    """1 - cos(omega t): a branch's excursion x_s(t) / x0_s."""
+    return 1.0 - np.cos(_reduced_angle(t, omega))
+
+
 def _phasor(angle):
     """e^{+i angle}, with cos and sin as its exact real and imaginary parts."""
     return np.cos(angle) + 1j * np.sin(angle)
@@ -100,7 +105,7 @@ def classical_position(
         x0 = -fld.B0 / fld.Bprime
     else:
         raise ValueError("spin eigenvalue must be -1, 0 or +1")
-    return x0 * (1.0 - np.cos(_reduced_angle(t, osc.omega)))
+    return x0 * _swing(t, osc.omega)
 
 
 def _zeeman_zfs_rate(spin: int, fld: FieldConfig, constants: PhysicalConstants) -> float:
@@ -125,10 +130,11 @@ def branch_state(
         osc = derive_oscillator(nd, fld, constants)
     lam_s = osc.lambda_j(spin)
     chi = lam_s / osc.omega
-    angle = _reduced_angle(t, osc.omega)
+    times = np.asarray(t, dtype=float)  # a list of times, too
+    angle = _reduced_angle(times, osc.omega)
     alpha = chi * (_phasor(angle) - 1.0)
     theta = (
-        (_zeeman_zfs_rate(spin, fld, constants) - lam_s**2 / osc.omega) * t
+        (_zeeman_zfs_rate(spin, fld, constants) - lam_s**2 / osc.omega) * times
         + chi**2 * np.sin(angle)
     )
     return BranchState(t=t, spin=spin, alpha=alpha, theta=theta)

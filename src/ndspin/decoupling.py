@@ -23,24 +23,32 @@ geometric series,
     A_j = (s lambda / omega)(r^j - 1) + (lambda0 / omega) g (r^j - (-1)^j),
     g   = (r - 1) / (r + 1) = i tan(pi / N),
 
-and Q_j sums series in r, -r and -1 (see :func:`_segment_starts`), so any
+and Q_j sums series in r, -r and -1 (see :func:`_segment_phase`), so any
 time is evaluated directly, with no walk over the segments before it.
 r^j is built from the exactly reduced angle 2 pi (j mod N) / N.  N = 1
 (r = 1, g = 0) and N = 2 (r = -1, where A_j grows linearly in j) take their
 limit sums.  The e^{+i omega t} phasor convention matches the plain branch
 evolution; expectation values are checked against an independent piecewise
 classical integration rather than trusting either phasor sign in isolation.
+
+Everything but s lambda in A_j and chi_j is the same for every branch: j,
+tau, r^j and e^{i omega tau} are formed once per time array and N
+(:func:`_flips`), and one formula gives each branch's alpha from them
+(:func:`_amplitude`).  :func:`dd_branch_state` adds the phase.  The
+phase-space samples need alpha alone: :func:`dd_expectation` and the ``dd``
+verb both read them off one pass per N over all branches
+(:func:`_phase_space`), which forms no phase.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .coherent import BranchState, _phasor, branch_state, expectation_xp
+from .coherent import BranchState, _phasor, _reduced_angle
 from .core import (
     CONSTANTS,
     FieldConfig,
@@ -72,9 +80,81 @@ class DDConfig:
             raise ValueError("DD frequency multiplier n must be >= 1")
 
 
-def _segment_starts(j, spin: int, osc: OscillatorParams, n: int,
-                    chi: np.ndarray, zeta: np.ndarray):
-    """A_j and Q_j at the start of segment(s) j, in closed form.
+#: (-1)^j, indexed by the parity of the segment index j.
+_FLIP = np.array([1.0, -1.0])
+
+
+class _Flips(NamedTuple):
+    """The spin-free terms of a flip drive omega_DD = N omega at times t.
+
+    j is the segment index, tau the time into the segment, ``sign``
+    (-1)^j, ``r_j`` r^j (None at N = 2, which never needs it) and ``rot``
+    e^{i omega tau}.  A branch's segment start is A_j = a unit + bias, with
+    a = s lambda / omega and b = lambda0 / omega: unit = r^j - 1 and
+    bias = b g (r^j - (-1)^j), or at N = 2, where every A_j is real,
+    unit = (-1)^j - 1 and bias = 2 j b (-1)^j.
+    """
+
+    n: int
+    j: np.ndarray
+    tau: np.ndarray
+    parity: np.ndarray
+    sign: np.ndarray
+    g: complex
+    r_j: Optional[np.ndarray]
+    unit: np.ndarray
+    bias: np.ndarray
+    rot: np.ndarray
+
+
+def _flips(t: np.ndarray, osc: OscillatorParams, n: int) -> _Flips:
+    """The terms every branch shares at the times ``t`` (a 1-D array).
+
+    A negative or non-finite time raises ValueError.  A flip interval that
+    is not a positive finite number (a trap frequency that overflows)
+    raises FloatingPointError.  Either way the segment index of a time
+    would not be a number.
+    """
+    if np.any(t < 0.0):
+        raise ValueError("times must be >= 0")
+    seg = osc.period / n  # 2 pi / omega_DD
+    if not 0.0 < seg < math.inf:
+        raise FloatingPointError(
+            f"the flip interval 2 pi / omega_DD = {seg:g} s is not a positive "
+            "finite number")
+    with np.errstate(over="ignore"):  # a time past 1.8e308 flip intervals
+        j = np.floor(t / seg)
+    if not np.isfinite(j).all():
+        raise ValueError("times must be finite and >= 0")
+    tau = t - j * seg
+    # j >= 0, where fmod is exact and equals %, at a third of its cost
+    parity = np.fmod(j, 2).astype(np.intp)
+    sign = _FLIP[parity]
+    b = osc.lambda0 / osc.omega
+    if n == 2:
+        g, r_j = 0.0, None
+        unit = sign - 1.0
+        bias = 2.0 * j * b * sign
+    else:
+        g = 0.0 if n == 1 else 1j * math.tan(math.pi / n)
+        r_j = _phasor(2.0 * math.pi * np.fmod(j, n) / n)
+        unit = r_j - 1.0
+        bias = b * g * (r_j - sign)
+    return _Flips(n, j, tau, parity, sign, g, r_j, unit, bias,
+                  _phasor(osc.omega * tau))
+
+
+def _amplitude(spin: int, osc: OscillatorParams, fl: _Flips):
+    """alpha = -chi_j + (A_j + chi_j) e^{i omega tau} of one branch at the
+    times of ``fl``, with A_j and chi_j."""
+    chi_j = ((_FLIP * osc.lambda0 + spin * osc.lam) / osc.omega)[fl.parity]
+    a_start = spin * osc.lam / osc.omega * fl.unit + fl.bias
+    return -chi_j + (a_start + chi_j) * fl.rot, a_start, chi_j
+
+
+def _segment_phase(spin: int, osc: OscillatorParams, fl: _Flips,
+                   chi: np.ndarray, zeta: np.ndarray):
+    """Q_j at the start of each segment j of ``fl``, in closed form.
 
     ``chi`` and ``zeta`` hold the (even, odd) segment constants.  With
     a = s lambda / omega, b = lambda0 / omega, chi_k = a + (-1)^k b and
@@ -85,30 +165,48 @@ def _segment_starts(j, spin: int, osc: OscillatorParams, n: int,
             = Im[(a + b g) (a (1 - r^j) - b g (1 - (-1)^j r^j))
                  - (1 - r) ((a^2 + b^2 g) j + a b (1 + g) e_j)].
 
-    At N = 2 every A_k is real, A_j = a ((-1)^j - 1) + 2 j b (-1)^j, and
-    X_j = 0.
+    At N = 2 every A_k is real and X_j = 0.
     """
+    n, j, g, r_j = fl.n, fl.j, fl.g, fl.r_j
     a = spin * osc.lam / osc.omega
     b = osc.lambda0 / osc.omega
-    e = j % 2
-    sign = 1.0 - 2.0 * e
     r = _phasor(2.0 * math.pi * (1 % n) / n)
     if n == 2:
-        alpha = a * (sign - 1.0) + 2.0 * j * b * sign
         cross = 0.0
     else:
-        r_j = _phasor(2.0 * math.pi * (j % n) / n)
-        g = 0.0 if n == 1 else 1j * math.tan(math.pi / n)
-        alpha = a * (r_j - 1.0) + b * g * (r_j - sign)
-        cross = ((a + b * g) * (a * (1.0 - r_j) - b * g * (1.0 - sign * r_j))
+        cross = ((a + b * g) * (a * (1.0 - r_j) - b * g * (1.0 - fl.sign * r_j))
                  - (1.0 - r) * ((a * a + b * b * g) * j
-                                + a * b * (1.0 + g) * e)).imag
+                                + a * b * (1.0 + g) * (j % 2))).imag
     n_odd = j // 2
     n_even = j - n_odd
-    phase = ((n_even * zeta[0] + n_odd * zeta[1]) * (osc.period / n)
-             + (n_even * chi[0] ** 2 + n_odd * chi[1] ** 2) * r.imag
-             - cross)
-    return alpha, phase
+    return ((n_even * zeta[0] + n_odd * zeta[1]) * (osc.period / n)
+            + (n_even * chi[0] ** 2 + n_odd * chi[1] ** 2) * r.imag
+            - cross)
+
+
+def _phase_space(times, ns, spins, osc: OscillatorParams) -> np.ndarray:
+    """(<x>, <p>) rows, shape (len(ns) * len(spins) * len(times), 2), of the
+    families (N, s) in turn, N slowest and time fastest: decoupled at
+    omega_DD = N omega, or without decoupling for N = 0.
+
+    Each N forms the terms its branches share once, and each branch only
+    its amplitude; no branch phase is formed.
+    """
+    t = np.asarray(times, dtype=float).reshape(-1)
+    xp = np.empty((len(ns), len(spins), t.size, 2))
+    x_scale, p_scale = 2.0 * osc.x_zpf, -2.0 * osc.p_zpf
+    for rows, n in zip(xp, ns):
+        if n:
+            fl = _flips(t, osc, n)
+            alphas = (_amplitude(spin, osc, fl)[0] for spin in spins)
+        else:
+            # the plain evolution of coherent.branch_state
+            swing = _phasor(_reduced_angle(t, osc.omega)) - 1.0
+            alphas = (osc.lambda_j(spin) / osc.omega * swing for spin in spins)
+        for out, alpha in zip(rows, alphas):
+            np.multiply(x_scale, alpha.real, out=out[:, 0])
+            np.multiply(p_scale, alpha.imag, out=out[:, 1])
+    return xp.reshape(-1, 2)
 
 
 def dd_branch_state(
@@ -121,10 +219,10 @@ def dd_branch_state(
 ) -> BranchState:
     """Branch state at time(s) ``times`` under gradient-only decoupling.
 
-    ``alpha`` and ``theta`` have the shape of ``times``.  A flip interval
-    that is not a positive finite number (a trap frequency that overflows)
-    raises FloatingPointError: the segment index of a time would not be a
-    number.
+    ``alpha`` and ``theta`` have the shape of ``times``.  A negative or
+    non-finite time raises ValueError.  A flip interval that is not a
+    positive finite number (a trap frequency that overflows) raises
+    FloatingPointError: the segment index of a time would not be a number.
     """
     if spin not in (-1, 0, 1):
         raise ValueError("spin eigenvalue must be -1, 0 or +1")
@@ -132,32 +230,19 @@ def dd_branch_state(
     # A scalar goes through the same vector loops as an array: numpy's scalar
     # complex arithmetic rounds differently (no fused multiply-add).
     t = np.asarray(times, dtype=float).reshape(-1)
-    if np.any(t < 0.0):
-        raise ValueError("times must be >= 0")
     osc = derive_oscillator(nd, fld, constants)
-    omega = osc.omega
-    seg = osc.period / dd.n  # 2 pi / omega_DD
-    if not 0.0 < seg < math.inf:
-        raise FloatingPointError(
-            f"the flip interval 2 pi / omega_DD = {seg:g} s is not a positive "
-            "finite number")
-    j = np.floor(t / seg)
-    tau = t - j * seg
+    fl = _flips(t, osc, dd.n)
+    alpha, a_start, chi_j = _amplitude(spin, osc, fl)
 
     # Segment constants, indexed by the parity of j.
-    flip = np.array([1.0, -1.0])
-    lam = flip * osc.lambda0 + spin * osc.lam
-    chi = lam / omega
+    omega = osc.omega
+    lam = _FLIP * osc.lambda0 + spin * osc.lam
     zeta = (constants.D_zfs * spin * spin
-            + flip * constants.gamma_e * fld.B0 * spin - lam**2 / omega)
-    parity = (j % 2).astype(np.intp)
-    chi_j, zeta_j = chi[parity], zeta[parity]
-
-    a_start, q_start = _segment_starts(j, spin, osc, dd.n, chi, zeta)
-    rot = _phasor(omega * tau)
-    alpha = -chi_j + (a_start + chi_j) * rot
-    theta = (q_start + zeta_j * tau + chi_j**2 * np.sin(omega * tau)
-             - chi_j * np.imag(a_start * (1.0 - rot)))
+            + _FLIP * constants.gamma_e * fld.B0 * spin - lam**2 / omega)
+    q_start = _segment_phase(spin, osc, fl, lam / omega, zeta)
+    theta = (q_start + zeta[fl.parity] * fl.tau
+             + chi_j**2 * np.sin(omega * fl.tau)
+             - chi_j * np.imag(a_start * (1.0 - fl.rot)))
     return BranchState(t=times, spin=spin, alpha=alpha.reshape(shape)[()],
                        theta=theta.reshape(shape)[()])
 
@@ -171,13 +256,15 @@ def dd_expectation(
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
     """(<x>, <p>) samples, shape (len(times), 2), of one branch decoupled by
-    ``dd`` or, for None, evolving without decoupling."""
+    ``dd`` or, for None, evolving without decoupling.
+
+    With ``dd``, a negative or non-finite time raises ValueError, as in
+    :func:`dd_branch_state`.
+    """
+    if spin not in (-1, 0, 1):
+        raise ValueError("spin eigenvalue must be -1, 0 or +1")
     osc = derive_oscillator(nd, fld, constants)
-    if dd is None:
-        state = branch_state(times, spin, nd, fld, constants, osc)
-    else:
-        state = dd_branch_state(times, spin, nd, fld, dd, constants)
-    return np.column_stack(expectation_xp(state, osc))
+    return _phase_space(times, (dd.n if dd else 0,), (spin,), osc)
 
 
 def dd_mirror_defect(

@@ -6,18 +6,23 @@ import re
 import signal
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ndspin import cli
 from ndspin.cli import _COMMANDS, main
+from ndspin.coherent import classical_position
 from ndspin.coils import CoilAssembly
 from ndspin.config import (MAX_DD_FLIPS, MAX_SAMPLES, MAX_STACK_SAMPLES,
                            MAX_TABLE_ROWS, ConfigError, ScenarioConfig,
                            load_config, parse_config)
-from ndspin.core import CONSTANTS, FieldConfig, NanodiamondParams
+from ndspin.core import (CONSTANTS, FieldConfig, NanodiamondParams,
+                         derive_oscillator)
+from ndspin.decoupling import DDConfig, dd_expectation
 from ndspin.protocol import ProtocolConfig, casimir_polder_separation
 from ndspin.trajectory import IntegratorConfig
 from ndspin.tables import write_csv
@@ -168,6 +173,66 @@ def test_cmd_trajectory_writes_one_period_per_bias(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "B0_T,t_s,x_plus_m,x_minus_m"
     assert len(lines) == 1 + 2 * 32
+
+
+def _tables_of(verb, doc, tmp_path, monkeypatch):
+    """The tables ``verb`` hands to the writer, by file name."""
+    tables = {}
+
+    def capture(args, verb_tables, records):
+        tables.update(verb_tables)
+        return {name: "" for name in records}
+
+    monkeypatch.setattr(cli, "_write", capture)
+    assert main([verb, "--config", _write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 0
+    return tables
+
+
+def _same_bits(got, want):
+    """Equal bit patterns, and so equal signs of zero, and equal dtypes."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
+def test_trajectory_columns_repeat_classical_position(tmp_path, monkeypatch):
+    doc = {**BASE, "field": {"B0_T": 5e-4, "Bprime_T_per_m": 0.663},
+           "trajectory": {"B0_values_T": [0.0, -7e-4, 5e-4, 3e-2],
+                          "n_samples": 301}}
+    cfg = parse_config(doc)
+    (header, columns), = _tables_of("trajectory", doc, tmp_path,
+                                    monkeypatch).values()
+    assert header == ("B0_T", "t_s", "x_plus_m", "x_minus_m")
+    times = np.linspace(0.0, derive_oscillator(cfg.nanodiamond,
+                                               cfg.field).period, 301)
+    b0s = cfg.trajectory_B0_values
+    want = [np.concatenate([classical_position(
+        times, spin, cfg.nanodiamond, replace(cfg.field, B0=b0))
+        for b0 in b0s]) for spin in (1, -1)]
+    grid = [g.ravel() for g in np.meshgrid(b0s, times, indexing="ij")]
+    for got, expected in zip(columns, (*grid, *want)):
+        assert _same_bits(got, expected)
+
+
+def test_dd_columns_repeat_dd_expectation(tmp_path, monkeypatch):
+    # N = 1 and N = 2 take the limit sums
+    ns = [1, 2, 3, 4, 7, 20, 200]
+    doc = {**BASE, "field": {"B0_T": -3e-4, "Bprime_T_per_m": 0.663},
+           "dd": {"n_values": ns, "n_samples": 401}}
+    cfg = parse_config(doc)
+    (header, columns), = _tables_of("dd", doc, tmp_path, monkeypatch).values()
+    assert header == ("n_flip", "spin", "t_s", "x_m", "p_kg_m_per_s")
+    times = np.linspace(0.0, derive_oscillator(cfg.nanodiamond,
+                                               cfg.field).period, 401)
+    want = np.concatenate([
+        dd_expectation(times, spin, cfg.nanodiamond, cfg.field,
+                       DDConfig(n=n) if n else None)
+        for n in (0, *ns) for spin in (1, -1)])
+    grid = [g.ravel() for g in np.meshgrid((0, *ns), (1, -1), times,
+                                           indexing="ij")]
+    for got, expected in zip(columns, (*grid, *want.T)):
+        assert _same_bits(got, expected)
 
 
 def test_cmd_dd_writes_phase_space(tmp_path):

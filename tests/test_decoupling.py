@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +20,7 @@ from ndspin import (
     max_separation,
 )
 from ndspin.decoupling import (
+    _phase_space,
     dd_mirror_defect,
     excursion_bias_defect,
     sampled_mirror_defect,
@@ -115,19 +117,95 @@ def _piecewise_ode(times, spin, nd, fld, dd, constants=CONSTANTS,
 def test_config_validation():
     with pytest.raises(ValueError):
         DDConfig(n=0)
-    with pytest.raises(ValueError):
-        dd_branch_state(-1.0, 1, NanodiamondParams(), FieldConfig(Bprime=1e3),
-                        DDConfig(n=4))
+    for fn in (dd_branch_state, dd_expectation):
+        for times in (-1.0, [0.0, -1e-9], -math.inf):
+            with pytest.raises(ValueError, match=r"^times must be >= 0$"):
+                fn(times, 1, NanodiamondParams(), FieldConfig(Bprime=1e3),
+                   DDConfig(n=4))
+    # the plain evolution takes any time
+    assert np.isfinite(dd_expectation([-1e-3], 1, NanodiamondParams(),
+                                      FieldConfig(Bprime=1e3))).all()
+
+
+def _bits(a):
+    """The bit patterns of a float or complex array: -0.0 differs from 0.0."""
+    return np.asarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308],
+                         ids=["nan", "inf", "past_float_range_of_flips"])
+def test_non_finite_time_is_refused(nd_250nm, field_biased, bad):
+    # it once passed the sign check, warned in the integer cast and raised
+    # IndexError; 1e308 s is past 1.8e308 flip intervals
+    osc = derive_oscillator(nd_250nm, field_biased)
+    times = [0.0, 0.5 * osc.period, bad]
+    calls = [lambda: dd_branch_state(times, 1, nd_250nm, field_biased,
+                                     DDConfig(n=4)),
+             lambda: dd_branch_state(bad, -1, nd_250nm, field_biased,
+                                     DDConfig(n=2)),
+             lambda: dd_expectation(times, 1, nd_250nm, field_biased,
+                                    DDConfig(n=7)),
+             lambda: _phase_space(times, (1, 200), (1, -1), osc)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match=r"^times must be finite and >= 0"):
+                call()
+
+
+def test_list_times_give_the_array_bits(nd_250nm, field_biased):
+    osc = derive_oscillator(nd_250nm, field_biased)
+    times = [0.0, 0.3 * osc.period, osc.period, 2.7 * osc.period]
+    for spin in (1, -1):
+        listed = branch_state(times, spin, nd_250nm, field_biased)
+        arrayed = branch_state(np.array(times), spin, nd_250nm, field_biased)
+        assert listed.t is times
+        assert np.array_equal(_bits(listed.alpha), _bits(arrayed.alpha))
+        assert np.array_equal(_bits(listed.theta), _bits(arrayed.theta))
+        for dd in (None, DDConfig(n=1), DDConfig(n=2), DDConfig(n=5)):
+            got = dd_expectation(times, spin, nd_250nm, field_biased, dd)
+            want = dd_expectation(np.array(times), spin, nd_250nm,
+                                  field_biased, dd)
+            assert got.shape == (4, 2)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20, 200])
+def test_family_pass_repeats_each_family(nd_250nm, field_biased, n):
+    # N = 1 and N = 2 take the limit sums; the times hold 0, every flip
+    # k 2 pi / (N omega), the period and points inside the segments
+    for nd, fld, constants in ((nd_250nm, field_biased, CONSTANTS),
+                               _order_one_coupling_setup()):
+        osc = derive_oscillator(nd, fld, constants)
+        times = np.concatenate([osc.period / n * np.arange(n + 1),
+                                [osc.period],
+                                np.linspace(0.0, 1.5 * osc.period, 301)])
+        xp = _phase_space(times, (0, n), (1, -1), osc).reshape(2, 2, -1, 2)
+        for rows, dd in zip(xp, (None, DDConfig(n=n))):
+            for got, spin in zip(rows, (1, -1)):
+                want = dd_expectation(times, spin, nd, fld, dd, constants)
+                assert np.array_equal(_bits(got), _bits(want))
+                if dd is None:
+                    state = branch_state(times, spin, nd, fld, constants)
+                else:
+                    state = dd_branch_state(times, spin, nd, fld, dd,
+                                            constants)
+                assert np.array_equal(
+                    _bits(got), _bits(np.column_stack(expectation_xp(state,
+                                                                     osc))))
 
 
 def test_overflowing_trap_frequency_raises():
     # |chi| / (mu0 rho) overflows, so omega is infinite and the flip
     # interval 0: the segment index would be NaN, cast to an integer
     nd = NanodiamondParams(chi_magnitude=1e308)
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
-                                                  match="flip interval"):
-        dd_branch_state([0.0, 1e-3], 1, nd, FieldConfig(Bprime=1e3),
-                        DDConfig(n=4))
+    message = (r"^the flip interval 2 pi / omega_DD = 0 s is not a positive "
+               r"finite number$")
+    with np.errstate(all="ignore"):
+        for fn in (dd_branch_state, dd_expectation):
+            with pytest.raises(FloatingPointError, match=message):
+                fn([0.0, 1e-3], 1, nd, FieldConfig(Bprime=1e3), DDConfig(n=4))
 
 
 def test_zero_bias_reduces_to_undecoupled(nd_250nm, field_fig2):
